@@ -251,6 +251,9 @@ def cmd_gen(args) -> int:
     except ValueError:
         print("gen: --random wants m,n,seed", file=sys.stderr)
         return EXIT_USAGE
+    if args.grid_denominator is not None and args.grid_denominator < 1:
+        print("gen: --grid-denominator must be at least 1", file=sys.stderr)
+        return EXIT_USAGE
     game = lab.gen_random(m, n, seed, rational_grid=args.grid_denominator,
                           ensure_gap=args.ensure_gap)
     print(dumps_game(game))
@@ -396,6 +399,9 @@ def main(argv=None) -> int:
         return EXIT_GUARD
     except (RsekitError, ValueError, OSError) as e:
         print(f"rsekit: {e}", file=sys.stderr)
+        return EXIT_USAGE
+    except ZeroDivisionError as e:  # a fraction flag such as --delta 1/0
+        print(f"rsekit: zero denominator in {e}", file=sys.stderr)
         return EXIT_USAGE
 
 

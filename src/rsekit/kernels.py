@@ -10,7 +10,6 @@ delta-optimal response rule. Two interchangeable backends exist:
 Select with ``RSEKIT_KERNELS=numba|numpy``. Both backends enumerate lattice
 points in the same lexicographic order and keep the first maximizer, so the
 reported strategy is backend-independent up to float summation order.
-``benchmarks/bench_kernels.py`` compares the two.
 """
 
 from __future__ import annotations

@@ -1,24 +1,34 @@
 """Uniform linear-program representation and a deterministic simplex solver.
 
 Every solver in the package funnels through :func:`solve` / :func:`feasible`.
-The solver runs in one of two arithmetic modes:
+Both arithmetic modes share one two-phase tableau simplex with Bland's rule,
+so results are deterministic and cycling-free:
 
 * float mode (default): IEEE doubles with a feasibility tolerance of 1e-8
-  and a pivot/strictness tolerance of 1e-9,
-* exact mode: ``fractions.Fraction`` throughout, no tolerances.
+  and a pivot tolerance of 1e-9,
+* exact mode: ``fractions.Fraction`` answers with no tolerances, found by
+  certify-then-fallback. The simplex first runs in float on the same rows,
+  and its answer is kept only once it is proven in rationals:
 
-Both modes share a single two-phase tableau simplex using Bland's rule, so
-results are deterministic and cycling-free. Strict inequalities (``<``/``>``)
-are never sent to the pivoting core: they are relaxed to their non-strict
-counterparts before solving and the relaxation is recorded on the outcome so
-callers can post-verify tightness.
+  - *infeasible*: the phase-1 duals, clipped to their allowed signs, must
+    form an exact Farkas certificate;
+  - *optimal* (``max``/``min`` only): the ``num_vars`` constraints that
+    define the final vertex are re-solved exactly, the vertex must satisfy
+    every row, and its multipliers must be strictly signed. Strict
+    multipliers make the vertex the unique optimum, so it is the very point
+    the ``Fraction`` simplex would return.
+
+  Everything else (a feasible ``feasibility`` LP, an unbounded LP, a
+  degenerate vertex or tied optima, a failed proof) is solved by the same
+  simplex in ``Fraction`` arithmetic. Exact outcomes therefore always equal
+  the ``Fraction`` simplex's, which stays the reference.
 """
 
 from __future__ import annotations
 
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -28,9 +38,13 @@ Scalar = Union[int, float, Fraction]
 
 FEASIBILITY_TOL = 1e-8
 PIVOT_TOL = 1e-9
+# Float duals are rounded to the nearest rational with at most this
+# denominator before the exact Farkas check. That strips pivot noise from
+# duals whose true values are simple rationals; any rounding is safe, since
+# the check itself is exact.
+DUAL_DENOMINATOR = 10 ** 9
 
-RELATIONS = ("<=", ">=", "==", "<", ">")
-_STRICT = {"<": "<=", ">": ">="}
+RELATIONS = ("<=", ">=", "==")
 
 
 @dataclass(frozen=True)
@@ -75,9 +89,6 @@ class LinearProgram:
         if self.objective is not None:
             object.__setattr__(self, "objective", tuple(self.objective))
 
-    def strict_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, c in enumerate(self.constraints) if c.relation in _STRICT)
-
 
 def maximize(objective: Sequence[Scalar], constraints: Sequence[Constraint], *,
              simplex: bool = False) -> LinearProgram:
@@ -91,20 +102,11 @@ def feasibility(num_vars: int, constraints: Sequence[Constraint], *,
 
 @dataclass(frozen=True)
 class LpOutcome:
-    """Result of an LP solve.
-
-    ``tight_constraints`` indexes into the program's constraint tuple and
-    holds the constraints satisfied with equality at the solution (within
-    the feasibility tolerance in float mode, exactly in exact mode).
-    ``relaxed_constraints`` records which strict constraints were relaxed
-    before solving; callers post-verify those.
-    """
+    """Result of an LP solve."""
 
     status: str  # "optimal" | "infeasible" | "unbounded"
     solution: tuple | None
     objective_value: Scalar | None
-    tight_constraints: frozenset = field(default_factory=frozenset)
-    relaxed_constraints: tuple[int, ...] = ()
 
 
 def lp_to_text(lp: LinearProgram) -> str:
@@ -121,46 +123,43 @@ def lp_to_text(lp: LinearProgram) -> str:
     return "\n".join(lines)
 
 
-def _rows_for_solve(lp: LinearProgram, exact: bool):
-    """Canonical (coeffs, relation, rhs) rows with strict relations relaxed."""
-    conv = Fraction if exact else float
-    rows = []
-    for con in lp.constraints:
-        rel = _STRICT.get(con.relation, con.relation)
-        rows.append(([conv(v) for v in con.coeffs], rel, conv(con.rhs)))
-    if lp.simplex_constraint:
-        rows.append(([conv(1)] * lp.num_vars, "==", conv(1)))
-    return rows
-
-
 def solve(lp: LinearProgram, *, exact: bool = False) -> LpOutcome:
     """Solve ``lp`` to a vertex-optimal solution with Bland's rule.
 
-    Deterministic: identical inputs give identical outcomes. Strict
-    constraints are relaxed (recorded in the outcome) before solving.
+    Deterministic: identical inputs give identical outcomes.
     """
     if os.environ.get("RSEKIT_LP_DUMP") == "1":
         print(lp_to_text(lp), file=sys.stderr)
         print("--", file=sys.stderr)
-    relaxed = lp.strict_indices()
-    rows = _rows_for_solve(lp, exact)
-    conv = Fraction if exact else float
-    if lp.sense == "feasibility":
-        objective = [conv(0)] * lp.num_vars
-    else:
-        sign = 1 if lp.sense == "max" else -1
-        objective = [sign * conv(v) for v in lp.objective]
-
-    status, x = _simplex(lp.num_vars, rows, objective, exact)
+    rows, objective = _canonical(lp, Fraction if exact else float)
+    status = None
+    if exact:
+        status, x = _certified(lp, rows, objective)
+    if status is None:
+        status, x, _ = _simplex(lp.num_vars, rows, objective, exact)
     if status != "optimal":
-        return LpOutcome(status, None, None, frozenset(), relaxed)
+        return LpOutcome(status, None, None)
 
     obj_val = None
     if lp.sense != "feasibility":
         val = sum(c * xi for c, xi in zip(objective, x))
         obj_val = val if lp.sense == "max" else -val
-    tight = _tight_set(lp, x, exact)
-    return LpOutcome("optimal", tuple(x), obj_val, tight, relaxed)
+    return LpOutcome("optimal", tuple(x), obj_val)
+
+
+def _canonical(lp: LinearProgram, conv):
+    """``(rows, objective)`` in ``conv`` arithmetic, the objective in max form.
+
+    Rows are ``(coeffs, relation, rhs)``; the simplex row comes last.
+    """
+    rows = [([conv(v) for v in con.coeffs], con.relation, conv(con.rhs))
+            for con in lp.constraints]
+    if lp.simplex_constraint:
+        rows.append(([conv(1)] * lp.num_vars, "==", conv(1)))
+    if lp.sense == "feasibility":
+        return rows, [conv(0)] * lp.num_vars
+    sign = 1 if lp.sense == "max" else -1
+    return rows, [sign * conv(v) for v in lp.objective]
 
 
 def feasible(lp: LinearProgram, *, exact: bool = False) -> LpOutcome:
@@ -173,21 +172,124 @@ def feasible(lp: LinearProgram, *, exact: bool = False) -> LpOutcome:
         conv = Fraction if exact else float
         point = tuple(conv(1) / conv(lp.num_vars) if exact else 1.0 / lp.num_vars
                       for _ in range(lp.num_vars))
-        return LpOutcome("optimal", point, None, frozenset(), lp.strict_indices())
+        return LpOutcome("optimal", point, None)
     flp = LinearProgram(lp.num_vars, None, "feasibility", lp.constraints,
                         lp.simplex_constraint)
     return solve(flp, exact=exact)
 
 
-def _tight_set(lp: LinearProgram, x, exact: bool) -> frozenset:
-    conv = Fraction if exact else float
-    tight = set()
-    for i, con in enumerate(lp.constraints):
-        lhs = sum(conv(c) * xi for c, xi in zip(con.coeffs, x))
-        diff = lhs - conv(con.rhs)
-        if (diff == 0) if exact else (abs(diff) <= FEASIBILITY_TOL):
-            tight.add(i)
-    return frozenset(tight)
+# ---------------------------------------------------------------------------
+# Exact mode: float simplex, rational certificate.
+# ---------------------------------------------------------------------------
+
+def _float_pass(num_vars: int, rows, objective):
+    """The float simplex on exact rows; see :func:`_simplex` for the result."""
+    return _simplex(num_vars, [([float(c) for c in coeffs], rel, float(rhs))
+                               for coeffs, rel, rhs in rows],
+                    [float(c) for c in objective], False)
+
+
+def _certified(lp: LinearProgram, rows, objective):
+    """``(status, x)`` of the float pass once proven exactly, else ``(None, None)``.
+
+    ``rows`` and ``objective`` are the ``Fraction`` data of :func:`solve`.
+    """
+    try:
+        status, _, evidence = _float_pass(lp.num_vars, rows, objective)
+    except SolverFailure:  # float phase 1 broke down; the exact simplex decides
+        return None, None
+    if status == "infeasible" and _farkas(lp.num_vars, rows, evidence,
+                                          lp.simplex_constraint):
+        return "infeasible", None
+    if status == "optimal" and lp.sense != "feasibility":
+        x = _unique_vertex(lp.num_vars, rows, objective, evidence)
+        if x is not None:
+            return "optimal", x
+    return None, None
+
+
+def _farkas(num_vars: int, rows, duals, simplex: bool) -> bool:
+    """True when ``duals`` prove exactly that ``rows`` have no point x >= 0.
+
+    Each dual is clipped to its relation's sign (<= 0 on ``<=`` rows, >= 0
+    on ``>=`` rows), so every x satisfying the rows has ``y.A x >= y.b``.
+    Without the simplex row, ``y.A <= 0`` and ``y.b > 0`` contradict that;
+    with it, the simplex row's own dual is dropped and
+    ``y.b > max_i (y.A)_i`` does.
+    """
+    if simplex:
+        rows, duals = rows[:-1], duals[:-1]
+    combo = [Fraction(0)] * num_vars
+    bound = Fraction(0)
+    for (coeffs, rel, rhs), y in zip(rows, duals):
+        if not abs(y) < float("inf"):  # NaN or infinite: no certificate
+            return False
+        y = Fraction(y).limit_denominator(DUAL_DENOMINATOR)
+        if (rel == "<=" and y > 0) or (rel == ">=" and y < 0) or y == 0:
+            continue
+        bound += y * rhs
+        for i, c in enumerate(coeffs):
+            if c:
+                combo[i] += y * c
+    if simplex:
+        return bound > max(combo)
+    return bound > 0 and all(v <= 0 for v in combo)
+
+
+def _unique_vertex(num_vars: int, rows, objective, active):
+    """The vertex pinned by ``active``, if it is provably the unique optimum.
+
+    ``active`` holds ``num_vars`` constraint keys: a row index, or
+    ``len(rows) + i`` for the bound ``x_i >= 0``. The vertex solves those
+    constraints as equalities; it is returned only if it satisfies every row
+    and bound, and if ``objective = sum_k lam_k * g_k`` over the constraint
+    normals g_k with lam_k > 0 on ``<=`` and lam_k < 0 on ``>=``
+    constraints (bounds included). Then every optimum is tight on all of
+    them, so the vertex is the only one.
+    """
+    if len(active) != num_vars:
+        return None
+    normals, rhs, rels = [], [], []
+    for k in active:
+        if k < len(rows):
+            coeffs, rel, b = rows[k]
+        else:
+            coeffs = [Fraction(int(i == k - len(rows))) for i in range(num_vars)]
+            rel, b = ">=", Fraction(0)
+        normals.append(coeffs)
+        rhs.append(b)
+        rels.append(rel)
+    lam = _solve_square([list(col) for col in zip(*normals)], objective)
+    if lam is None or any((rel == "<=" and v <= 0) or (rel == ">=" and v >= 0)
+                          for rel, v in zip(rels, lam)):
+        return None
+    x = _solve_square(normals, rhs)
+    if any(v < 0 for v in x):
+        return None
+    for coeffs, rel, b in rows:
+        lhs = sum(c * xi for c, xi in zip(coeffs, x) if xi)
+        if (rel == "<=" and lhs > b) or (rel == ">=" and lhs < b) or \
+                (rel == "==" and lhs != b):
+            return None
+    return x
+
+
+def _solve_square(mat, rhs):
+    """Solve ``mat . z = rhs`` exactly by Gauss-Jordan; None if singular."""
+    n = len(rhs)
+    aug = [list(row) + [v] for row, v in zip(mat, rhs)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if piv is None:
+            return None
+        aug[col], aug[piv] = aug[piv], aug[col]
+        prow = aug[col]
+        for r in range(n):
+            f = aug[r][col]
+            if r != col and f != 0:
+                f = f / prow[col]
+                aug[r] = [a - f * b for a, b in zip(aug[r], prow)]
+    return [aug[r][n] / aug[r][r] for r in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +300,11 @@ def _simplex(num_vars: int, rows, objective, exact: bool):
     """Maximize objective . x subject to rows, x >= 0.
 
     rows: list of (coeffs, rel in {"<=", ">=", "=="}, rhs).
-    Returns (status, solution_list).
+    Returns ``(status, x, evidence)``. Evidence backs the status for the
+    exact certificate: when infeasible, the phase-1 dual of every row in
+    the orientation given (<= 0 on ``<=`` rows, >= 0 on ``>=`` rows, up to
+    pivot noise); when optimal, the keys of the constraints the final basis
+    holds tight (a row index, or ``len(rows) + i`` for ``x_i = 0``).
     """
     zero = Fraction(0) if exact else 0.0
     one = Fraction(1) if exact else 1.0
@@ -207,12 +313,15 @@ def _simplex(num_vars: int, rows, objective, exact: bool):
     # Normalize to rhs >= 0, preferring "<=" rows (slack-basic, no
     # artificial): flip ">=" rows whenever their rhs is nonpositive.
     norm = []
+    flipped = []
     for coeffs, rel, rhs in rows:
-        if rhs < 0 or (rel == ">=" and rhs == 0):
+        flip = rhs < 0 or (rel == ">=" and rhs == 0)
+        if flip:
             coeffs = [-c for c in coeffs]
             rhs = -rhs
             rel = {"<=": ">=", ">=": "<=", "==": "=="}[rel]
         norm.append((coeffs, rel, rhs))
+        flipped.append(flip)
 
     n_slack = sum(1 for _, rel, _ in norm if rel != "==")
     # artificial vars for ">=" and "==" rows
@@ -223,28 +332,26 @@ def _simplex(num_vars: int, rows, objective, exact: bool):
     m = len(norm)
     tableau = [[zero] * (n_total + 1) for _ in range(m)]
     basis = [-1] * m
+    slack_col = [-1] * m
+    art_col = [-1] * m
     s_at = num_vars
     a_at = num_vars + n_slack
     for r, (coeffs, rel, rhs) in enumerate(norm):
         for j, c in enumerate(coeffs):
             tableau[r][j] = c if exact else float(c)
         tableau[r][n_total] = rhs
-        if rel == "<=":
-            tableau[r][s_at] = one
-            basis[r] = s_at
+        if rel != "==":
+            tableau[r][s_at] = one if rel == "<=" else -one
+            slack_col[r] = s_at
             s_at += 1
-        elif rel == ">=":
-            tableau[r][s_at] = -one
-            s_at += 1
-            tableau[r][a_at] = one
-            basis[r] = a_at
+        if rel != "<=":
+            art_col[r] = a_at
             a_at += 1
-        else:
-            tableau[r][a_at] = one
-            basis[r] = a_at
-            a_at += 1
+            tableau[r][art_col[r]] = one
+        basis[r] = slack_col[r] if rel == "<=" else art_col[r]
 
     art_start = num_vars + n_slack
+    keep = list(range(m))
 
     if n_art:
         # Phase 1: minimize sum of artificials.
@@ -263,7 +370,15 @@ def _simplex(num_vars: int, rows, objective, exact: bool):
         phase1_val = -cost[n_total]
         infeasible = (phase1_val != 0) if exact else (abs(phase1_val) > FEASIBILITY_TOL)
         if infeasible:
-            return "infeasible", None
+            # Reduced cost of a column = its phase-1 cost minus y . column.
+            duals = []
+            for r, (_, rel, _) in enumerate(norm):
+                if rel == "==":
+                    y = one - cost[art_col[r]]
+                else:
+                    y = cost[slack_col[r]] if rel == ">=" else -cost[slack_col[r]]
+                duals.append(-y if flipped[r] else y)
+            return "infeasible", None, duals
         # Drive remaining artificials out of the basis (or drop unit rows).
         keep = []
         for r in range(m):
@@ -299,7 +414,7 @@ def _simplex(num_vars: int, rows, objective, exact: bool):
     status = _pivot_until_optimal(tableau, basis, cost, n_total, tol,
                                   blocked_from=art_start if n_art else None)
     if status == "unbounded":
-        return "unbounded", None
+        return "unbounded", None, None
 
     x = [zero] * num_vars
     for r in range(m):
@@ -307,7 +422,10 @@ def _simplex(num_vars: int, rows, objective, exact: bool):
             x[basis[r]] = tableau[r][n_total]
     if not exact:
         x = [0.0 if abs(v) < PIVOT_TOL else v for v in x]
-    return "optimal", x
+    basic = set(basis)
+    tight = [r for r in keep if slack_col[r] < 0 or slack_col[r] not in basic]
+    tight += [len(rows) + i for i in range(num_vars) if i not in basic]
+    return "optimal", x, tight
 
 
 def _pivot_until_optimal(tableau, basis, cost, n_total, tol, blocked_from):

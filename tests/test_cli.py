@@ -80,6 +80,23 @@ def test_usage_errors_exit_two(tmp_path, capsys):
                            "--delta", "0.25", "--epsilon", "0.1", "--iota",
                            "0.1")
     assert code == 2 and "--seed" in err
+    # A zero denominator in a fraction flag is a usage error, not exit 1.
+    for argv in (("solve", "--method", "exact", "--delta", "1/0",
+                  str(game_path)),
+                 ("solve", "--method", "qptas", "--delta", "1/4",
+                  "--epsilon", "1/0", str(game_path)),
+                 ("gen", "--catalog", "table5", "--params", "eps=1/0")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("rsekit: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("denominator", ["0", "-3"])
+def test_gen_random_rejects_grid_denominator_below_one(capsys, denominator):
+    code, out, err = run_cli(capsys, "gen", "--random", "2,3,1",
+                             "--grid-denominator", denominator)
+    assert code == 2 and out == ""
+    assert "--grid-denominator" in err
 
 
 def test_curve_csv_format_and_jobs_stability(tmp_path, capsys):

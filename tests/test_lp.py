@@ -1,4 +1,4 @@
-"""Tests for the LP engine: determinism, both arithmetic modes, strictness handling."""
+"""Tests for the LP engine: determinism, both arithmetic modes, relation checks."""
 
 from fractions import Fraction
 
@@ -81,13 +81,11 @@ def test_best_response_feasibility_with_margin():
     assert sum((a - b) * xi for a, b, xi in zip(j1, j3, x)) >= 0.25 - 1e-9
 
 
-def test_strict_constraints_are_relaxed_and_recorded():
-    cons = [Constraint((1, 0), ">", 0.5), Constraint((0, 1), "<=", 0.5)]
-    prog = lp.maximize([0, 1], cons, simplex=True)
-    out = lp.solve(prog)
-    assert out.relaxed_constraints == (0,)
-    assert out.status == "optimal"
-    assert out.solution[0] >= 0.5 - 1e-9
+def test_strict_relations_rejected():
+    # No solver emits a strict row, so the LP layer accepts only <=, >=, ==.
+    for rel in ("<", ">"):
+        with pytest.raises(MalformedLpError):
+            Constraint((1, 0), rel, 0.5)
 
 
 def test_exact_mode_returns_fractions():
@@ -109,7 +107,9 @@ def test_exact_tight_constraints():
     prog = lp.maximize([Fraction(1), Fraction(0)], cons, simplex=True)
     out = lp.solve(prog, exact=True)
     assert out.solution == (Fraction(1, 3), Fraction(2, 3))
-    assert out.tight_constraints == frozenset({0})
+    tight = {i for i, con in enumerate(cons)
+             if sum(c * x for c, x in zip(con.coeffs, out.solution)) == con.rhs}
+    assert tight == {0}
 
 
 def test_determinism_bit_for_bit():

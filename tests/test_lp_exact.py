@@ -1,0 +1,268 @@
+"""Exact-mode LP: certified float answers must equal the Fraction simplex's.
+
+``lp.solve(..., exact=True)`` keeps a float simplex answer only after proving
+it in rationals and otherwise falls back to the ``Fraction`` simplex. The
+reference here is that ``Fraction`` simplex, called directly; every
+``LpOutcome`` field must match it exactly.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from rsekit import baseline, lab, lp
+from rsekit.lp import Constraint, LinearProgram, LpOutcome
+
+
+FRACTION_SIMPLEX = lp._simplex  # bound here, so the fixture below skips it
+
+
+def reference(prog: LinearProgram) -> LpOutcome:
+    """The ``Fraction`` simplex on ``prog``, without the float pass."""
+    rows, objective = lp._canonical(prog, Fraction)
+    status, x, _ = FRACTION_SIMPLEX(prog.num_vars, rows, objective, True)
+    if status != "optimal":
+        return LpOutcome(status, None, None)
+    value = None
+    if prog.sense != "feasibility":
+        value = sum(c * xi for c, xi in zip(objective, x))
+        value = value if prog.sense == "max" else -value
+    return LpOutcome("optimal", tuple(x), value)
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """Counts the LPs that exact mode hands to the ``Fraction`` simplex."""
+    count = [0]
+    simplex = lp._simplex
+
+    def counting(num_vars, rows, objective, exact):
+        count[0] += exact
+        return simplex(num_vars, rows, objective, exact)
+
+    monkeypatch.setattr(lp, "_simplex", counting)
+    return count
+
+
+def assert_same(prog):
+    got = lp.solve(prog, exact=True)
+    want = reference(prog)
+    assert got == want, lp.lp_to_text(prog)
+    for v in (got.solution or ()) + (got.objective_value,):
+        assert v is None or type(v) is Fraction
+    return got
+
+
+def _grid(rng, q):
+    return Fraction(rng.randint(-q, q), q)
+
+
+def random_lp(rng: random.Random) -> LinearProgram:
+    """A small LP on a rational grid; duplicated rows and ties are common."""
+    nv = rng.randint(1, 5)
+    q = rng.choice([1, 2, 3, 10])
+    cons = []
+    for _ in range(rng.randint(0, 7)):
+        rel = rng.choice(["<=", ">=", "<=", ">=", "=="])
+        cons.append(Constraint(tuple(_grid(rng, q) for _ in range(nv)), rel,
+                               _grid(rng, q)))
+        if rng.random() < 0.15:
+            cons.append(cons[-1])
+    sense = rng.choice(["max", "min", "feasibility"])
+    objective = (None if sense == "feasibility"
+                 else tuple(_grid(rng, q) for _ in range(nv)))
+    return LinearProgram(nv, objective, sense, tuple(cons), rng.random() < 0.7)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_random_grid_lps_match_fraction_simplex(seed, fallbacks):
+    rng = random.Random(seed)
+    statuses = set()
+    for _ in range(300):
+        before = fallbacks[0]
+        status = assert_same(random_lp(rng)).status
+        statuses.add(status)
+        # Rounded phase-1 duals prove every one of these infeasible LPs.
+        assert status != "infeasible" or fallbacks[0] == before
+    assert statuses == {"optimal", "infeasible", "unbounded"}
+    assert fallbacks[0] < 100
+
+
+def test_baseline_lps_match_fraction_simplex(monkeypatch):
+    """The no-simplex-row LPs of maximin and the inducibility gap included."""
+    seen = []
+    solve = lp.solve
+
+    def recording(prog, *, exact=False):
+        seen.append(prog)
+        return solve(prog, exact=exact)
+
+    monkeypatch.setattr(lp, "solve", recording)
+    for seed in range(6):
+        game = lab.gen_random(2 + seed % 3, 2 + seed % 4, seed, rational_grid=4)
+        baseline.solve_sse(game, exact=True)
+        baseline.solve_maximin(game, exact=True)
+        baseline.inducibility_gap(game, exact=True)
+    monkeypatch.setattr(lp, "solve", solve)
+    assert any(not p.simplex_constraint for p in seen)
+    for prog in seen:
+        assert_same(prog)
+
+
+def test_unique_vertex_is_certified_without_fallback(fallbacks):
+    out = assert_same(FEASIBLE)  # defined with the adversarial cases below
+    assert out.solution == (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6))
+    assert out.objective_value == Fraction(7, 6)
+    assert fallbacks[0] == 0
+
+
+def test_degenerate_vertex_and_duplicated_rows():
+    # Three rows meet at (1/2, 1/2) in two dimensions; one is repeated.
+    half = Fraction(1, 2)
+    cons = [Constraint((1, 0), "<=", half), Constraint((0, 1), "<=", half),
+            Constraint((1, 1), "<=", 1), Constraint((1, 1), "<=", 1),
+            Constraint((1, -1), "==", 0), Constraint((1, -1), "==", 0)]
+    for objective in ((1, 1), (1, 0), (2, 1), (-1, -1)):
+        assert_same(lp.maximize(objective, cons))
+    assert_same(lp.feasibility(2, cons))
+    assert_same(lp.maximize((1, 1), cons[2:], simplex=True))
+
+
+def test_tied_optima_match_fraction_simplex():
+    # Every point of the face x1 + x2 = 1 is optimal; the tie must resolve
+    # to the same vertex as the Fraction simplex.
+    for nv in range(1, 6):
+        tied = LinearProgram(nv, (1,) * nv, "max", (), True)
+        assert_same(tied)
+        assert_same(LinearProgram(nv, (1,) * nv, "min",
+                                  (Constraint((1,) * nv, ">=", 1),), False))
+    assert_same(lp.maximize((1, 1, 0), [Constraint((0, 0, 1), "<=", 0)],
+                            simplex=True))
+
+
+@pytest.mark.parametrize("exponent", [6, 9])
+@pytest.mark.parametrize("simplex", [True, False])
+def test_thin_infeasibility_margin(exponent, simplex, fallbacks):
+    # x1 >= 1/2 + eps and x2 >= 1/2 + eps cannot fit under x1 + x2 <= 1.
+    # At eps = 1e-9 the float pass sees a feasible point within tolerance.
+    eps = Fraction(1, 10 ** exponent)
+    cons = [Constraint((1, 0), ">=", Fraction(1, 2) + eps),
+            Constraint((0, 1), ">=", Fraction(1, 2) + eps)]
+    if not simplex:
+        cons.append(Constraint((1, 1), "<=", 1))
+    for prog in (lp.feasibility(2, cons, simplex=simplex),
+                 lp.maximize((1, 0), cons, simplex=simplex)):
+        assert assert_same(prog).status == "infeasible"
+    if exponent == 6:
+        assert fallbacks[0] == 0
+    else:
+        assert lp.feasible(lp.feasibility(2, cons, simplex=simplex)).status \
+            == "optimal"  # float mode alone gets this one wrong
+
+
+def test_highs_agrees_on_status_and_objective():
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = random.Random(99)
+    codes = {0: "optimal", 2: "infeasible", 3: "unbounded"}
+    checked = 0
+    for _ in range(200):
+        prog = random_lp(rng)
+        if prog.sense == "feasibility":
+            continue
+        out = lp.solve(prog, exact=True)
+        sign = -1 if prog.sense == "max" else 1
+        a_ub, b_ub, a_eq, b_eq = [], [], [], []
+        for con in prog.constraints:
+            row, rhs = [float(c) for c in con.coeffs], float(con.rhs)
+            if con.relation == "==":
+                a_eq.append(row), b_eq.append(rhs)
+            else:
+                flip = 1 if con.relation == "<=" else -1
+                a_ub.append([flip * c for c in row]), b_ub.append(flip * rhs)
+        if prog.simplex_constraint:
+            a_eq.append([1.0] * prog.num_vars), b_eq.append(1.0)
+        res = optimize.linprog([sign * float(c) for c in prog.objective],
+                               A_ub=a_ub or None, b_ub=b_ub or None,
+                               A_eq=a_eq or None, b_eq=b_eq or None,
+                               bounds=[(0, None)] * prog.num_vars,
+                               method="highs")
+        assert codes.get(res.status) == out.status, lp.lp_to_text(prog)
+        if out.status == "optimal":
+            assert sign * res.fun == pytest.approx(float(out.objective_value),
+                                                   abs=1e-9)
+        checked += 1
+    assert checked > 100
+
+
+# ---------------------------------------------------------------------------
+# Adversarial float pass: a lying float answer must never leak through.
+# ---------------------------------------------------------------------------
+
+FEASIBLE = lp.maximize((1, 2, 0), [Constraint((0, 1, 0), "<=", Fraction(1, 3)),
+                                   Constraint((1, 0, 0), "<=", Fraction(1, 2))],
+                       simplex=True)
+INFEASIBLE = lp.maximize((1, 0), [Constraint((1, 0), ">=", Fraction(2, 3)),
+                                  Constraint((0, 1), ">=", Fraction(2, 3))],
+                         simplex=True)
+# Loose rows that would be infeasible as equalities: a wrongly signed dual
+# turns them into a fake Farkas certificate unless it is clipped.
+LOOSE_LE = lp.maximize((1, 0), [Constraint((1, 0), "<=", 2)], simplex=True)
+LOOSE_GE = lp.maximize((1, 0), [Constraint((1, 0), ">=", -1)], simplex=True)
+BOX = lp.maximize((1, 1), [Constraint((1, 0), "<=", 1),
+                          Constraint((0, 1), "<=", 1)])
+# Every point with x3 = 0 is optimal; the Fraction simplex picks one.
+TIED = lp.maximize((1, 1, 0), [], simplex=True)
+# The row alone admits x1 = -1 with a strict multiplier; x1 >= 0 forbids it.
+NEGATIVE = LinearProgram(1, (-1,), "max", (Constraint((1,), ">=", -1),), False)
+
+
+def _lie(monkeypatch, *answer):
+    monkeypatch.setattr(lp, "_float_pass", lambda *args: answer)
+
+
+@pytest.mark.parametrize("prog, duals", [
+    (FEASIBLE, [0.0, 0.0, 0.0]), (FEASIBLE, [-1.0, -1.0, 5.0]),
+    (FEASIBLE, [1.0, 1.0, -1.0]), (FEASIBLE, [-3.0, 0.5, 0.0]),
+    (FEASIBLE, [float("nan"), 0.0, 0.0]), (FEASIBLE, [float("inf"), 0.0, 0.0]),
+    (LOOSE_LE, [1.0, 0.0]), (LOOSE_GE, [-1.0, 0.0]), (BOX, [0.0, 0.0]),
+    (BOX, [-1.0, 0.0])])
+def test_bogus_infeasible_claim_is_not_trusted(monkeypatch, prog, duals):
+    _lie(monkeypatch, "infeasible", None, duals)
+    assert assert_same(prog).status == "optimal"
+    assert_same(lp.feasibility(prog.num_vars, prog.constraints,
+                               simplex=prog.simplex_constraint))
+
+
+@pytest.mark.parametrize("prog, active", [
+    # FEASIBLE: rows 0-1, simplex row 2, keys 3-5 for the bounds x_i >= 0.
+    (FEASIBLE, [0, 1, 5]),  # (1/2, 1/3, 0) misses the simplex row
+    (FEASIBLE, [2, 3, 4]),  # (0, 0, 1) is feasible but not optimal
+    (FEASIBLE, [0, 2, 5]),  # (2/3, 1/3, 0) breaks x1 <= 1/2
+    (FEASIBLE, [0, 1, 2]),  # the true optimum: a truthful claim passes
+    (FEASIBLE, [0, 2]),     # too few constraints
+    (FEASIBLE, [0, 0, 2]),  # singular
+    # INFEASIBLE: rows 0-1, simplex row 2, keys 3-4 for the bounds.
+    (INFEASIBLE, [0, 1]),   # (2/3, 2/3) misses the simplex row
+    (INFEASIBLE, [0, 2]),   # (2/3, 1/3) breaks x2 >= 2/3
+    (INFEASIBLE, [2, 4]),   # (1, 0) breaks x2 >= 2/3
+    # TIED: simplex row 0, keys 1-3 for the bounds.
+    (TIED, [0, 1, 3]),      # (0, 1, 0) is optimal, but so is (1, 0, 0)
+    (TIED, [0, 2, 3]),      # (1, 0, 0) likewise
+    # NEGATIVE: row 0, key 1 for the bound.
+    (NEGATIVE, [0]),        # x1 = -1
+])
+def test_wrong_optimal_vertex_is_not_trusted(monkeypatch, prog, active):
+    _lie(monkeypatch, "optimal", None, active)
+    want = reference(prog)
+    assert assert_same(prog) == want
+    assert want.status == ("infeasible" if prog is INFEASIBLE else "optimal")
+
+
+def test_float_breakdown_falls_back(monkeypatch):
+    def broken(*args):
+        raise lp.SolverFailure("phase 1 reported unbounded")
+
+    monkeypatch.setattr(lp, "_float_pass", broken)
+    assert_same(FEASIBLE)
+    assert_same(INFEASIBLE)
