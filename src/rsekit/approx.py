@@ -19,18 +19,32 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from itertools import combinations
 
 from . import lp
 from .baseline import induce_strategy, inducibility_gap, solve_sse
 from .errors import EnumerationCapExceeded, GameFormatError, GapTooSmall
 from .exact import RseSolution
-from .game import (BimatrixGame, MixedStrategy, ResponseSet, evaluate,
-                   leader_payoffs)
-from .kernels import compositions, count_compositions
+from .game import (BimatrixGame, MixedStrategy, evaluate, leader_payoffs,
+                   scalar, strategy_from)
 
 ANCHOR_BUDGET = 2_000_000
+
+
+def compositions(total: int, parts: int):
+    """All nonnegative integer tuples of the given length summing to total.
+
+    Lexicographically ascending: (0, ..., 0, total) first, (total, 0, ..., 0)
+    last. Anchor enumeration and the lattice oracle share this order.
+    """
+    for bars in combinations(range(total + parts - 1), parts - 1):
+        prev = -1
+        out = []
+        for b in bars:
+            out.append(b - prev - 1)
+            prev = b
+        out.append(total + parts - 2 - prev)
+        yield tuple(out)
 
 
 @dataclass(frozen=True)
@@ -47,9 +61,7 @@ class KUniformStrategy:
         object.__setattr__(self, "counts", counts)
 
     def to_strategy(self, *, exact: bool = False) -> MixedStrategy:
-        probs = np.array(self.counts, dtype=np.float64) / self.k
-        ex = tuple(Fraction(c, self.k) for c in self.counts) if exact else None
-        return MixedStrategy(probs, ex)
+        return strategy_from([Fraction(c, self.k) for c in self.counts], exact)
 
 
 @dataclass(frozen=True)
@@ -63,7 +75,7 @@ class SurrogateRegion:
     def contains(self, game: BimatrixGame, x: MixedStrategy, *,
                  exact: bool = False) -> bool:
         vals = leader_payoffs(game, x, exact=exact)
-        eps = self.epsilon if exact else float(self.epsilon)
+        eps = scalar(self.epsilon, exact)
         tol = 0 if exact else 1e-9
         return all(abs(v - t) <= eps + tol
                    for v, t in zip(vals, self.anchor_payoffs))
@@ -73,8 +85,7 @@ def make_region(game: BimatrixGame, anchor: KUniformStrategy, epsilon, *,
                 exact: bool = False) -> SurrogateRegion:
     x = anchor.to_strategy(exact=exact)
     vals = tuple(leader_payoffs(game, x, exact=exact))
-    eps = Fraction(epsilon) if exact else float(epsilon)
-    return SurrogateRegion(anchor, eps, vals)
+    return SurrogateRegion(anchor, scalar(epsilon, exact), vals)
 
 
 def gap_approx(game: BimatrixGame, delta, *, exact: bool = False) -> RseSolution:
@@ -99,14 +110,10 @@ def gap_approx(game: BimatrixGame, delta, *, exact: bool = False) -> RseSolution
     else:
         lp_count += 1
         inducer = induce_strategy(game, sse.response, gap, exact=exact)
-        if exact:
-            w = Fraction(delta) / gap
-            coords = tuple((1 - w) * a + w * b
-                           for a, b in zip(sse.strategy.exact, inducer.exact))
-            x_hat = MixedStrategy(np.array([float(v) for v in coords]), coords)
-        else:
-            w = float(delta) / float(gap)
-            x_hat = MixedStrategy((1 - w) * sse.strategy.probs + w * inducer.probs)
+        w = scalar(delta, exact) / gap
+        ends = ((sse.strategy.exact, inducer.exact) if exact
+                else (sse.strategy.probs, inducer.probs))
+        x_hat = strategy_from([(1 - w) * a + w * b for a, b in zip(*ends)], exact)
         floor = (1 - w) * sse.leader_value
     outcome = evaluate(game, x_hat, delta, exact=exact)
     guarantee = {
@@ -144,22 +151,14 @@ def utility_verification(game: BimatrixGame, region: SurrogateRegion, delta,
 
 
 def _verification_counted(game, region, delta, mu, exact, eta=1e-9):
-    if exact:
-        mu = Fraction(mu)
-        d = Fraction(delta)
-        below = [t < mu for t in region.anchor_payoffs]
-    else:
-        mu = float(mu)
-        d = float(delta)
-        below = [t < mu - eta for t in region.anchor_payoffs]
+    mu, d = scalar(mu, exact), scalar(delta, exact)
+    tol = 0 if exact else eta
+    below = [t < mu - tol for t in region.anchor_payoffs]
     Q = [j for j, b in enumerate(below) if b]
     candidates = [j for j, b in enumerate(below) if not b]
-    region_rows = _region_constraints(game, region, exact)
+    col_l, col = game.columns(exact)
+    region_rows = _region_constraints(col_l, region, exact)
     m, n = game.m, game.n
-    if exact:
-        col = [[row[j] for row in game.exact_u_f] for j in range(n)]
-    else:
-        col = [tuple(game.u_f[:, j]) for j in range(n)]
     nlp = 0
     for j in candidates:
         cons = list(region_rows)
@@ -174,30 +173,16 @@ def _verification_counted(game, region, delta, mu, exact, eta=1e-9):
         out = lp.feasible(lp.feasibility(m, cons, simplex=True), exact=exact)
         nlp += 1
         if out.status == "optimal":
-            if exact:
-                x = MixedStrategy(np.array([float(v) for v in out.solution]),
-                                  tuple(out.solution))
-            else:
-                x = MixedStrategy(np.array(out.solution, dtype=float))
-            return True, x, nlp
+            return True, strategy_from(out.solution, exact), nlp
     return False, None, nlp
 
 
-def _region_constraints(game: BimatrixGame, region: SurrogateRegion, exact):
-    m, n = game.m, game.n
-    if exact:
-        if not game.has_exact:
-            raise GameFormatError("exact mode requires a game with rational matrices")
-        col = [[row[j] for row in game.exact_u_l] for j in range(n)]
-        eps = Fraction(region.epsilon)
-    else:
-        col = [tuple(game.u_l[:, j]) for j in range(n)]
-        eps = float(region.epsilon)
+def _region_constraints(col_l, region: SurrogateRegion, exact):
+    eps = scalar(region.epsilon, exact)
     rows = []
-    for j in range(n):
-        t = region.anchor_payoffs[j]
-        rows.append(lp.Constraint(tuple(col[j]), "<=", t + eps))
-        rows.append(lp.Constraint(tuple(col[j]), ">=", t - eps))
+    for col, t in zip(col_l, region.anchor_payoffs):
+        rows.append(lp.Constraint(col, "<=", t + eps))
+        rows.append(lp.Constraint(col, ">=", t - eps))
     return rows
 
 
@@ -216,7 +201,7 @@ def qptas_solve(game: BimatrixGame, delta, epsilon, *, exact: bool = False,
         raise ValueError(f"delta must be > 0, got {delta}")
     t0 = time.perf_counter()
     k = build_k(game, epsilon, log_base=log_base)
-    total = count_compositions(k, game.m)
+    total = math.comb(k + game.m - 1, game.m - 1)
     if total > anchor_budget:
         raise EnumerationCapExceeded(
             f"{total} k-uniform anchors exceed the budget {anchor_budget} "

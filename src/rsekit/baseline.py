@@ -11,13 +11,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
 
 from . import lp
 from .errors import GapTooSmall, SolverFailure
 from .game import (OPTIMISTIC, PESSIMISTIC, BimatrixGame, GameValueReport,
                    MixedStrategy, ResponseSet, br_delta, follower_payoffs,
-                   leader_payoffs)
+                   leader_payoffs, strategy_from)
 
 
 @dataclass(frozen=True)
@@ -39,27 +38,6 @@ class InducibilityReport:
     per_action: tuple[ActionInducibility, ...]
 
 
-def _col(mat, j, exact):
-    if exact:
-        return [row[j] for row in mat]
-    return mat[:, j]
-
-
-def _matrices(game: BimatrixGame, exact: bool):
-    if exact:
-        if not game.has_exact:
-            from .errors import GameFormatError
-            raise GameFormatError("exact mode requires a game with rational matrices")
-        return game.exact_u_l, game.exact_u_f
-    return game.u_l, game.u_f
-
-
-def _strategy_from_lp(xs, exact: bool) -> MixedStrategy:
-    if exact:
-        return MixedStrategy(np.array([float(v) for v in xs]), tuple(xs))
-    return MixedStrategy(np.array(xs, dtype=float))
-
-
 def solve_sse(game: BimatrixGame, *, exact: bool = False) -> GameValueReport:
     """Optimal commitment under optimistic follower tie-breaking.
 
@@ -67,16 +45,14 @@ def solve_sse(game: BimatrixGame, *, exact: bool = False) -> GameValueReport:
     that column weakly best. Infeasible columns are skipped; equal-value
     columns resolve to the smallest index.
     """
-    u_l, u_f = _matrices(game, exact)
+    col_l, col_f = game.columns(exact)
     best = None
     for j in range(game.n):
         cons = [
-            lp.Constraint(tuple(a - b for a, b in zip(_col(u_f, j, exact),
-                                                      _col(u_f, k, exact))), ">=", 0)
+            lp.Constraint(tuple(a - b for a, b in zip(col_f[j], col_f[k])), ">=", 0)
             for k in range(game.n) if k != j
         ]
-        out = lp.solve(lp.maximize(tuple(_col(u_l, j, exact)), cons, simplex=True),
-                       exact=exact)
+        out = lp.solve(lp.maximize(col_l[j], cons, simplex=True), exact=exact)
         if out.status != "optimal":
             continue
         if best is None or out.objective_value > best[0]:
@@ -84,36 +60,30 @@ def solve_sse(game: BimatrixGame, *, exact: bool = False) -> GameValueReport:
     if best is None:
         raise SolverFailure("no follower column is ever a best response")
     value, j, xs = best
-    x = _strategy_from_lp(xs, exact)
+    x = strategy_from(xs, exact)
     rset = br_delta(game, x, 0, exact=exact)
-    fols = follower_payoffs(game, x, exact=exact)
-    fv = fols[j] if exact else float(fols[j])
+    fv = follower_payoffs(game, x, exact=exact)[j]
     return GameValueReport(x, j, rset, value, fv, OPTIMISTIC)
 
 
 def solve_maximin(game: BimatrixGame, *, exact: bool = False) -> GameValueReport:
     """max_x min_j u_l(x, j) via a single LP with an auxiliary level variable."""
-    u_l, _ = _matrices(game, exact)
+    col_l, _ = game.columns(exact)
     m, n = game.m, game.n
     # Variables (x_1..x_m, t); utilities are nonnegative so t >= 0 is harmless.
-    cons = [
-        lp.Constraint(tuple(_col(u_l, j, exact)) + (-1,), ">=", 0)
-        for j in range(n)
-    ]
+    cons = [lp.Constraint(col_l[j] + (-1,), ">=", 0) for j in range(n)]
     cons.append(lp.Constraint((1,) * m + (0,), "==", 1))
     objective = (0,) * m + (1,)
     out = lp.solve(lp.LinearProgram(m + 1, objective, "max", tuple(cons), False),
                    exact=exact)
     if out.status != "optimal":
         raise SolverFailure(f"maximin LP ended {out.status}")
-    x = _strategy_from_lp(out.solution[:m], exact)
+    x = strategy_from(out.solution[:m], exact)
     leads = leader_payoffs(game, x, exact=exact)
     response = min(range(n), key=lambda j: (leads[j], j))
-    fols = follower_payoffs(game, x, exact=exact)
-    lv = leads[response] if exact else float(leads[response])
-    fv = fols[response] if exact else float(fols[response])
-    return GameValueReport(x, response, ResponseSet(tuple(range(n))), lv, fv,
-                           PESSIMISTIC)
+    fv = follower_payoffs(game, x, exact=exact)[response]
+    return GameValueReport(x, response, ResponseSet(tuple(range(n))),
+                           leads[response], fv, PESSIMISTIC)
 
 
 def inducibility_gap(game: BimatrixGame, *, exact: bool = False) -> InducibilityReport:
@@ -123,17 +93,15 @@ def inducibility_gap(game: BimatrixGame, *, exact: bool = False) -> Inducibility
     ``u_f(x, j) >= u_f(x, k) + t`` for all k != j over the simplex; the gap
     is the minimum over columns. t is free (split into t+ - t-).
     """
-    _, u_f = _matrices(game, exact)
+    _, col_f = game.columns(exact)
     m, n = game.m, game.n
     if n == 1:
-        uniform = _strategy_from_lp(
-            [Fraction(1, m)] * m if exact else [1.0 / m] * m, exact)
+        uniform = strategy_from([Fraction(1, m)] * m, exact)
         return InducibilityReport(math.inf, (ActionInducibility(uniform, math.inf),))
     per = []
     for j in range(n):
         cons = [
-            lp.Constraint(tuple(a - b for a, b in zip(_col(u_f, j, exact),
-                                                      _col(u_f, k, exact)))
+            lp.Constraint(tuple(a - b for a, b in zip(col_f[j], col_f[k]))
                           + (-1, 1), ">=", 0)
             for k in range(n) if k != j
         ]
@@ -142,7 +110,7 @@ def inducibility_gap(game: BimatrixGame, *, exact: bool = False) -> Inducibility
                                         tuple(cons), False), exact=exact)
         if out.status != "optimal":
             raise SolverFailure(f"inducibility LP for column {j} ended {out.status}")
-        per.append(ActionInducibility(_strategy_from_lp(out.solution[:m], exact),
+        per.append(ActionInducibility(strategy_from(out.solution[:m], exact),
                                       out.objective_value))
     gap = min(a.margin for a in per)
     return InducibilityReport(gap, tuple(per))
@@ -156,15 +124,13 @@ def induce_strategy(game: BimatrixGame, j: int, margin, *,
     every other column. Raises :class:`GapTooSmall` when the margin exceeds
     what the column can support.
     """
-    u_l, u_f = _matrices(game, exact)
+    col_l, col_f = game.columns(exact)
     cons = [
-        lp.Constraint(tuple(a - b for a, b in zip(_col(u_f, j, exact),
-                                                  _col(u_f, k, exact))), ">=", margin)
+        lp.Constraint(tuple(a - b for a, b in zip(col_f[j], col_f[k])), ">=", margin)
         for k in range(game.n) if k != j
     ]
-    out = lp.solve(lp.maximize(tuple(_col(u_l, j, exact)), cons, simplex=True),
-                   exact=exact)
+    out = lp.solve(lp.maximize(col_l[j], cons, simplex=True), exact=exact)
     if out.status != "optimal":
         raise GapTooSmall(
             f"margin {margin} is not attainable for follower action {j}")
-    return _strategy_from_lp(out.solution, exact)
+    return strategy_from(out.solution, exact)

@@ -23,7 +23,7 @@ from .errors import (BudgetExceeded, EnumerationCapExceeded, GameFormatError,
                      GapTooSmall, RsekitError)
 from .exact import RseSolution, rse_curve, solve_exact
 from .game import (BimatrixGame, MixedStrategy, attach_exact, dumps_game,
-                   evaluate, game_from_dict, loads_game)
+                   evaluate, loads_game, scalar, strategy_from)
 
 GUARD_ERRORS = (EnumerationCapExceeded, GapTooSmall, BudgetExceeded)
 
@@ -45,19 +45,17 @@ def _parse_level(text: str | None, exact: bool):
     """Accept both decimal and fraction spellings for delta/epsilon."""
     if text is None:
         return None
-    value = Fraction(text)
-    return value if exact else float(value)
+    return scalar(Fraction(text), exact)
 
 
 def _follower_scale(game: BimatrixGame, exact: bool):
     """Rescale factor for a delta stated against the raw follower matrix."""
     norm = game.meta.get("normalization")
     if not norm:
-        return Fraction(1) if exact else 1.0
+        return scalar(1, exact)
     if exact and "exact" in norm:
         return Fraction(norm["exact"]["follower"]["scale"])
-    scale = norm["follower"]["scale"]
-    return Fraction(str(scale)) if exact else float(scale)
+    return scalar(str(norm["follower"]["scale"]), exact)
 
 
 def _maybe_str(value, exact: bool):
@@ -298,20 +296,28 @@ def cmd_learn(args) -> int:
 def cmd_verify(args) -> int:
     with open(args.solution) as fh:
         sol = json.load(fh)
-    if "delta" not in sol and "delta_exact" not in sol:
+    if not isinstance(sol, dict) or ("delta" not in sol
+                                     and "delta_exact" not in sol):
         print("verify: the solution file carries no delta (only "
               "delta-indexed solutions can be rechecked)", file=sys.stderr)
         return EXIT_USAGE
+    missing = [k for k in ("strategy", "value", "response", "response_set")
+               if k not in sol]
+    if missing:
+        raise GameFormatError(
+            f"verify: the solution file lacks {', '.join(missing)}")
     exact = sol.get("mode") == "exact"
     game = _load_game(args.game, exact)
-    if exact and "exact" in sol["strategy"]:
-        coords = [Fraction(v) for v in sol["strategy"]["exact"]]
-        x = MixedStrategy(np.array([float(v) for v in coords]), tuple(coords))
-        delta = Fraction(sol["delta_exact"])
-    else:
-        exact = False
-        x = MixedStrategy(np.array(sol["strategy"]["probs"], dtype=float))
-        delta = float(sol["delta"])
+    try:
+        if exact and "exact" in sol["strategy"]:
+            x = strategy_from(sol["strategy"]["exact"], True)
+            delta = Fraction(sol["delta_exact"])
+        else:
+            exact = False
+            x = strategy_from(sol["strategy"]["probs"], False)
+            delta = float(sol["delta"])
+    except (KeyError, TypeError) as e:
+        raise GameFormatError(f"verify: malformed strategy or delta: {e!r}") from e
     rep = evaluate(game, x, delta, exact=exact)
     stated = (Fraction(sol["value_exact"]) if exact and "value_exact" in sol
               else float(sol["value"]))
@@ -347,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--raw-delta", action="store_true",
                     help="delta is stated against the raw (pre-normalization) "
                          "follower utilities")
-    sp.add_argument("--jobs", type=int, default=1)
     sp.set_defaults(func=cmd_solve)
 
     cp = sub.add_parser("curve", help="robust-value curve over a delta grid")

@@ -21,13 +21,12 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-import numpy as np
-
 from . import lp
 from .baseline import inducibility_gap, solve_maximin, solve_sse
 from .errors import EnumerationCapExceeded, SolverFailure
 from .game import (PESSIMISTIC, BimatrixGame, GameValueReport, MixedStrategy,
-                   ResponseSet, br_delta, follower_payoffs, leader_payoffs)
+                   ResponseSet, br_delta, follower_payoffs, leader_payoffs,
+                   scalar, strategy_from)
 
 ENUMERATION_CAP = 16
 
@@ -84,12 +83,6 @@ class RseCurve:
     gap: float | Fraction
 
 
-def _strategy(xs, exact: bool) -> MixedStrategy:
-    if exact:
-        return MixedStrategy(np.array([float(v) for v in xs]), tuple(xs))
-    return MixedStrategy(np.array(xs, dtype=float))
-
-
 def solve_exact(game: BimatrixGame, delta, *, exact: bool = False,
                 eta: float = 1e-9, cap: int = ENUMERATION_CAP,
                 exhaustive: bool = False) -> RseSolution:
@@ -103,18 +96,8 @@ def solve_exact(game: BimatrixGame, delta, *, exact: bool = False,
         raise EnumerationCapExceeded(
             f"n = {game.n} exceeds the enumeration cap {cap}")
     t0 = time.perf_counter()
-    if exact:
-        if not game.has_exact:
-            from .errors import GameFormatError
-            raise GameFormatError("exact mode requires a game with rational matrices")
-        u_l, u_f = game.exact_u_l, game.exact_u_f
-        d = Fraction(delta)
-        col_l = [[row[j] for row in u_l] for j in range(game.n)]
-        col_f = [[row[j] for row in u_f] for j in range(game.n)]
-    else:
-        d = float(delta)
-        col_l = [tuple(game.u_l[:, j]) for j in range(game.n)]
-        col_f = [tuple(game.u_f[:, j]) for j in range(game.n)]
+    col_l, col_f = game.columns(exact)
+    d = scalar(delta, exact)
     m, n = game.m, game.n
     slack = 0 if exact else eta
 
@@ -174,7 +157,7 @@ def solve_exact(game: BimatrixGame, delta, *, exact: bool = False,
                             "for delta > 0")
 
     obj, tup, xs = best
-    x = _strategy(xs, exact)
+    x = strategy_from(xs, exact)
     # Repair: keep the members of S whose membership is strict at x*. By the
     # j_tilde-optimality constraint this is exactly the delta-optimal set.
     true_set = br_delta(game, x, d, eta=eta, exact=exact)
@@ -182,9 +165,8 @@ def solve_exact(game: BimatrixGame, delta, *, exact: bool = False,
     lead = leader_payoffs(game, x, exact=exact)
     foll = follower_payoffs(game, x, exact=exact)
     j_hat = min(repaired.actions, key=lambda k: (lead[k], k))
-    lv = lead[j_hat] if exact else float(lead[j_hat])
-    fv = foll[j_hat] if exact else float(foll[j_hat])
-    outcome = GameValueReport(x, j_hat, repaired, lv, fv, PESSIMISTIC)
+    outcome = GameValueReport(x, j_hat, repaired, lead[j_hat], foll[j_hat],
+                              PESSIMISTIC)
     return RseSolution(outcome, tup, repaired, j_hat, lp_count,
                        time.perf_counter() - t0, "exact")
 
@@ -215,7 +197,7 @@ def _tuple_lp(col_l, col_f, m, n, S, in_S, jt, j, d, exact):
             continue
         cons.append(lp.Constraint(
             tuple(col_l[j][i] - col_l[k][i] for i in range(m)), "<=", 0))
-    return lp.solve(lp.maximize(tuple(col_l[j]), cons, simplex=True), exact=exact)
+    return lp.solve(lp.maximize(col_l[j], cons, simplex=True), exact=exact)
 
 
 def _curve_point(args):

@@ -5,6 +5,14 @@ in [0, 1]. Games built from rational data additionally carry exact
 ``Fraction`` matrices; operations accept ``exact=True`` to run entirely in
 rational arithmetic (the reference mode for boundary-sensitive questions).
 
+The arithmetic mode is decided in one place. :meth:`BimatrixGame.columns`
+hands the solvers the matrix columns as Python floats or as ``Fraction``s
+(and rejects exact mode on a game without rational matrices), and
+:func:`strategy_from` turns LP coordinates back into a
+:class:`MixedStrategy` in the same mode; :func:`scalar` does the same for a
+single input value such as delta. The payoff vectors are lists of Python
+scalars in both modes, so callers need no per-mode conversion.
+
 The delta-optimal response set uses a strict inequality: ``j`` responds iff
 ``u_f(x, j) > max_j' u_f(x, j') - delta``. In float mode strictness is decided
 with the tolerance ``eta`` (default 1e-9): a candidate enters only if it
@@ -86,6 +94,17 @@ class BimatrixGame:
     def has_exact(self) -> bool:
         return self.exact_u_l is not None and self.exact_u_f is not None
 
+    def columns(self, exact: bool):
+        """``(leader_cols, follower_cols)``, one tuple of entries per column.
+
+        Entries are ``Fraction``s when ``exact``, else Python floats.
+        """
+        if not exact:
+            return tuple(zip(*self.u_l.tolist())), tuple(zip(*self.u_f.tolist()))
+        if not self.has_exact:
+            raise GameFormatError("exact mode requires a game with rational matrices")
+        return tuple(zip(*self.exact_u_l)), tuple(zip(*self.exact_u_f))
+
     def __eq__(self, other):
         if not isinstance(other, BimatrixGame):
             return NotImplemented
@@ -148,11 +167,20 @@ def exact_strategy(coords: Sequence) -> MixedStrategy:
     return MixedStrategy(np.array([float(v) for v in ex]), ex)
 
 
+def scalar(v, exact: bool):
+    """``v`` as a number of the mode: a ``Fraction`` if ``exact``, else a float."""
+    return (Fraction if exact else float)(v)
+
+
+def strategy_from(coords: Sequence, exact: bool) -> MixedStrategy:
+    """Strategy at ``coords``, keeping them as exact coordinates if ``exact``."""
+    if exact:
+        return exact_strategy(coords)
+    return MixedStrategy(np.array(coords, dtype=float))
+
+
 def pure_strategy(i: int, m: int, *, exact: bool = False) -> MixedStrategy:
-    p = np.zeros(m)
-    p[i] = 1.0
-    ex = tuple(Fraction(1 if k == i else 0) for k in range(m)) if exact else None
-    return MixedStrategy(p, ex)
+    return strategy_from([1 if k == i else 0 for k in range(m)], exact)
 
 
 @dataclass(frozen=True)
@@ -192,29 +220,27 @@ class GameValueReport:
     tie_breaking: str = PESSIMISTIC
 
 
-def _require_exact(game: BimatrixGame, x: MixedStrategy):
-    if not game.has_exact:
-        raise GameFormatError("exact mode requires a game with rational matrices")
+def _exact_payoffs(game: BimatrixGame, x: MixedStrategy, player: int) -> list:
+    cols = game.columns(True)[player]
     if x.exact is None:
         raise InvalidStrategyError("exact mode requires an exact strategy")
+    return [sum(xi * v for xi, v in zip(x.exact, col)) for col in cols]
 
 
-def follower_payoffs(game: BimatrixGame, x: MixedStrategy, *, exact: bool = False):
+def follower_payoffs(game: BimatrixGame, x: MixedStrategy, *,
+                     exact: bool = False) -> list:
     """Follower utility of each pure response against ``x``."""
     if exact:
-        _require_exact(game, x)
-        return [sum(xi * row[j] for xi, row in zip(x.exact, game.exact_u_f))
-                for j in range(game.n)]
-    return x.probs @ game.u_f
+        return _exact_payoffs(game, x, 1)
+    return (x.probs @ game.u_f).tolist()
 
 
-def leader_payoffs(game: BimatrixGame, x: MixedStrategy, *, exact: bool = False):
+def leader_payoffs(game: BimatrixGame, x: MixedStrategy, *,
+                   exact: bool = False) -> list:
     """Leader utility of each follower pure response against ``x``."""
     if exact:
-        _require_exact(game, x)
-        return [sum(xi * row[j] for xi, row in zip(x.exact, game.exact_u_l))
-                for j in range(game.n)]
-    return x.probs @ game.u_l
+        return _exact_payoffs(game, x, 0)
+    return (x.probs @ game.u_l).tolist()
 
 
 def br_delta(game: BimatrixGame, x: MixedStrategy, delta, *, eta: float = ETA,
@@ -226,21 +252,18 @@ def br_delta(game: BimatrixGame, x: MixedStrategy, delta, *, eta: float = ETA,
     if delta < 0:
         raise InvalidStrategyError(f"delta must be nonnegative, got {delta}")
     payoffs = follower_payoffs(game, x, exact=exact)
-    if exact:
-        best = max(payoffs)
-        if delta == 0:
-            acts = [j for j, v in enumerate(payoffs) if v == best]
-        else:
-            acts = [j for j, v in enumerate(payoffs) if v > best - Fraction(delta)]
+    best = max(payoffs)
+    if exact and delta == 0:
+        acts = [j for j, v in enumerate(payoffs) if v == best]
+    elif exact:
+        acts = [j for j, v in enumerate(payoffs) if v > best - Fraction(delta)]
+    elif delta == 0:
+        acts = [j for j, v in enumerate(payoffs) if v >= best - eta]
     else:
-        best = float(np.max(payoffs))
-        if delta == 0:
-            acts = [j for j, v in enumerate(payoffs) if v >= best - eta]
-        else:
-            # The argmax set always belongs, so a delta below eta degrades
-            # gracefully to the plain best-response set.
-            acts = [j for j, v in enumerate(payoffs)
-                    if v >= best - eta or v > best - float(delta) + eta]
+        # The argmax set always belongs, so a delta below eta degrades
+        # gracefully to the plain best-response set.
+        acts = [j for j, v in enumerate(payoffs)
+                if v >= best - eta or v > best - float(delta) + eta]
     return ResponseSet(tuple(acts))
 
 
@@ -255,9 +278,8 @@ def evaluate(game: BimatrixGame, x: MixedStrategy, delta, *, eta: float = ETA,
     lead = leader_payoffs(game, x, exact=exact)
     foll = follower_payoffs(game, x, exact=exact)
     response = min(rset.actions, key=lambda j: (lead[j], j))
-    lv = lead[response] if exact else float(lead[response])
-    fv = foll[response] if exact else float(foll[response])
-    return GameValueReport(x, response, rset, lv, fv, PESSIMISTIC)
+    return GameValueReport(x, response, rset, lead[response], foll[response],
+                           PESSIMISTIC)
 
 
 # ---------------------------------------------------------------------------

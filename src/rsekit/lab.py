@@ -13,15 +13,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Callable, Mapping
 
 import numpy as np
 
-from . import kernels
+from .approx import compositions
+from .baseline import inducibility_gap
 from .errors import BudgetExceeded, GameFormatError, RejectionCapExceeded
-from .game import (BimatrixGame, GameValueReport, MixedStrategy, evaluate,
-                   exact_game, float_to_fraction, normalize)
+from .game import (ETA, BimatrixGame, GameValueReport, MixedStrategy,
+                   evaluate, exact_game, float_to_fraction, normalize)
 
 # ---------------------------------------------------------------------------
 # Catalog
@@ -375,10 +376,12 @@ def gen_random(m: int, n: int, seed: int, *, rational_grid: int | None = None,
     """
     if m < 1 or n < 1:
         raise GameFormatError("need m, n >= 1")
-    from .baseline import inducibility_gap  # local import to avoid a cycle
+    if rational_grid is not None and rational_grid < 1:
+        raise GameFormatError(
+            f"rational_grid must be at least 1, got {rational_grid}")
     rng = np.random.default_rng(seed)
     for _ in range(max_retries):
-        if rational_grid:
+        if rational_grid is not None:
             q = int(rational_grid)
             lw = rng.integers(0, q + 1, size=(m, n))
             fw = rng.integers(0, q + 1, size=(m, n))
@@ -409,13 +412,27 @@ def grid_oracle(game: BimatrixGame, delta, resolution: int) -> GameValueReport:
     Pure matrix arithmetic, no LPs: an independent one-sided reference
     (lattice value <= true robust value; the gap shrinks with resolution
     where the value curve is locally Lipschitz). Budget-guarded.
+
+    Lattice points are scored in batches with the strict response rule of
+    :func:`~rsekit.game.br_delta`; the first maximizer in the lexicographic
+    order of :func:`~rsekit.approx.compositions` wins.
     """
     if game.m > ORACLE_MAX_M:
         raise BudgetExceeded(f"oracle capped at m <= {ORACLE_MAX_M}, got {game.m}")
     if not 1 <= resolution <= ORACLE_MAX_RESOLUTION:
         raise BudgetExceeded(
             f"oracle resolution must be in [1, {ORACLE_MAX_RESOLUTION}]")
-    _, counts = kernels.pessimistic_lattice_scan(
-        game.u_l, game.u_f, float(delta), 1e-9, int(resolution))
-    x = MixedStrategy(np.asarray(counts, dtype=np.float64) / resolution)
-    return evaluate(game, x, float(delta))
+    d, eta = float(delta), ETA
+    best_val, best_counts = -np.inf, None
+    points = compositions(int(resolution), game.m)
+    while batch := list(islice(points, 8192)):
+        x = np.array(batch, dtype=np.float64) / resolution
+        uf = x @ game.u_f
+        top = uf.max(axis=1, keepdims=True)
+        responds = (uf >= top - eta) | (uf > top - d + eta)
+        vals = np.where(responds, x @ game.u_l, np.inf).min(axis=1)
+        i = int(np.argmax(vals))
+        if vals[i] > best_val:
+            best_val, best_counts = vals[i], batch[i]
+    x = MixedStrategy(np.array(best_counts, dtype=np.float64) / resolution)
+    return evaluate(game, x, d)

@@ -25,7 +25,7 @@ from .approx import gap_approx, qptas_solve
 from .baseline import inducibility_gap, solve_sse
 from .errors import GameFormatError, GapTooSmall, PerturbationBoundError
 from .exact import solve_exact
-from .game import BimatrixGame, MixedStrategy, br_delta, evaluate
+from .game import BimatrixGame, MixedStrategy, br_delta, evaluate, scalar
 
 
 def _parse_noise(noise):
@@ -164,12 +164,11 @@ def rse_from_estimate(truth: BimatrixGame, estimate: BimatrixGame, delta,
     must reach the floor (up to the solver's own additive epsilon for the
     quasi-polynomial route).
     """
-    two, four = (Fraction(2), Fraction(4)) if exact else (2.0, 4.0)
-    delta_prime = delta + two * epsilon
+    delta_prime = delta + 2 * epsilon
     x = _solve_on_estimate(estimate, delta_prime, solver, solver_epsilon, exact)
     rep = evaluate(truth, x, delta, exact=exact)
-    floor = solve_exact(truth, delta + four * epsilon, exact=exact).value \
-        - two * epsilon
+    floor = solve_exact(truth, delta + 4 * epsilon, exact=exact).value \
+        - 2 * epsilon
     sup_l = float(np.abs(estimate.u_l - truth.u_l).max())
     sup_f = float(np.abs(estimate.u_f - truth.u_f).max())
     T = estimate.meta.get("samples_per_pair", 0)
@@ -196,20 +195,15 @@ def check_br_inclusion(truth: BimatrixGame, estimate: BimatrixGame,
     by more than epsilon in sup norm (that violates the lemma's hypothesis,
     distinct from a legitimate False).
     """
-    if exact:
-        err = max(abs(a - b) for ra, rb in zip(estimate.exact_u_f, truth.exact_u_f)
-                  for a, b in zip(ra, rb))
-        bound_ok = err <= Fraction(epsilon)
-        two = Fraction(2)
-    else:
-        err = float(np.abs(estimate.u_f - truth.u_f).max())
-        bound_ok = err <= float(epsilon) + 1e-12
-        two = 2.0
-    if not bound_ok:
+    _, est_cols = estimate.columns(exact)
+    _, true_cols = truth.columns(exact)
+    err = max(abs(a - b) for ca, cb in zip(est_cols, true_cols)
+              for a, b in zip(ca, cb))
+    if not err <= scalar(epsilon, exact) + (0 if exact else 1e-12):
         raise PerturbationBoundError(
             f"sup-norm error {err} exceeds epsilon {epsilon}")
     true_set = br_delta(truth, x, delta, exact=exact)
-    est_set = br_delta(estimate, x, delta + two * epsilon, exact=exact)
+    est_set = br_delta(estimate, x, delta + 2 * epsilon, exact=exact)
     return true_set.issubset(est_set)
 
 

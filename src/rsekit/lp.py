@@ -170,8 +170,7 @@ def feasible(lp: LinearProgram, *, exact: bool = False) -> LpOutcome:
     """
     if not lp.constraints and lp.simplex_constraint:
         conv = Fraction if exact else float
-        point = tuple(conv(1) / conv(lp.num_vars) if exact else 1.0 / lp.num_vars
-                      for _ in range(lp.num_vars))
+        point = tuple(conv(1) / lp.num_vars for _ in range(lp.num_vars))
         return LpOutcome("optimal", point, None)
     flp = LinearProgram(lp.num_vars, None, "feasibility", lp.constraints,
                         lp.simplex_constraint)
@@ -338,7 +337,7 @@ def _simplex(num_vars: int, rows, objective, exact: bool):
     a_at = num_vars + n_slack
     for r, (coeffs, rel, rhs) in enumerate(norm):
         for j, c in enumerate(coeffs):
-            tableau[r][j] = c if exact else float(c)
+            tableau[r][j] = c
         tableau[r][n_total] = rhs
         if rel != "==":
             tableau[r][s_at] = one if rel == "<=" else -one
@@ -403,7 +402,7 @@ def _simplex(num_vars: int, rows, objective, exact: bool):
     # Phase 2: maximize objective. Work with cost row for min(-objective).
     cost = [zero] * (n_total + 1)
     for j in range(num_vars):
-        cost[j] = -(objective[j] if exact else float(objective[j]))
+        cost[j] = -objective[j]
     for r in range(m):
         b = basis[r]
         cb = cost[b]

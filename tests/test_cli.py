@@ -89,6 +89,22 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith("rsekit: ") and "Traceback" not in err
+    # A solution file that lacks a field is malformed (2), not a mismatch (1).
+    _, sol_text, _ = run_cli(capsys, "solve", "--method", "exact", "--delta",
+                             "0.25", str(game_path))
+    for key in ("strategy", "value", "response", "response_set", "probs"):
+        sol = json.loads(sol_text)
+        del (sol["strategy"] if key == "probs" else sol)[key]
+        sol_path = tmp_path / f"no_{key}.json"
+        sol_path.write_text(json.dumps(sol))
+        code, out, err = run_cli(capsys, "verify", str(game_path),
+                                 str(sol_path))
+        assert code == 2 and out == ""
+        assert err.startswith("rsekit: ") and key in err
+    # solve has no --jobs; argparse rejects it with exit 2.
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--method", "sse", "--jobs", "2", str(game_path)])
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("denominator", ["0", "-3"])

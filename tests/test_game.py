@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rsekit import game as g
+from rsekit.approx import gap_approx, qptas_solve
+from rsekit.baseline import (induce_strategy, inducibility_gap, solve_maximin,
+                             solve_sse)
 from rsekit.errors import GameFormatError, InvalidStrategyError
+from rsekit.exact import solve_exact
+from rsekit.learning import check_br_inclusion
 
 # Equilibrium-variants game: SSE at row 0, maximin at row 2.
 VARIANTS_UL = [[1, 0.25, 0], [0.5, 0.5, 0], [0.25, 0.25, 0.25]]
@@ -218,3 +223,53 @@ def test_attach_exact_uses_decimal_reading():
     ex = g.attach_exact(game)
     assert ex.exact_u_l == ((Fraction(1, 10), Fraction(3, 10)),)
     assert ex.exact_u_f == ((Fraction(7, 10), Fraction(9, 10)),)
+
+
+def test_columns_in_both_modes():
+    game = g.exact_game([[1, Fraction(1, 4)], [Fraction(1, 2), 0]],
+                        [[0, 1], [Fraction(3, 4), Fraction(1, 3)]])
+    cols_l, cols_f = game.columns(True)
+    assert cols_l == ((1, Fraction(1, 2)), (Fraction(1, 4), 0))
+    assert cols_f == ((0, Fraction(3, 4)), (1, Fraction(1, 3)))
+    assert all(type(v) is Fraction for col in cols_l + cols_f for v in col)
+    float_l, float_f = game.columns(False)
+    assert float_l == ((1.0, 0.5), (0.25, 0.0))
+    assert float_f == ((0.0, 0.75), (1.0, 1 / 3))
+    assert all(type(v) is float for col in float_l + float_f for v in col)
+
+
+def test_payoffs_are_python_scalars_in_both_modes():
+    game = g.exact_game(VARIANTS_UL_EXACT, VARIANTS_UF_EXACT)
+    x = g.exact_strategy([Fraction(1, 2), 0, Fraction(1, 2)])
+    for exact, kind in ((False, float), (True, Fraction)):
+        for payoffs in (g.leader_payoffs, g.follower_payoffs):
+            vals = payoffs(game, x, exact=exact)
+            assert isinstance(vals, list) and len(vals) == 3
+            assert all(type(v) is kind for v in vals)
+    assert g.strategy_from([Fraction(1, 3), Fraction(2, 3)], False).exact is None
+    assert g.strategy_from(["1/3", "2/3"], True).exact == (Fraction(1, 3),
+                                                         Fraction(2, 3))
+
+
+FLOAT_ONLY = g.BimatrixGame(np.array(VARIANTS_UL), np.array(VARIANTS_UF))
+QUARTER, TENTH = Fraction(1, 4), Fraction(1, 10)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda G: solve_exact(G, QUARTER, exact=True), id="solve_exact"),
+    pytest.param(lambda G: solve_sse(G, exact=True), id="solve_sse"),
+    pytest.param(lambda G: solve_maximin(G, exact=True), id="solve_maximin"),
+    pytest.param(lambda G: inducibility_gap(G, exact=True), id="inducibility_gap"),
+    pytest.param(lambda G: induce_strategy(G, 0, TENTH, exact=True),
+                 id="induce_strategy"),
+    pytest.param(lambda G: gap_approx(G, TENTH, exact=True), id="gap_approx"),
+    pytest.param(lambda G: qptas_solve(G, QUARTER, Fraction(1, 2), exact=True),
+                 id="qptas_solve"),
+    pytest.param(lambda G: check_br_inclusion(
+        G, G, g.pure_strategy(0, 3, exact=True), QUARTER, TENTH, exact=True),
+        id="check_br_inclusion"),
+])
+def test_exact_mode_rejects_float_only_game(call):
+    with pytest.raises(GameFormatError,
+                       match="exact mode requires a game with rational matrices"):
+        call(FLOAT_ONLY)

@@ -1,15 +1,18 @@
 """Tests for the catalog, exact-cover generator, random games, and oracle."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from rsekit import kernels, lab
+from rsekit import lab
+from rsekit.approx import compositions
 from rsekit.baseline import inducibility_gap, solve_maximin, solve_sse
 from rsekit.errors import BudgetExceeded, GameFormatError, RejectionCapExceeded
 from rsekit.exact import solve_exact
-from rsekit.game import br_delta, evaluate, pure_strategy
+from rsekit.game import (MixedStrategy, br_delta, evaluate, exact_game,
+                         pure_strategy)
 from rsekit.lab import X3CInstance
 
 
@@ -137,6 +140,12 @@ def test_gen_random_determinism_and_grid():
                for row in g.exact_u_f for v in row)
 
 
+@pytest.mark.parametrize("q", [0, -3])
+def test_gen_random_rejects_rational_grid_below_one(q):
+    with pytest.raises(GameFormatError, match="rational_grid"):
+        lab.gen_random(2, 3, 1, rational_grid=q)
+
+
 def test_gen_random_gap_constraint():
     g = lab.gen_random(3, 2, 3, ensure_gap=0.1)
     assert inducibility_gap(g).gap > 0.1
@@ -179,20 +188,45 @@ def test_grid_oracle_budget_guards():
         lab.grid_oracle(lab.gen_random(2, 2, 0), 0.1, 500)
 
 
-def test_kernel_backends_agree():
-    rng = np.random.default_rng(0)
-    for _ in range(5):
-        u_l = rng.uniform(size=(3, 4))
-        u_f = rng.uniform(size=(3, 4))
-        v1, c1 = kernels.pessimistic_lattice_scan(u_l, u_f, 0.2, 1e-9, 30)
-        v2, c2 = kernels._scan_numpy(u_l, u_f, 0.2, 1e-9, 30)
-        assert v1 == pytest.approx(v2, abs=1e-12)
-        assert list(c1) == list(c2)
+def _lattice_maximizers(game, delta, resolution):
+    """Best value and every maximizing lattice point, one evaluate() each."""
+    best, argmax = -math.inf, []
+    for counts in compositions(resolution, game.m):
+        x = MixedStrategy(np.array(counts, dtype=np.float64) / resolution)
+        v = evaluate(game, x, delta).leader_value
+        if v > best:
+            best, argmax = v, [counts]
+        elif v == best:
+            argmax.append(counts)
+    return best, argmax
+
+
+# Quarter entries on an 8-step lattice: every payoff is exact in float. At
+# delta 3/8, (2,4,2), (5,2,1) and (8,0,0) tie exactly, the first must be
+# reported, and some responses sit exactly delta below the best, where the
+# strict rule excludes them.
+TIED_GAME = exact_game(
+    [[Fraction(v, 4) for v in row] for row in
+     ([2, 2, 2, 1], [4, 1, 3, 1], [2, 4, 0, 3])],
+    [[Fraction(v, 4) for v in row] for row in
+     ([2, 3, 3, 1], [3, 3, 2, 0], [3, 0, 4, 4])])
+
+
+@pytest.mark.parametrize("game, delta, resolution, tied", [
+    *((lab.gen_random(3, 4, seed), 0.2, 30, False) for seed in range(4)),
+    (TIED_GAME, 0.375, 8, True),
+])
+def test_grid_oracle_matches_python_loop(game, delta, resolution, tied):
+    rep = lab.grid_oracle(game, delta, resolution)
+    value, argmax = _lattice_maximizers(game, delta, resolution)
+    assert (len(argmax) > 1) == tied
+    assert rep.leader_value == value
+    assert list(rep.strategy.probs) == list(np.array(argmax[0]) / resolution)
 
 
 def test_compositions_enumeration():
-    got = list(kernels.compositions(2, 3))
+    got = list(compositions(2, 3))
     assert got == [(0, 0, 2), (0, 1, 1), (0, 2, 0), (1, 0, 1), (1, 1, 0),
                    (2, 0, 0)]
-    assert len(got) == kernels.count_compositions(2, 3)
-    assert list(kernels.compositions(5, 1)) == [(5,)]
+    assert len(got) == math.comb(2 + 3 - 1, 3 - 1)
+    assert list(compositions(5, 1)) == [(5,)]
