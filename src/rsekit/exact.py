@@ -8,9 +8,25 @@ winning tuple is then repaired by dropping the members whose relaxed
 constraint came out tight, which restores a valid equilibrium pair.
 
 Enumeration visits tuples ordered by (|S|, sorted S, j_tilde, j) and keeps
-the first maximizer, which doubles as the deterministic tie-break. Static
-infeasibility checks and an objective upper bound prune most tuples; pass
-``exhaustive=True`` to disable pruning for verification.
+the first maximizer, which doubles as the deterministic tie-break. Every
+row an LP can hold is built once per solve. Three cuts prune tuples
+without changing that order or the answer:
+
+* static filters: per j_tilde, two bitmasks over follower actions mark the
+  k whose membership row, or whose exclusion row, has no point in the
+  simplex on its own; a set S is tested against them with two integer ANDs;
+* the bound cut: a tuple is skipped once the best value so far reaches
+  the smallest column maximum of the leader over S;
+* certificate cuts (exact mode): for |S| > 1 one feasibility gate per
+  (S, j_tilde) precedes the |S| objective LPs. When a gate is proven
+  infeasible by a Farkas certificate, the rows that certificate uses name
+  the members it needs in S and the actions it needs outside S; every
+  later gate for the same j_tilde with such an S holds those rows and is
+  skipped without an LP. Float mode carries no certificate, so it cuts
+  nothing here.
+
+Pass ``exhaustive=True`` to disable all three and solve every tuple, for
+verification.
 """
 
 from __future__ import annotations
@@ -99,52 +115,56 @@ def solve_exact(game: BimatrixGame, delta, *, exact: bool = False,
     col_l, col_f = game.columns(exact)
     d = scalar(delta, exact)
     m, n = game.m, game.n
-    slack = 0 if exact else eta
-
-    # Static single-row feasibility checks (necessary conditions only).
-    jt_ok = [True] * n
-    can_member = [[True] * n for _ in range(n)]
-    can_exclude = [[True] * n for _ in range(n)]
-    if not exhaustive:
-        for jt in range(n):
-            jt_ok[jt] = all(
-                any(col_f[jt][i] >= col_f[k][i] - slack for i in range(m))
-                for k in range(n))
-            for k in range(n):
-                diffs = [col_f[k][i] - col_f[jt][i] for i in range(m)]
-                can_member[jt][k] = any(v >= -d - slack for v in diffs)
-                can_exclude[jt][k] = any(v <= -d + slack for v in diffs)
+    opt, member, exclude, leader = _row_cache(col_l, col_f, m, n, d)
+    if exhaustive:
+        no_member = must_member = [0] * n
+    else:
+        no_member, must_member = _static_filters(
+            col_f, member, m, n, d, 0 if exact else eta)
+    nogoods = [[] for _ in range(n)]  # per j_tilde: (in_mask, out_mask)
     col_max_l = [max(c) for c in col_l]
 
     best = None  # (objective, RegionTuple, solution)
     lp_count = 0
     for size in range(1, n + 1):
         for S in combinations(range(n), size):
-            in_S = set(S)
-            ub = min(col_max_l[k] for k in S)
+            mask = 0
+            for k in S:
+                mask |= 1 << k
+            ub = None
             for jt in S:
+                if mask & no_member[jt] or must_member[jt] & ~mask:
+                    continue
                 if not exhaustive:
-                    if not jt_ok[jt]:
-                        continue
-                    if not all(can_member[jt][k] for k in S):
-                        continue
-                    if not all(can_exclude[jt][k]
-                               for k in range(n) if k not in in_S):
-                        continue
+                    if ub is None:
+                        ub = min(col_max_l[k] for k in S)
                     if best is not None and ub <= best[0]:
+                        break
+                    # Sound: such a gate holds every row of a proven
+                    # certificate, so it is infeasible too.
+                    if any(mask & need == need and not mask & avoid
+                           for need, avoid in nogoods[jt]):
                         continue
-                    if size > 1:
-                        # One feasibility probe spares |S| doomed solves.
-                        gate = lp.feasible(lp.feasibility(
-                            m, _region_rows(col_f, m, n, S, in_S, jt, d),
-                            simplex=True), exact=exact)
-                        lp_count += 1
-                        if gate.status != "optimal":
-                            continue
+                inside = [k for k in S if k != jt]
+                outside = [k for k in range(n) if not mask >> k & 1]
+                region = (opt[jt] + tuple(member[jt][k] for k in inside)
+                          + tuple(exclude[jt][k] for k in outside))
+                if not exhaustive and size > 1:
+                    # One feasibility probe spares |S| doomed solves.
+                    gate = lp.feasible(lp.feasibility(
+                        m, region, simplex=True), exact=exact)
+                    lp_count += 1
+                    if gate.status != "optimal":
+                        if gate.support is not None:
+                            nogoods[jt].append(_nogood(
+                                gate.support, len(opt[jt]), inside, outside))
+                        continue
                 for j in S:
                     if not exhaustive and best is not None and ub <= best[0]:
-                        continue
-                    out = _tuple_lp(col_l, col_f, m, n, S, in_S, jt, j, d, exact)
+                        break
+                    cons = region + tuple(leader[j][k] for k in S if k != j)
+                    out = lp.solve(lp.maximize(col_l[j], cons, simplex=True),
+                                   exact=exact)
                     lp_count += 1
                     if out.status != "optimal":
                         continue
@@ -171,33 +191,73 @@ def solve_exact(game: BimatrixGame, delta, *, exact: bool = False,
                        time.perf_counter() - t0, "exact")
 
 
-def _region_rows(col_f, m, n, S, in_S, jt, d):
-    cons = []
-    for k in range(n):
-        if k == jt:
-            continue
-        cons.append(lp.Constraint(
-            tuple(col_f[jt][i] - col_f[k][i] for i in range(m)), ">=", 0))
-    for k in S:
-        if k == jt:
-            continue
-        cons.append(lp.Constraint(
-            tuple(col_f[k][i] - col_f[jt][i] for i in range(m)), ">=", -d))
-    for k in range(n):
-        if k not in in_S:
-            cons.append(lp.Constraint(
-                tuple(col_f[k][i] - col_f[jt][i] for i in range(m)), "<=", -d))
-    return cons
+def _row_cache(col_l, col_f, m, n, d):
+    """Every constraint a region LP can hold, built once per solve.
+
+    Returns ``(opt, member, exclude, leader)``: ``opt[jt]`` is the tuple of
+    j_tilde-optimality rows ``u_f(jt) - u_f(k) >= 0`` over k != jt;
+    ``member[jt][k]`` and ``exclude[jt][k]`` bound ``u_f(k) - u_f(jt)``
+    from below and above by ``-d``; ``leader[j][k]`` is
+    ``u_l(j) - u_l(k) <= 0``. Entries with k == jt (or k == j) are unused.
+    """
+    opt = [tuple(lp.Constraint(
+        tuple(col_f[jt][i] - col_f[k][i] for i in range(m)), ">=", 0)
+        for k in range(n) if k != jt) for jt in range(n)]
+    member, exclude = [], []
+    for jt in range(n):
+        diffs = [tuple(col_f[k][i] - col_f[jt][i] for i in range(m))
+                 for k in range(n)]
+        member.append([lp.Constraint(v, ">=", -d) for v in diffs])
+        exclude.append([lp.Constraint(v, "<=", -d) for v in diffs])
+    leader = [[lp.Constraint(
+        tuple(col_l[j][i] - col_l[k][i] for i in range(m)), "<=", 0)
+        for k in range(n)] for j in range(n)]
+    return opt, member, exclude, leader
 
 
-def _tuple_lp(col_l, col_f, m, n, S, in_S, jt, j, d, exact):
-    cons = _region_rows(col_f, m, n, S, in_S, jt, d)
-    for k in S:
-        if k == j:
+def _static_filters(col_f, member, m, n, d, slack):
+    """Single-row necessary conditions as bitmasks over follower actions.
+
+    For each j_tilde, ``no_member[jt]`` marks the k whose membership row
+    alone has no point in the simplex and ``must_member[jt]`` the k whose
+    exclusion row alone has none; a j_tilde that can never be optimal gets
+    every bit of ``no_member``. A set mask passes when it meets no bit of
+    the first and holds every bit of the second.
+    """
+    no_member, must_member = [0] * n, [0] * n
+    for jt in range(n):
+        if not all(any(col_f[jt][i] >= col_f[k][i] - slack for i in range(m))
+                   for k in range(n)):
+            no_member[jt] = (1 << n) - 1
             continue
-        cons.append(lp.Constraint(
-            tuple(col_l[j][i] - col_l[k][i] for i in range(m)), "<=", 0))
-    return lp.solve(lp.maximize(col_l[j], cons, simplex=True), exact=exact)
+        for k in range(n):
+            diffs = member[jt][k].coeffs
+            if not any(v >= -d - slack for v in diffs):
+                no_member[jt] |= 1 << k
+            if not any(v <= -d + slack for v in diffs):
+                must_member[jt] |= 1 << k
+    return no_member, must_member
+
+
+def _nogood(support, n_opt, inside, outside):
+    """``(in_mask, out_mask)`` of the member and exclude rows in ``support``.
+
+    ``support`` indexes a gate's rows for ``(S, jt)``: the ``n_opt``
+    optimality rows (in every gate for jt), then the member rows of
+    ``inside`` (S without jt), then the exclude rows of ``outside``. Every
+    gate ``(S', jt)`` with ``S'`` holding ``in_mask`` and missing
+    ``out_mask`` holds these rows.
+    """
+    need = avoid = 0
+    for r in support:
+        r -= n_opt
+        if r < 0:
+            continue
+        if r < len(inside):
+            need |= 1 << inside[r]
+        else:
+            avoid |= 1 << outside[r - len(inside)]
+    return need, avoid
 
 
 def _curve_point(args):

@@ -141,6 +141,9 @@ class MixedStrategy:
         p = np.asarray(self.probs, dtype=np.float64)
         if p.ndim != 1 or p.size < 1:
             raise InvalidStrategyError("strategy must be a 1-d probability vector")
+        if not np.isfinite(p).all():
+            raise InvalidStrategyError(
+                f"non-finite probability in strategy {p.tolist()}")
         if p.min() < -ETA:
             raise InvalidStrategyError(f"negative probability {p.min()}")
         if abs(p.sum() - 1.0) > ETA:
@@ -398,12 +401,15 @@ def game_from_dict(d: dict[str, Any]) -> BimatrixGame:
         raise GameFormatError(f"bad game JSON: {e}") from e
     if ul.shape != (m, n) or uf.shape != (m, n):
         raise GameFormatError(f"declared {m}x{n} but matrices are {ul.shape}/{uf.shape}")
-    meta = dict(d.get("meta") or {})
-    exact = meta.pop("exact", None)
-    exl = exf = None
-    if exact is not None:
-        exl = tuple(tuple(Fraction(v) for v in row) for row in exact["u_l"])
-        exf = tuple(tuple(Fraction(v) for v in row) for row in exact["u_f"])
+    try:
+        meta = dict(d.get("meta") or {})
+        exact = meta.pop("exact", None)
+        exl = exf = None
+        if exact is not None:
+            exl = tuple(tuple(Fraction(v) for v in row) for row in exact["u_l"])
+            exf = tuple(tuple(Fraction(v) for v in row) for row in exact["u_f"])
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
+        raise GameFormatError(f"bad game JSON: meta: {e!r}") from e
     return BimatrixGame(ul, uf, meta, exl, exf)
 
 

@@ -22,13 +22,18 @@ so results are deterministic and cycling-free:
   degenerate vertex or tied optima, a failed proof) is solved by the same
   simplex in ``Fraction`` arithmetic. Exact outcomes therefore always equal
   the ``Fraction`` simplex's, which stays the reference.
+
+  An infeasible exact outcome whose Farkas certificate checks (from the
+  float pass, or from the ``Fraction`` simplex's own phase-1 duals) also
+  names the rows that certificate uses, ``LpOutcome.support``, so a caller
+  can rule out any later LP that holds the same rows.
 """
 
 from __future__ import annotations
 
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -102,11 +107,21 @@ def feasibility(num_vars: int, constraints: Sequence[Constraint], *,
 
 @dataclass(frozen=True)
 class LpOutcome:
-    """Result of an LP solve."""
+    """Result of an LP solve.
+
+    ``support`` is set only on an exact-mode ``"infeasible"`` outcome that
+    rests on a checked Farkas certificate: the indices into
+    ``lp.constraints`` of the rows with a nonzero multiplier (the simplex
+    row, when present, is implied). Any LP over the same variables that
+    holds those rows, plus the simplex row if the original had it, is
+    infeasible too. It is ``None`` in every other case. It is evidence, not
+    part of the answer, so it takes no part in equality.
+    """
 
     status: str  # "optimal" | "infeasible" | "unbounded"
     solution: tuple | None
     objective_value: Scalar | None
+    support: tuple | None = field(default=None, compare=False)
 
 
 def lp_to_text(lp: LinearProgram) -> str:
@@ -132,13 +147,16 @@ def solve(lp: LinearProgram, *, exact: bool = False) -> LpOutcome:
         print(lp_to_text(lp), file=sys.stderr)
         print("--", file=sys.stderr)
     rows, objective = _canonical(lp, Fraction if exact else float)
-    status = None
+    status = support = None
     if exact:
-        status, x = _certified(lp, rows, objective)
+        status, x, support = _certified(lp, rows, objective)
     if status is None:
-        status, x, _ = _simplex(lp.num_vars, rows, objective, exact)
+        status, x, evidence = _simplex(lp.num_vars, rows, objective, exact)
+        if exact and status == "infeasible":
+            support = _farkas(lp.num_vars, rows, evidence,
+                              lp.simplex_constraint)
     if status != "optimal":
-        return LpOutcome(status, None, None)
+        return LpOutcome(status, None, None, support)
 
     obj_val = None
     if lp.sense != "feasibility":
@@ -189,50 +207,59 @@ def _float_pass(num_vars: int, rows, objective):
 
 
 def _certified(lp: LinearProgram, rows, objective):
-    """``(status, x)`` of the float pass once proven exactly, else ``(None, None)``.
+    """``(status, x, support)`` of the float pass once proven exactly.
 
+    All three are ``None`` when the float answer is not proven.
     ``rows`` and ``objective`` are the ``Fraction`` data of :func:`solve`.
     """
     try:
         status, _, evidence = _float_pass(lp.num_vars, rows, objective)
     except SolverFailure:  # float phase 1 broke down; the exact simplex decides
-        return None, None
-    if status == "infeasible" and _farkas(lp.num_vars, rows, evidence,
-                                          lp.simplex_constraint):
-        return "infeasible", None
+        return None, None, None
+    if status == "infeasible":
+        support = _farkas(lp.num_vars, rows, evidence, lp.simplex_constraint)
+        if support is not None:
+            return "infeasible", None, support
     if status == "optimal" and lp.sense != "feasibility":
         x = _unique_vertex(lp.num_vars, rows, objective, evidence)
         if x is not None:
-            return "optimal", x
-    return None, None
+            return "optimal", x, None
+    return None, None, None
 
 
-def _farkas(num_vars: int, rows, duals, simplex: bool) -> bool:
-    """True when ``duals`` prove exactly that ``rows`` have no point x >= 0.
+def _farkas(num_vars: int, rows, duals, simplex: bool):
+    """The certificate's support when ``duals`` prove exactly that ``rows``
+    have no point x >= 0, else ``None``.
 
     Each dual is clipped to its relation's sign (<= 0 on ``<=`` rows, >= 0
     on ``>=`` rows), so every x satisfying the rows has ``y.A x >= y.b``.
     Without the simplex row, ``y.A <= 0`` and ``y.b > 0`` contradict that;
     with it, the simplex row's own dual is dropped and
-    ``y.b > max_i (y.A)_i`` does.
+    ``y.b > max_i (y.A)_i`` does. Float duals are rounded first; exact
+    ``Fraction`` duals are used as they are. The support is the tuple of
+    row indices whose clipped multiplier is nonzero, the simplex row left
+    out; those rows alone carry the same proof.
     """
     if simplex:
         rows, duals = rows[:-1], duals[:-1]
     combo = [Fraction(0)] * num_vars
     bound = Fraction(0)
-    for (coeffs, rel, rhs), y in zip(rows, duals):
+    support = []
+    for r, ((coeffs, rel, rhs), y) in enumerate(zip(rows, duals)):
         if not abs(y) < float("inf"):  # NaN or infinite: no certificate
-            return False
-        y = Fraction(y).limit_denominator(DUAL_DENOMINATOR)
+            return None
+        if not isinstance(y, Fraction):
+            y = Fraction(y).limit_denominator(DUAL_DENOMINATOR)
         if (rel == "<=" and y > 0) or (rel == ">=" and y < 0) or y == 0:
             continue
+        support.append(r)
         bound += y * rhs
         for i, c in enumerate(coeffs):
             if c:
                 combo[i] += y * c
-    if simplex:
-        return bound > max(combo)
-    return bound > 0 and all(v <= 0 for v in combo)
+    proven = (bound > max(combo) if simplex
+              else bound > 0 and all(v <= 0 for v in combo))
+    return tuple(support) if proven else None
 
 
 def _unique_vertex(num_vars: int, rows, objective, active):

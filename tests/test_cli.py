@@ -101,6 +101,22 @@ def test_usage_errors_exit_two(tmp_path, capsys):
                                  str(sol_path))
         assert code == 2 and out == ""
         assert err.startswith("rsekit: ") and key in err
+    # A game whose meta.exact lacks its matrices is malformed, not a mismatch.
+    bad_game = tmp_path / "no_exact_matrices.json"
+    bad_game.write_text(json.dumps({"m": 1, "n": 2, "u_l": [[0, 1]],
+                                    "u_f": [[1, 0]], "meta": {"exact": {}}}))
+    code, out, err = run_cli(capsys, "solve", "--method", "sse",
+                             str(bad_game))
+    assert code == 2 and out == ""
+    assert err.startswith("rsekit: ") and "u_l" in err
+    # A NaN probability names the strategy instead of failing downstream.
+    sol = json.loads(sol_text)
+    sol["strategy"]["probs"][0] = float("nan")
+    nan_path = tmp_path / "nan_probs.json"
+    nan_path.write_text(json.dumps(sol))
+    code, out, err = run_cli(capsys, "verify", str(game_path), str(nan_path))
+    assert code == 2 and out == ""
+    assert err.startswith("rsekit: ") and "non-finite probability" in err
     # solve has no --jobs; argparse rejects it with exit 2.
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--method", "sse", "--jobs", "2", str(game_path)])

@@ -1,11 +1,12 @@
 """Tests for the region-enumeration solver and the value curve."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from rsekit import lab
+from rsekit import lab, lp
 from rsekit.baseline import inducibility_gap, solve_maximin, solve_sse
 from rsekit.errors import EnumerationCapExceeded, RejectionCapExceeded
 from rsekit.exact import rse_curve, solve_exact
@@ -169,6 +170,52 @@ def test_exhaustive_matches_pruned():
         assert fast.chosen_tuple == full.chosen_tuple
         assert fast.strategy.exact == full.strategy.exact
         assert full.lp_count >= fast.lp_count
+
+
+def _x3c(*subsets):
+    inst = lab.X3CInstance(2, tuple(frozenset(int(e) for e in s)
+                                    for s in subsets))
+    return lab.gen_x3c_game(inst, Fraction(1, 10), Fraction(1, 10))
+
+
+# Games large enough that feasibility gates run and Farkas cuts skip some:
+# rational random games, and an x3c yes- and no-instance (both 2x9).
+CUT_GAMES = {
+    **{f"4x8-{s}": (lambda s=s: lab.gen_random(4, 8, s, rational_grid=16))
+       for s in range(4)},
+    **{f"3x10-{s}": (lambda s=s: lab.gen_random(3, 10, s, rational_grid=16))
+       for s in range(4)},
+    "x3c-yes": lambda: _x3c("123", "456"),
+    "x3c-no": lambda: _x3c("123", "124"),
+}
+# Solving every tuple costs 4608 LPs at n = 8 and 11520 at n = 9, but
+# 28160 (about 30 s) at n = 10, so the 3x10 games are checked against
+# the pruned solve without cuts only.
+EXHAUSTIVE = ("4x8-0", "4x8-1", "4x8-2", "4x8-3", "x3c-yes", "x3c-no")
+
+
+@pytest.mark.parametrize("name", list(CUT_GAMES))
+def test_certificate_cuts_change_nothing(name, monkeypatch):
+    game = CUT_GAMES[name]()
+    delta = Fraction(1, 10) if name.startswith("x3c") else Fraction(1, 4)
+    fast = solve_exact(game, delta, exact=True)
+    refs = []
+    if name in EXHAUSTIVE:
+        refs.append(solve_exact(game, delta, exact=True, exhaustive=True))
+    solve = lp.solve
+
+    def uncertified(prog, *, exact=False):
+        return dataclasses.replace(solve(prog, exact=exact), support=None)
+
+    monkeypatch.setattr(lp, "solve", uncertified)
+    uncut = solve_exact(game, delta, exact=True)
+    for ref in refs + [uncut]:
+        assert fast.value == ref.value
+        assert fast.chosen_tuple == ref.chosen_tuple
+        assert fast.strategy.exact == ref.strategy.exact
+        assert fast.lp_count <= ref.lp_count
+    if name in ("3x10-2", "x3c-yes", "x3c-no"):
+        assert fast.lp_count < uncut.lp_count
 
 
 def test_determinism():

@@ -43,6 +43,10 @@ def test_strategy_validation():
         strat(0.5, 0.6)
     with pytest.raises(InvalidStrategyError):
         strat(1.5, -0.5)
+    # NaN passes both range checks, so it needs a check of its own.
+    for bad in ((np.nan, 1.0), (np.inf, 0.0), (0.5, np.nan)):
+        with pytest.raises(InvalidStrategyError, match="non-finite"):
+            strat(*bad)
     s = strat(0.25, 0.75)
     assert s.probs.sum() == 1.0
 
@@ -216,6 +220,18 @@ def test_json_round_trip_bit_identical():
     back = g.loads_game(text)
     assert back == game
     assert g.dumps_game(back) == text
+
+
+@pytest.mark.parametrize("meta", [
+    {"exact": {}}, {"exact": {"u_l": [["0", "1"]]}},
+    {"exact": {"u_l": 3, "u_f": [["1", "0"]]}},
+    {"exact": {"u_l": [["0", "x"]], "u_f": [["1", "0"]]}},
+    {"exact": {"u_l": [["0", "1/0"]], "u_f": [["1", "0"]]}},
+    {"exact": [1]}, 5, [1]])
+def test_malformed_meta_is_a_format_error(meta):
+    d = {"m": 1, "n": 2, "u_l": [[0, 1]], "u_f": [[1, 0]], "meta": meta}
+    with pytest.raises(GameFormatError, match="meta"):
+        g.game_from_dict(d)
 
 
 def test_attach_exact_uses_decimal_reading():

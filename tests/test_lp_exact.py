@@ -3,7 +3,9 @@
 ``lp.solve(..., exact=True)`` keeps a float simplex answer only after proving
 it in rationals and otherwise falls back to the ``Fraction`` simplex. The
 reference here is that ``Fraction`` simplex, called directly; every
-``LpOutcome`` field must match it exactly.
+``LpOutcome`` field that takes part in equality must match it exactly. The
+Farkas support an infeasible outcome carries is checked on its own: its
+rows alone must be infeasible under the same reference.
 """
 
 import random
@@ -51,7 +53,22 @@ def assert_same(prog):
     assert got == want, lp.lp_to_text(prog)
     for v in (got.solution or ()) + (got.objective_value,):
         assert v is None or type(v) is Fraction
+    assert_support_proves(prog, got)
     return got
+
+
+def assert_support_proves(prog, out):
+    """A support appears only on infeasible outcomes, and its rows alone
+    (with the simplex row, if ``prog`` has one) are infeasible under the
+    ``Fraction`` simplex."""
+    if out.support is None:
+        return
+    assert out.status == "infeasible"
+    assert list(out.support) == sorted(set(out.support))
+    rows = tuple(prog.constraints[r] for r in out.support)
+    reduced = lp.feasibility(prog.num_vars, rows,
+                             simplex=prog.simplex_constraint)
+    assert reference(reduced).status == "infeasible", lp.lp_to_text(reduced)
 
 
 def _grid(rng, q):
@@ -81,10 +98,13 @@ def test_random_grid_lps_match_fraction_simplex(seed, fallbacks):
     statuses = set()
     for _ in range(300):
         before = fallbacks[0]
-        status = assert_same(random_lp(rng)).status
-        statuses.add(status)
+        prog = random_lp(rng)
+        out = assert_same(prog)
+        statuses.add(out.status)
         # Rounded phase-1 duals prove every one of these infeasible LPs.
-        assert status != "infeasible" or fallbacks[0] == before
+        assert out.status != "infeasible" or fallbacks[0] == before
+        assert (out.support is not None) == (out.status == "infeasible")
+        assert lp.solve(prog).support is None  # float mode proves nothing
     assert statuses == {"optimal", "infeasible", "unbounded"}
     assert fallbacks[0] < 100
 
@@ -154,6 +174,11 @@ def test_thin_infeasibility_margin(exponent, simplex, fallbacks):
     for prog in (lp.feasibility(2, cons, simplex=simplex),
                  lp.maximize((1, 0), cons, simplex=simplex)):
         assert assert_same(prog).status == "infeasible"
+    for prog in (lp.feasibility(2, cons, simplex=simplex),
+                 lp.maximize((1, 0), cons, simplex=simplex)):
+        # Certified by the float pass at 1e-6 and by the Fraction
+        # simplex's own duals at 1e-9: both name the rows they used.
+        assert lp.solve(prog, exact=True).support is not None
     if exponent == 6:
         assert fallbacks[0] == 0
     else:
@@ -229,9 +254,27 @@ def _lie(monkeypatch, *answer):
     (BOX, [-1.0, 0.0])])
 def test_bogus_infeasible_claim_is_not_trusted(monkeypatch, prog, duals):
     _lie(monkeypatch, "infeasible", None, duals)
-    assert assert_same(prog).status == "optimal"
-    assert_same(lp.feasibility(prog.num_vars, prog.constraints,
-                               simplex=prog.simplex_constraint))
+    out = assert_same(prog)
+    assert out.status == "optimal" and out.support is None
+    out = assert_same(lp.feasibility(prog.num_vars, prog.constraints,
+                                     simplex=prog.simplex_constraint))
+    assert out.status == "optimal" and out.support is None
+
+
+@pytest.mark.parametrize("duals", [
+    [0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [-1.0, -1.0, 5.0], [1.0, -1.0, -1.0],
+    [float("nan"), 1.0, -1.0], [1.0, float("inf"), -1.0]])
+def test_bogus_duals_on_infeasible_lp_teach_no_support(monkeypatch, duals):
+    """An unproven claim never becomes a support: the rows named are the
+    ones the Fraction simplex's own certificate uses, never the liar's."""
+    honest = lp.solve(INFEASIBLE, exact=True).support
+    assert honest == (0, 1)
+    assert lp._farkas(2, lp._canonical(INFEASIBLE, Fraction)[0], duals,
+                      True) is None
+    _lie(monkeypatch, "infeasible", None, duals)
+    for prog in (INFEASIBLE, lp.feasibility(2, INFEASIBLE.constraints,
+                                            simplex=True)):
+        assert assert_same(prog).support == honest
 
 
 @pytest.mark.parametrize("prog, active", [
@@ -264,5 +307,5 @@ def test_float_breakdown_falls_back(monkeypatch):
         raise lp.SolverFailure("phase 1 reported unbounded")
 
     monkeypatch.setattr(lp, "_float_pass", broken)
-    assert_same(FEASIBLE)
-    assert_same(INFEASIBLE)
+    assert assert_same(FEASIBLE).support is None
+    assert assert_same(INFEASIBLE).support == (0, 1)
