@@ -16,7 +16,6 @@ Two routes:
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -26,7 +25,7 @@ from .baseline import induce_strategy, inducibility_gap, solve_sse
 from .errors import EnumerationCapExceeded, GameFormatError, GapTooSmall
 from .exact import RseSolution
 from .game import (BimatrixGame, MixedStrategy, evaluate, leader_payoffs,
-                   scalar, strategy_from)
+                   scalar, strategy_from, tolerance)
 
 ANCHOR_BUDGET = 2_000_000
 
@@ -75,9 +74,8 @@ class SurrogateRegion:
     def contains(self, game: BimatrixGame, x: MixedStrategy, *,
                  exact: bool = False) -> bool:
         vals = leader_payoffs(game, x, exact=exact)
-        eps = scalar(self.epsilon, exact)
-        tol = 0 if exact else 1e-9
-        return all(abs(v - t) <= eps + tol
+        bound = scalar(self.epsilon, exact) + tolerance(exact)
+        return all(abs(v - t) <= bound
                    for v, t in zip(vals, self.anchor_payoffs))
 
 
@@ -97,18 +95,16 @@ def gap_approx(game: BimatrixGame, delta, *, exact: bool = False) -> RseSolution
     """
     if not delta > 0:
         raise ValueError(f"delta must be > 0, got {delta}")
-    t0 = time.perf_counter()
+    first = lp.solve_count()
     report = inducibility_gap(game, exact=exact)
     gap = report.gap
     if not gap > delta:
         raise GapTooSmall(f"inducibility gap {gap} must exceed delta {delta}")
     sse = solve_sse(game, exact=exact)
-    lp_count = game.n * 2  # n SSE column LPs plus n per-action margin LPs
     if math.isinf(gap):
         x_hat = sse.strategy
         floor = sse.leader_value
     else:
-        lp_count += 1
         inducer = induce_strategy(game, sse.response, gap, exact=exact)
         w = scalar(delta, exact) / gap
         ends = ((sse.strategy.exact, inducer.exact) if exact
@@ -123,8 +119,7 @@ def gap_approx(game: BimatrixGame, delta, *, exact: bool = False) -> RseSolution
         "floor": floor,
     }
     return RseSolution(outcome, None, outcome.response_set, outcome.response,
-                       lp_count, time.perf_counter() - t0, "gap-approx",
-                       guarantee)
+                       lp.solve_count() - first, "gap-approx", guarantee)
 
 
 def build_k(game: BimatrixGame, epsilon, *, log_base: float = math.e) -> int:
@@ -135,9 +130,9 @@ def build_k(game: BimatrixGame, epsilon, *, log_base: float = math.e) -> int:
     return max(1, math.ceil(math.log(2 * game.n, log_base) / (2 * e * e)))
 
 
-def utility_verification(game: BimatrixGame, region: SurrogateRegion, delta,
-                         mu, *, exact: bool = False,
-                         eta: float = 1e-9) -> tuple[bool, MixedStrategy | None]:
+def utility_verification(
+        game: BimatrixGame, region: SurrogateRegion, delta, mu, *,
+        exact: bool = False) -> tuple[bool, MixedStrategy | None]:
     """Does some strategy in the region make every response worth >= mu?
 
     Collects the anchor-payoff-below-mu actions into Q, then scans the
@@ -146,20 +141,14 @@ def utility_verification(game: BimatrixGame, region: SurrogateRegion, delta,
     the strict response rule suffices to exclude Q). Returns the first
     witness.
     """
-    ok, x, _ = _verification_counted(game, region, delta, mu, exact, eta)
-    return ok, x
-
-
-def _verification_counted(game, region, delta, mu, exact, eta=1e-9):
     mu, d = scalar(mu, exact), scalar(delta, exact)
-    tol = 0 if exact else eta
-    below = [t < mu - tol for t in region.anchor_payoffs]
+    floor = mu - tolerance(exact)
+    below = [t < floor for t in region.anchor_payoffs]
     Q = [j for j, b in enumerate(below) if b]
     candidates = [j for j, b in enumerate(below) if not b]
     col_l, col = game.columns(exact)
     region_rows = _region_constraints(col_l, region, exact)
     m, n = game.m, game.n
-    nlp = 0
     for j in candidates:
         cons = list(region_rows)
         for k in range(n):
@@ -171,10 +160,9 @@ def _verification_counted(game, region, delta, mu, exact, eta=1e-9):
             cons.append(lp.Constraint(
                 tuple(col[j][i] - col[k][i] for i in range(m)), ">=", d))
         out = lp.feasible(lp.feasibility(m, cons, simplex=True), exact=exact)
-        nlp += 1
         if out.status == "optimal":
-            return True, strategy_from(out.solution, exact), nlp
-    return False, None, nlp
+            return True, strategy_from(out.solution, exact)
+    return False, None
 
 
 def _region_constraints(col_l, region: SurrogateRegion, exact):
@@ -199,14 +187,13 @@ def qptas_solve(game: BimatrixGame, delta, epsilon, *, exact: bool = False,
     """
     if not delta > 0:
         raise ValueError(f"delta must be > 0, got {delta}")
-    t0 = time.perf_counter()
+    first = lp.solve_count()
     k = build_k(game, epsilon, log_base=log_base)
     total = math.comb(k + game.m - 1, game.m - 1)
     if total > anchor_budget:
         raise EnumerationCapExceeded(
             f"{total} k-uniform anchors exceed the budget {anchor_budget} "
             f"(k={k}, m={game.m})")
-    lp_count = 0
     best = None  # (true value, strategy, anchor, mu)
     for counts in compositions(k, game.m):
         anchor = KUniformStrategy(counts, k)
@@ -218,18 +205,16 @@ def qptas_solve(game: BimatrixGame, delta, epsilon, *, exact: bool = False,
         witness = None
         while lo < hi:
             mid = (lo + hi + 1) // 2
-            ok, x, nlp = _verification_counted(game, region, delta,
-                                               levels[mid], exact)
-            lp_count += nlp
+            ok, x = utility_verification(game, region, delta, levels[mid],
+                                         exact=exact)
             if ok:
                 lo = mid
                 witness = x
             else:
                 hi = mid - 1
         if witness is None:
-            ok, witness, nlp = _verification_counted(game, region, delta,
-                                                     levels[lo], exact)
-            lp_count += nlp
+            ok, witness = utility_verification(game, region, delta,
+                                               levels[lo], exact=exact)
             if not ok:
                 continue
         for x in (witness, anchor.to_strategy(exact=exact)):
@@ -250,4 +235,4 @@ def qptas_solve(game: BimatrixGame, delta, epsilon, *, exact: bool = False,
         "verified_mu": mu,
     }
     return RseSolution(outcome, None, outcome.response_set, outcome.response,
-                       lp_count, time.perf_counter() - t0, "qptas", guarantee)
+                       lp.solve_count() - first, "qptas", guarantee)

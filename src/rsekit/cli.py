@@ -21,7 +21,7 @@ from .approx import gap_approx, qptas_solve
 from .baseline import inducibility_gap, solve_maximin, solve_sse
 from .errors import (BudgetExceeded, EnumerationCapExceeded, GameFormatError,
                      GapTooSmall, RsekitError)
-from .exact import RseSolution, rse_curve, solve_exact
+from .exact import ENUMERATION_CAP, RseSolution, rse_curve, solve_exact
 from .game import (BimatrixGame, MixedStrategy, attach_exact, dumps_game,
                    evaluate, loads_game, scalar, strategy_from)
 
@@ -53,9 +53,13 @@ def _follower_scale(game: BimatrixGame, exact: bool):
     norm = game.meta.get("normalization")
     if not norm:
         return scalar(1, exact)
-    if exact and "exact" in norm:
-        return Fraction(norm["exact"]["follower"]["scale"])
-    return scalar(str(norm["follower"]["scale"]), exact)
+    try:
+        if exact and "exact" in norm:
+            return Fraction(norm["exact"]["follower"]["scale"])
+        return scalar(str(norm["follower"]["scale"]), exact)
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
+        raise GameFormatError(
+            f"bad game JSON: meta.normalization: {e!r}") from e
 
 
 def _maybe_str(value, exact: bool):
@@ -348,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--delta")
     sp.add_argument("--epsilon")
     sp.add_argument("--mode", choices=["float", "exact"], default="float")
-    sp.add_argument("--cap", type=int, default=16)
+    sp.add_argument("--cap", type=int, default=ENUMERATION_CAP)
     sp.add_argument("--exhaustive", action="store_true")
     sp.add_argument("--raw-delta", action="store_true",
                     help="delta is stated against the raw (pre-normalization) "

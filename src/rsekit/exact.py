@@ -31,7 +31,6 @@ verification.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -42,7 +41,7 @@ from .baseline import inducibility_gap, solve_maximin, solve_sse
 from .errors import EnumerationCapExceeded, SolverFailure
 from .game import (PESSIMISTIC, BimatrixGame, GameValueReport, MixedStrategy,
                    ResponseSet, br_delta, follower_payoffs, leader_payoffs,
-                   scalar, strategy_from)
+                   scalar, strategy_from, tolerance)
 
 ENUMERATION_CAP = 16
 
@@ -74,7 +73,6 @@ class RseSolution:
     repaired_set: ResponseSet
     repaired_response: int
     lp_count: int
-    wall_time: float
     method: str = "exact"
     guarantee: dict | None = None
 
@@ -100,7 +98,7 @@ class RseCurve:
 
 
 def solve_exact(game: BimatrixGame, delta, *, exact: bool = False,
-                eta: float = 1e-9, cap: int = ENUMERATION_CAP,
+                cap: int = ENUMERATION_CAP,
                 exhaustive: bool = False) -> RseSolution:
     """Compute the exact delta-robust equilibrium (delta > 0).
 
@@ -111,7 +109,7 @@ def solve_exact(game: BimatrixGame, delta, *, exact: bool = False,
     if game.n > cap:
         raise EnumerationCapExceeded(
             f"n = {game.n} exceeds the enumeration cap {cap}")
-    t0 = time.perf_counter()
+    first = lp.solve_count()
     col_l, col_f = game.columns(exact)
     d = scalar(delta, exact)
     m, n = game.m, game.n
@@ -120,12 +118,11 @@ def solve_exact(game: BimatrixGame, delta, *, exact: bool = False,
         no_member = must_member = [0] * n
     else:
         no_member, must_member = _static_filters(
-            col_f, member, m, n, d, 0 if exact else eta)
+            col_f, member, m, n, d, tolerance(exact))
     nogoods = [[] for _ in range(n)]  # per j_tilde: (in_mask, out_mask)
     col_max_l = [max(c) for c in col_l]
 
     best = None  # (objective, RegionTuple, solution)
-    lp_count = 0
     for size in range(1, n + 1):
         for S in combinations(range(n), size):
             mask = 0
@@ -153,7 +150,6 @@ def solve_exact(game: BimatrixGame, delta, *, exact: bool = False,
                     # One feasibility probe spares |S| doomed solves.
                     gate = lp.feasible(lp.feasibility(
                         m, region, simplex=True), exact=exact)
-                    lp_count += 1
                     if gate.status != "optimal":
                         if gate.support is not None:
                             nogoods[jt].append(_nogood(
@@ -165,7 +161,6 @@ def solve_exact(game: BimatrixGame, delta, *, exact: bool = False,
                     cons = region + tuple(leader[j][k] for k in S if k != j)
                     out = lp.solve(lp.maximize(col_l[j], cons, simplex=True),
                                    exact=exact)
-                    lp_count += 1
                     if out.status != "optimal":
                         continue
                     if best is None or out.objective_value > best[0]:
@@ -180,15 +175,15 @@ def solve_exact(game: BimatrixGame, delta, *, exact: bool = False,
     x = strategy_from(xs, exact)
     # Repair: keep the members of S whose membership is strict at x*. By the
     # j_tilde-optimality constraint this is exactly the delta-optimal set.
-    true_set = br_delta(game, x, d, eta=eta, exact=exact)
+    true_set = br_delta(game, x, d, exact=exact)
     repaired = ResponseSet(tuple(k for k in tup.S if k in true_set))
     lead = leader_payoffs(game, x, exact=exact)
     foll = follower_payoffs(game, x, exact=exact)
     j_hat = min(repaired.actions, key=lambda k: (lead[k], k))
     outcome = GameValueReport(x, j_hat, repaired, lead[j_hat], foll[j_hat],
                               PESSIMISTIC)
-    return RseSolution(outcome, tup, repaired, j_hat, lp_count,
-                       time.perf_counter() - t0, "exact")
+    return RseSolution(outcome, tup, repaired, j_hat,
+                       lp.solve_count() - first, "exact")
 
 
 def _row_cache(col_l, col_f, m, n, d):
@@ -261,14 +256,12 @@ def _nogood(support, n_opt, inside, outside):
 
 
 def _curve_point(args):
-    game, delta, exact, eta, cap, exhaustive = args
-    return solve_exact(game, delta, exact=exact, eta=eta, cap=cap,
-                       exhaustive=exhaustive)
+    game, delta, exact = args
+    return solve_exact(game, delta, exact=exact)
 
 
 def rse_curve(game: BimatrixGame, deltas: Sequence, *, exact: bool = False,
-              eta: float = 1e-9, cap: int = ENUMERATION_CAP,
-              exhaustive: bool = False, jobs: int = 1) -> RseCurve:
+              jobs: int = 1) -> RseCurve:
     """Solve at every grid point and attach the SSE/maximin/gap bounds.
 
     The grid must be sorted and strictly positive. ``jobs > 1`` distributes
@@ -280,7 +273,7 @@ def rse_curve(game: BimatrixGame, deltas: Sequence, *, exact: bool = False,
         raise ValueError("delta grid must be nonempty and strictly positive")
     if any(a > b for a, b in zip(deltas, deltas[1:])):
         raise ValueError("delta grid must be sorted ascending")
-    work = [(game, dv, exact, eta, cap, exhaustive) for dv in deltas]
+    work = [(game, dv, exact) for dv in deltas]
     if jobs > 1 and len(work) > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:

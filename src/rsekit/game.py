@@ -13,11 +13,12 @@ hands the solvers the matrix columns as Python floats or as ``Fraction``s
 single input value such as delta. The payoff vectors are lists of Python
 scalars in both modes, so callers need no per-mode conversion.
 
-The delta-optimal response set uses a strict inequality: ``j`` responds iff
-``u_f(x, j) > max_j' u_f(x, j') - delta``. In float mode strictness is decided
-with the tolerance ``eta`` (default 1e-9): a candidate enters only if it
-clears the threshold by more than ``eta``. For ``delta == 0`` the set is the
-plain argmax set.
+The mode also fixes the tolerance: :func:`tolerance` is 0 in exact mode and
+``ETA`` (1e-9) in float. One strict-response rule serves both modes and
+every delta: with ``best`` the best follower payoff, ``j`` responds iff
+``u_f(x, j) >= best - tol`` or ``u_f(x, j) > best - delta + tol``. The first
+clause keeps the argmax set, so ``delta == 0`` gives that set alone; the
+second is ``u_f(x, j) > best - delta``, cleared by more than ``tol``.
 """
 
 from __future__ import annotations
@@ -175,6 +176,11 @@ def scalar(v, exact: bool):
     return (Fraction if exact else float)(v)
 
 
+def tolerance(exact: bool):
+    """Slack of the mode's comparisons: 0 in exact mode, ``ETA`` in float."""
+    return 0 if exact else ETA
+
+
 def strategy_from(coords: Sequence, exact: bool) -> MixedStrategy:
     """Strategy at ``coords``, keeping them as exact coordinates if ``exact``."""
     if exact:
@@ -246,38 +252,31 @@ def leader_payoffs(game: BimatrixGame, x: MixedStrategy, *,
     return (x.probs @ game.u_l).tolist()
 
 
-def br_delta(game: BimatrixGame, x: MixedStrategy, delta, *, eta: float = ETA,
+def br_delta(game: BimatrixGame, x: MixedStrategy, delta, *,
              exact: bool = False) -> ResponseSet:
     """Delta-optimal response set: strictly within ``delta`` of the optimum.
 
-    ``delta == 0`` returns the plain argmax set.
+    ``delta == 0`` returns the plain argmax set; the module docstring
+    states the rule.
     """
     if delta < 0:
         raise InvalidStrategyError(f"delta must be nonnegative, got {delta}")
     payoffs = follower_payoffs(game, x, exact=exact)
     best = max(payoffs)
-    if exact and delta == 0:
-        acts = [j for j, v in enumerate(payoffs) if v == best]
-    elif exact:
-        acts = [j for j, v in enumerate(payoffs) if v > best - Fraction(delta)]
-    elif delta == 0:
-        acts = [j for j, v in enumerate(payoffs) if v >= best - eta]
-    else:
-        # The argmax set always belongs, so a delta below eta degrades
-        # gracefully to the plain best-response set.
-        acts = [j for j, v in enumerate(payoffs)
-                if v >= best - eta or v > best - float(delta) + eta]
-    return ResponseSet(tuple(acts))
+    tol = tolerance(exact)
+    argmax, strict = best - tol, best - scalar(delta, exact) + tol
+    return ResponseSet(tuple(j for j, v in enumerate(payoffs)
+                             if v >= argmax or v > strict))
 
 
-def evaluate(game: BimatrixGame, x: MixedStrategy, delta, *, eta: float = ETA,
+def evaluate(game: BimatrixGame, x: MixedStrategy, delta, *,
              exact: bool = False) -> GameValueReport:
     """Leader value against a pessimistic delta-rational follower.
 
     The response is the leader-utility minimizer in the delta-optimal set,
     ties broken by smallest follower index.
     """
-    rset = br_delta(game, x, delta, eta=eta, exact=exact)
+    rset = br_delta(game, x, delta, exact=exact)
     lead = leader_payoffs(game, x, exact=exact)
     foll = follower_payoffs(game, x, exact=exact)
     response = min(rset.actions, key=lambda j: (lead[j], j))

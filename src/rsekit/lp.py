@@ -27,6 +27,10 @@ so results are deterministic and cycling-free:
   float pass, or from the ``Fraction`` simplex's own phase-1 duals) also
   names the rows that certificate uses, ``LpOutcome.support``, so a caller
   can rule out any later LP that holds the same rows.
+
+:func:`solve` counts its own calls, those made through :func:`feasible`
+included; a solver reports the change in :func:`solve_count` across its
+run as its LP count.
 """
 
 from __future__ import annotations
@@ -50,6 +54,13 @@ PIVOT_TOL = 1e-9
 DUAL_DENOMINATOR = 10 ** 9
 
 RELATIONS = ("<=", ">=", "==")
+
+_solves = 0
+
+
+def solve_count() -> int:
+    """Number of :func:`solve` calls so far in this process."""
+    return _solves
 
 
 @dataclass(frozen=True)
@@ -143,6 +154,8 @@ def solve(lp: LinearProgram, *, exact: bool = False) -> LpOutcome:
 
     Deterministic: identical inputs give identical outcomes.
     """
+    global _solves
+    _solves += 1
     if os.environ.get("RSEKIT_LP_DUMP") == "1":
         print(lp_to_text(lp), file=sys.stderr)
         print("--", file=sys.stderr)
@@ -332,9 +345,9 @@ def _simplex(num_vars: int, rows, objective, exact: bool):
     pivot noise); when optimal, the keys of the constraints the final basis
     holds tight (a row index, or ``len(rows) + i`` for ``x_i = 0``).
     """
-    zero = Fraction(0) if exact else 0.0
-    one = Fraction(1) if exact else 1.0
-    tol = zero if exact else PIVOT_TOL
+    # Exact mode has no tolerances: a test against 0 is an exact test.
+    zero, one, tol, feas_tol = ((Fraction(0), Fraction(1), 0, 0) if exact
+                                else (0.0, 1.0, PIVOT_TOL, FEASIBILITY_TOL))
 
     # Normalize to rhs >= 0, preferring "<=" rows (slack-basic, no
     # artificial): flip ">=" rows whenever their rhs is nonpositive.
@@ -394,8 +407,7 @@ def _simplex(num_vars: int, rows, objective, exact: bool):
         if status == "unbounded":  # cannot happen for a bounded-below phase 1
             raise SolverFailure("phase 1 reported unbounded")
         phase1_val = -cost[n_total]
-        infeasible = (phase1_val != 0) if exact else (abs(phase1_val) > FEASIBILITY_TOL)
-        if infeasible:
+        if abs(phase1_val) > feas_tol:
             # Reduced cost of a column = its phase-1 cost minus y . column.
             duals = []
             for r, (_, rel, _) in enumerate(norm):
@@ -412,7 +424,7 @@ def _simplex(num_vars: int, rows, objective, exact: bool):
                 pivot_col = -1
                 for j in range(art_start):
                     v = tableau[r][j]
-                    if (v != 0) if exact else (abs(v) > tol):
+                    if v > tol or v < -tol:
                         pivot_col = j
                         break
                 if pivot_col >= 0:
@@ -433,7 +445,7 @@ def _simplex(num_vars: int, rows, objective, exact: bool):
     for r in range(m):
         b = basis[r]
         cb = cost[b]
-        if (cb != 0) if exact else (abs(cb) > 0.0):
+        if cb != 0:
             row = tableau[r]
             for j in range(n_total + 1):
                 cost[j] = cost[j] - cb * row[j]
@@ -446,8 +458,7 @@ def _simplex(num_vars: int, rows, objective, exact: bool):
     for r in range(m):
         if basis[r] < num_vars:
             x[basis[r]] = tableau[r][n_total]
-    if not exact:
-        x = [0.0 if abs(v) < PIVOT_TOL else v for v in x]
+    x = [zero if -tol < v < tol else v for v in x]
     basic = set(basis)
     tight = [r for r in keep if slack_col[r] < 0 or slack_col[r] not in basic]
     tight += [len(rows) + i for i in range(num_vars) if i not in basic]

@@ -5,14 +5,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rsekit import lab
+from rsekit import lab, lp
 from rsekit.approx import (KUniformStrategy, build_k, gap_approx, make_region,
                            qptas_solve, utility_verification)
 from rsekit.baseline import inducibility_gap, solve_sse
 from rsekit.errors import (EnumerationCapExceeded, GameFormatError, GapTooSmall,
                            RejectionCapExceeded)
 from rsekit.exact import solve_exact
-from rsekit.game import br_delta, evaluate, leader_payoffs
+from rsekit.game import br_delta, evaluate, exact_game, leader_payoffs
 
 
 def test_k_uniform_type_checks():
@@ -174,3 +174,31 @@ def test_qptas_deterministic():
     b = qptas_solve(game, 0.3, 0.4)
     assert a.value == b.value
     assert np.array_equal(a.strategy.probs, b.strategy.probs)
+
+
+@pytest.mark.parametrize("name, game", [
+    # n = 1: the gap is infinite without an LP, so gap_approx solves one.
+    ("2x1", exact_game([[1], [Fraction(1, 3)]], [[Fraction(1, 2)], [1]])),
+    ("random 3x4", lab.gen_random(3, 4, 5, rational_grid=16)),
+    ("table3", lab.catalog("table3").game),
+])
+def test_lp_count_is_the_number_of_lps_solved(monkeypatch, name, game):
+    solved = 0
+    real_solve = lp.solve
+
+    def counting_solve(*args, **kwargs):
+        nonlocal solved
+        solved += 1
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(lp, "solve", counting_solve)
+    delta = Fraction(1, 20)
+    for exact in (False, True):
+        for run in (lambda: solve_exact(game, delta, exact=exact),
+                    lambda: gap_approx(game, delta, exact=exact),
+                    lambda: qptas_solve(game, delta, Fraction(1, 2),
+                                        exact=exact)):
+            solved = 0
+            sol = run()
+            assert solved > 0
+            assert sol.lp_count == solved, (name, exact, sol.method)

@@ -109,6 +109,19 @@ def test_usage_errors_exit_two(tmp_path, capsys):
                              str(bad_game))
     assert code == 2 and out == ""
     assert err.startswith("rsekit: ") and "u_l" in err
+    # A malformed meta.normalization is malformed input for --raw-delta.
+    for i, norm in enumerate(({"x": 1}, 5)):
+        bad_norm = tmp_path / f"bad_normalization_{i}.json"
+        bad_norm.write_text(json.dumps({"m": 1, "n": 2, "u_l": [[0, 1]],
+                                        "u_f": [[1, 0]],
+                                        "meta": {"normalization": norm}}))
+        for mode in ("float", "exact"):
+            for argv in (("solve", "--method", "exact", "--delta", "1/4"),
+                         ("curve", "--grid", "0.1:0.3:0.1")):
+                code, out, err = run_cli(capsys, *argv, "--mode", mode,
+                                         "--raw-delta", str(bad_norm))
+                assert code == 2 and out == ""
+                assert err.startswith("rsekit: ") and "normalization" in err
     # A NaN probability names the strategy instead of failing downstream.
     sol = json.loads(sol_text)
     sol["strategy"]["probs"][0] = float("nan")

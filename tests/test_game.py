@@ -109,11 +109,39 @@ def test_br_delta_on_variants_game_pure_rows():
     assert g.br_delta(game, strat(0, 0, 1), 0.25).actions == (0, 1, 2)
 
 
+# One leader row, so the follower payoffs are its entries exactly: a tie at
+# 1/2, a near-tie 5e-10 below it (inside ETA), one 2e-9 below (outside).
+NEAR_TIE_UF = [[Fraction(1, 2), Fraction(1, 2),
+                Fraction(1, 2) - Fraction(1, 2 * 10 ** 9),
+                Fraction(1, 2) - Fraction(1, 5 * 10 ** 8)]]
+NEAR_TIE = g.exact_game([[1, 0, 0, 0]], NEAR_TIE_UF)
+
+
 def test_br_delta_zero_is_argmax_set():
     game = g.BimatrixGame(np.array(VARIANTS_UL), np.array(VARIANTS_UF))
     assert g.br_delta(game, strat(1, 0, 0), 0).actions == (0, 1)
     with pytest.raises(InvalidStrategyError):
         g.br_delta(game, strat(1, 0, 0), -0.1)
+    # Float mode keeps the near-tie within ETA; exact mode keeps ties only.
+    assert g.br_delta(NEAR_TIE, strat(1.0), 0).actions == (0, 1, 2)
+    x = g.exact_strategy([1])
+    assert g.br_delta(NEAR_TIE, x, 0, exact=True).actions == (0, 1)
+
+
+@pytest.mark.parametrize("delta", [1e-10, 5e-10, 9e-10])
+def test_br_delta_below_eta_is_argmax_set_within_eta(delta):
+    # A float delta under ETA cannot clear the strict threshold by ETA, so
+    # the set falls back to the argmax set within ETA.
+    assert NEAR_TIE.u_f[0, 2] == 0.5 - 5e-10
+    assert g.br_delta(NEAR_TIE, strat(1.0), delta).actions == (0, 1, 2)
+
+
+def test_float_strict_rule_needs_an_eta_margin():
+    # In float mode a response is strictly within delta only when it clears
+    # best - delta by more than ETA.
+    game = g.BimatrixGame(np.array([[1.0, 0.0]]), np.array([[0.75, 0.5]]))
+    assert g.br_delta(game, strat(1.0), 0.25 + 5e-10).actions == (0,)
+    assert g.br_delta(game, strat(1.0), 0.25 + 2e-9).actions == (0, 1)
 
 
 def test_evaluate_variants_game_sse_and_maximin_rows():
@@ -159,11 +187,14 @@ VARIANTS_UF_EXACT = [
 
 def test_exact_boundary_delta_is_excluded():
     # At delta exactly equal to the margin, the strict definition keeps the
-    # trailing action out; exact arithmetic decides this without tolerances.
+    # trailing action out; exact arithmetic decides this without tolerances,
+    # so a delta above the margin by far less than ETA lets it in.
     game = g.exact_game([[1, 0]], [[Fraction(3, 4), Fraction(1, 2)]])
     x = g.exact_strategy([1])
     assert g.br_delta(game, x, Fraction(1, 4), exact=True).actions == (0,)
-    assert g.br_delta(game, x, Fraction(1, 4) + Fraction(1, 100), exact=True).actions == (0, 1)
+    for above in (Fraction(1, 100), Fraction(1, 10 ** 12)):
+        got = g.br_delta(game, x, Fraction(1, 4) + above, exact=True)
+        assert got.actions == (0, 1)
 
 
 games_st = st.integers(1, 4).flatmap(
