@@ -118,8 +118,8 @@ def gap_approx(game: BimatrixGame, delta, *, exact: bool = False) -> RseSolution
         "sse_value": sse.leader_value,
         "floor": floor,
     }
-    return RseSolution(outcome, None, outcome.response_set, outcome.response,
-                       lp.solve_count() - first, "gap-approx", guarantee)
+    return RseSolution(outcome, None, lp.solve_count() - first, "gap-approx",
+                       guarantee)
 
 
 def build_k(game: BimatrixGame, epsilon, *, log_base: float = math.e) -> int:
@@ -234,5 +234,5 @@ def qptas_solve(game: BimatrixGame, delta, epsilon, *, exact: bool = False,
         "anchor_counts": anchor.counts,
         "verified_mu": mu,
     }
-    return RseSolution(outcome, None, outcome.response_set, outcome.response,
-                       lp.solve_count() - first, "qptas", guarantee)
+    return RseSolution(outcome, None, lp.solve_count() - first, "qptas",
+                       guarantee)

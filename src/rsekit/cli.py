@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -23,7 +24,7 @@ from .errors import (BudgetExceeded, EnumerationCapExceeded, GameFormatError,
                      GapTooSmall, RsekitError)
 from .exact import ENUMERATION_CAP, RseSolution, rse_curve, solve_exact
 from .game import (BimatrixGame, MixedStrategy, attach_exact, dumps_game,
-                   evaluate, loads_game, scalar, strategy_from)
+                   evaluate, loads_game, scalar, strategy_from, tolerance)
 
 GUARD_ERRORS = (EnumerationCapExceeded, GapTooSmall, BudgetExceeded)
 
@@ -62,36 +63,37 @@ def _follower_scale(game: BimatrixGame, exact: bool):
             f"bad game JSON: meta.normalization: {e!r}") from e
 
 
-def _maybe_str(value, exact: bool):
-    if exact and isinstance(value, Fraction):
-        return str(value)
-    return None
+def _number(v):
+    """``v`` as a JSON number; a non-finite one (no competing action) is null."""
+    v = float(v)
+    return v if math.isfinite(v) else None
 
 
-def _strategy_json(x: MixedStrategy, exact: bool) -> dict:
+def _put(out: dict, key: str, v) -> None:
+    """``out[key] = v`` as a number, plus ``key + "_exact"`` for a Fraction."""
+    out[key] = _number(v)
+    if isinstance(v, Fraction):
+        out[key + "_exact"] = str(v)
+
+
+def _strategy_json(x: MixedStrategy) -> dict:
     out = {"probs": [float(v) for v in x.probs]}
-    if exact and x.exact is not None:
+    if x.exact is not None:
         out["exact"] = [str(v) for v in x.exact]
     return out
 
 
 def _solution_json(sol: RseSolution, delta, mode: str) -> dict:
-    exact = mode == "exact"
     out = {
         "method": sol.method,
         "mode": mode,
-        "delta": float(delta),
-        "value": float(sol.value),
-        "strategy": _strategy_json(sol.strategy, exact),
+        "strategy": _strategy_json(sol.strategy),
         "response": sol.outcome.response,
-        "response_set": list(sol.repaired_set.actions),
+        "response_set": list(sol.outcome.response_set.actions),
         "lp_count": sol.lp_count,
     }
-    if exact:
-        out["delta_exact"] = str(Fraction(delta))
-        ve = _maybe_str(sol.value, exact)
-        if ve:
-            out["value_exact"] = ve
+    _put(out, "delta", delta)
+    _put(out, "value", sol.value)
     if sol.chosen_tuple is not None:
         out["chosen_tuple"] = {
             "S": list(sol.chosen_tuple.S.actions),
@@ -101,33 +103,28 @@ def _solution_json(sol: RseSolution, delta, mode: str) -> dict:
     if sol.guarantee is not None:
         out["guarantee"] = {
             k: (str(v) if isinstance(v, Fraction) else
-                list(v) if isinstance(v, tuple) else v)
+                list(v) if isinstance(v, tuple) else
+                _number(v) if isinstance(v, float) else v)
             for k, v in sol.guarantee.items()
         }
     return out
 
 
-def _report_json(rep, delta, mode: str, method: str) -> dict:
-    exact = mode == "exact"
+def _report_json(rep, mode: str, method: str) -> dict:
     out = {
         "method": method,
         "mode": mode,
-        "value": float(rep.leader_value),
-        "strategy": _strategy_json(rep.strategy, exact),
+        "strategy": _strategy_json(rep.strategy),
         "response": rep.response,
         "response_set": list(rep.response_set.actions),
         "tie_breaking": rep.tie_breaking,
     }
-    if delta is not None:
-        out["delta"] = float(delta)
-    ve = _maybe_str(rep.leader_value, exact)
-    if ve:
-        out["value_exact"] = ve
+    _put(out, "value", rep.leader_value)
     return out
 
 
 def _emit(obj) -> None:
-    print(json.dumps(obj, sort_keys=True))
+    print(json.dumps(obj, sort_keys=True, allow_nan=False))
 
 
 def _grid_values(spec: str) -> list[Fraction]:
@@ -155,28 +152,25 @@ def cmd_solve(args) -> int:
         print("solve: --delta is required for this method", file=sys.stderr)
         return EXIT_USAGE
     if args.method == "sse":
-        _emit(_report_json(solve_sse(game, exact=exact), None, args.mode, "sse"))
+        _emit(_report_json(solve_sse(game, exact=exact), args.mode, "sse"))
     elif args.method == "maximin":
-        _emit(_report_json(solve_maximin(game, exact=exact), None, args.mode,
+        _emit(_report_json(solve_maximin(game, exact=exact), args.mode,
                            "maximin"))
     elif args.method == "gap":
         rep = inducibility_gap(game, exact=exact)
         out = {
             "method": "gap",
             "mode": args.mode,
-            "gap": float(rep.gap),
             "per_action": [
-                {"action": j, "margin": float(a.margin),
-                 "strategy": _strategy_json(a.strategy, exact)}
+                {"action": j, "margin": _number(a.margin),
+                 "strategy": _strategy_json(a.strategy)}
                 for j, a in enumerate(rep.per_action)
             ],
         }
-        if exact and isinstance(rep.gap, Fraction):
-            out["gap_exact"] = str(rep.gap)
+        _put(out, "gap", rep.gap)
         _emit(out)
     elif args.method == "exact":
-        sol = solve_exact(game, delta, exact=exact, cap=args.cap,
-                          exhaustive=args.exhaustive)
+        sol = solve_exact(game, delta, exact=exact, cap=args.cap)
         _emit(_solution_json(sol, delta, args.mode))
     elif args.method == "qptas":
         if args.epsilon is None:
@@ -200,13 +194,13 @@ def cmd_curve(args) -> int:
     if args.raw_delta:
         scale = _follower_scale(game, True)
         grid = [v * scale for v in grid]
-    deltas = grid if exact else [float(v) for v in grid]
+    deltas = [scalar(v, exact) for v in grid]
     curve = rse_curve(game, deltas, exact=exact, jobs=args.jobs)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["delta", "value", "sse", "maximin", "gap"])
 
     def fmt(v):
-        return str(v) if exact else repr(float(v))
+        return str(v) if isinstance(v, Fraction) else repr(float(v))
 
     for dv, val in zip(curve.deltas, curve.values):
         writer.writerow([fmt(dv), fmt(val), fmt(curve.sse_value),
@@ -287,10 +281,11 @@ def cmd_learn(args) -> int:
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["seed", "T", "sup_err_l", "sup_err_f", "value", "floor",
                      "pass"])
+    tol = tolerance(False)
     for s, out in zip(run_seeds, outcomes):
-        concentrated = (out.sup_err_l <= args.epsilon + 1e-12
-                        and out.sup_err_f <= args.epsilon + 1e-12)
-        ok = (not concentrated) or out.true_value >= out.guarantee_floor - 1e-9
+        concentrated = (out.sup_err_l <= args.epsilon + tol
+                        and out.sup_err_f <= args.epsilon + tol)
+        ok = (not concentrated) or out.true_value >= out.guarantee_floor - tol
         writer.writerow([s, out.samples_per_pair, repr(out.sup_err_l),
                          repr(out.sup_err_f), repr(float(out.true_value)),
                          repr(float(out.guarantee_floor)), int(ok)])
@@ -333,7 +328,7 @@ def cmd_verify(args) -> int:
         "value_ok": bool(value_ok),
         "response_ok": bool(response_ok),
         "response_set_ok": bool(set_ok),
-        "recomputed_value": float(rep.leader_value),
+        "recomputed_value": _number(rep.leader_value),
     }
     _emit(verdict)
     return EXIT_OK if (value_ok and response_ok and set_ok) else EXIT_MISMATCH
@@ -353,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--epsilon")
     sp.add_argument("--mode", choices=["float", "exact"], default="float")
     sp.add_argument("--cap", type=int, default=ENUMERATION_CAP)
-    sp.add_argument("--exhaustive", action="store_true")
     sp.add_argument("--raw-delta", action="store_true",
                     help="delta is stated against the raw (pre-normalization) "
                          "follower utilities")
@@ -393,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     vp = sub.add_parser("verify", help="recheck an emitted solution")
     vp.add_argument("game")
     vp.add_argument("solution")
-    vp.add_argument("--tolerance", type=float, default=1e-9)
+    vp.add_argument("--tolerance", type=float, default=tolerance(False))
     vp.set_defaults(func=cmd_verify)
     return p
 

@@ -3,9 +3,11 @@
 For each candidate region (a response set S, the follower-optimal action
 j_tilde in S, and the leader-pessimal action j in S) a relaxed LP maximizes
 the leader's value while forcing S to be exactly the delta-optimal set. The
-strict membership constraints are relaxed to weak ones before solving; the
-winning tuple is then repaired by dropping the members whose relaxed
-constraint came out tight, which restores a valid equilibrium pair.
+strict membership constraints are relaxed to weak ones before solving;
+:func:`~rsekit.game.evaluate` then scores the winning strategy. Its
+delta-optimal set lies inside S, as the exclusion rows keep every action
+outside S at least delta below j_tilde. Float mode refuses a delta at or
+below ``1000 * tolerance``, where the LP's own slack breaks that argument.
 
 Enumeration visits tuples ordered by (|S|, sorted S, j_tilde, j) and keeps
 the first maximizer, which doubles as the deterministic tie-break. Every
@@ -39,9 +41,8 @@ from typing import Sequence
 from . import lp
 from .baseline import inducibility_gap, solve_maximin, solve_sse
 from .errors import EnumerationCapExceeded, SolverFailure
-from .game import (PESSIMISTIC, BimatrixGame, GameValueReport, MixedStrategy,
-                   ResponseSet, br_delta, follower_payoffs, leader_payoffs,
-                   scalar, strategy_from, tolerance)
+from .game import (BimatrixGame, GameValueReport, MixedStrategy, ResponseSet,
+                   evaluate, scalar, strategy_from, tolerance)
 
 ENUMERATION_CAP = 16
 
@@ -63,15 +64,15 @@ class RegionTuple:
 class RseSolution:
     """A robust-equilibrium strategy pair with its provenance.
 
-    ``repaired_set`` is the winning tuple's S after dropping members whose
-    relaxed membership constraint was tight at the optimum; it equals the
-    true delta-optimal set of the returned strategy.
+    ``outcome`` is :func:`~rsekit.game.evaluate`'s report at the returned
+    strategy: its response set, pessimistic response and value are the ones
+    ``rsekit verify`` recomputes. ``chosen_tuple`` is the winning region of
+    :func:`solve_exact` (``None`` for the approximations), whose S holds the
+    outcome's response set.
     """
 
     outcome: GameValueReport
     chosen_tuple: RegionTuple | None
-    repaired_set: ResponseSet
-    repaired_response: int
     lp_count: int
     method: str = "exact"
     guarantee: dict | None = None
@@ -79,6 +80,11 @@ class RseSolution:
     @property
     def value(self):
         return self.outcome.leader_value
+
+    @property
+    def repaired_set(self) -> ResponseSet:
+        """The delta-optimal set of the returned strategy."""
+        return self.outcome.response_set
 
     @property
     def strategy(self) -> MixedStrategy:
@@ -100,12 +106,17 @@ class RseCurve:
 def solve_exact(game: BimatrixGame, delta, *, exact: bool = False,
                 cap: int = ENUMERATION_CAP,
                 exhaustive: bool = False) -> RseSolution:
-    """Compute the exact delta-robust equilibrium (delta > 0).
+    """Compute the exact delta-robust equilibrium.
 
-    Expected exponential in the follower's action count; guarded by ``cap``.
+    ``delta`` must exceed ``1000 * tolerance(exact)``: 0 in exact mode,
+    1e-6 in float. Expected exponential in the follower's action count;
+    guarded by ``cap``.
     """
-    if not delta > 0:
-        raise ValueError(f"delta must be > 0, got {delta}")
+    floor = 1000 * tolerance(exact)
+    if not delta > floor:
+        raise ValueError(
+            f"delta must be > {floor:g} in this mode, got {delta} "
+            "(--mode exact takes any delta > 0)")
     if game.n > cap:
         raise EnumerationCapExceeded(
             f"n = {game.n} exceeds the enumeration cap {cap}")
@@ -171,19 +182,9 @@ def solve_exact(game: BimatrixGame, delta, *, exact: bool = False,
         raise SolverFailure("no region tuple is feasible; this cannot happen "
                             "for delta > 0")
 
-    obj, tup, xs = best
-    x = strategy_from(xs, exact)
-    # Repair: keep the members of S whose membership is strict at x*. By the
-    # j_tilde-optimality constraint this is exactly the delta-optimal set.
-    true_set = br_delta(game, x, d, exact=exact)
-    repaired = ResponseSet(tuple(k for k in tup.S if k in true_set))
-    lead = leader_payoffs(game, x, exact=exact)
-    foll = follower_payoffs(game, x, exact=exact)
-    j_hat = min(repaired.actions, key=lambda k: (lead[k], k))
-    outcome = GameValueReport(x, j_hat, repaired, lead[j_hat], foll[j_hat],
-                              PESSIMISTIC)
-    return RseSolution(outcome, tup, repaired, j_hat,
-                       lp.solve_count() - first, "exact")
+    _, tup, xs = best
+    outcome = evaluate(game, strategy_from(xs, exact), d, exact=exact)
+    return RseSolution(outcome, tup, lp.solve_count() - first, "exact")
 
 
 def _row_cache(col_l, col_f, m, n, d):

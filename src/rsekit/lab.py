@@ -10,7 +10,6 @@ robust value separates yes- from no-instances at desk scale.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice
@@ -21,8 +20,8 @@ import numpy as np
 from .approx import compositions
 from .baseline import inducibility_gap
 from .errors import BudgetExceeded, GameFormatError, RejectionCapExceeded
-from .game import (ETA, BimatrixGame, GameValueReport, MixedStrategy,
-                   evaluate, exact_game, float_to_fraction, normalize)
+from .game import (BimatrixGame, GameValueReport, MixedStrategy, evaluate,
+                   exact_game, float_to_fraction, normalize, tolerance)
 
 # ---------------------------------------------------------------------------
 # Catalog
@@ -422,7 +421,7 @@ def grid_oracle(game: BimatrixGame, delta, resolution: int) -> GameValueReport:
     if not 1 <= resolution <= ORACLE_MAX_RESOLUTION:
         raise BudgetExceeded(
             f"oracle resolution must be in [1, {ORACLE_MAX_RESOLUTION}]")
-    d, eta = float(delta), ETA
+    d, eta = float(delta), tolerance(False)
     best_val, best_counts = -np.inf, None
     points = compositions(int(resolution), game.m)
     while batch := list(islice(points, 8192)):

@@ -25,7 +25,8 @@ from .approx import gap_approx, qptas_solve
 from .baseline import inducibility_gap, solve_sse
 from .errors import GameFormatError, GapTooSmall, PerturbationBoundError
 from .exact import solve_exact
-from .game import BimatrixGame, MixedStrategy, br_delta, evaluate, scalar
+from .game import (BimatrixGame, MixedStrategy, br_delta, evaluate, scalar,
+                   tolerance)
 
 
 def _parse_noise(noise):
@@ -199,7 +200,7 @@ def check_br_inclusion(truth: BimatrixGame, estimate: BimatrixGame,
     _, true_cols = truth.columns(exact)
     err = max(abs(a - b) for ca, cb in zip(est_cols, true_cols)
               for a, b in zip(ca, cb))
-    if not err <= scalar(epsilon, exact) + (0 if exact else 1e-12):
+    if not err <= scalar(epsilon, exact) + tolerance(exact):
         raise PerturbationBoundError(
             f"sup-norm error {err} exceeds epsilon {epsilon}")
     true_set = br_delta(truth, x, delta, exact=exact)

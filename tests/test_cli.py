@@ -130,10 +130,20 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     code, out, err = run_cli(capsys, "verify", str(game_path), str(nan_path))
     assert code == 2 and out == ""
     assert err.startswith("rsekit: ") and "non-finite probability" in err
-    # solve has no --jobs; argparse rejects it with exit 2.
-    with pytest.raises(SystemExit) as exc:
-        main(["solve", "--method", "sse", "--jobs", "2", str(game_path)])
-    assert exc.value.code == 2
+    # solve has no --jobs or --exhaustive; argparse rejects them with exit 2.
+    for flags in (["--jobs", "2"], ["--exhaustive"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--method", "sse", *flags, str(game_path)])
+        assert exc.value.code == 2
+    # Float mode refuses a delta its LP tolerance cannot resolve.
+    _, out, _ = run_cli(capsys, "gen", "--random", "3,4,1",
+                        "--grid-denominator", "4")
+    grid_path = tmp_path / "grid4.json"
+    grid_path.write_text(out)
+    code, out, err = run_cli(capsys, "solve", "--method", "exact", "--delta",
+                             "1e-9", str(grid_path))
+    assert code == 2 and out == ""
+    assert err.startswith("rsekit: ") and "--mode exact" in err
 
 
 @pytest.mark.parametrize("denominator", ["0", "-3"])
@@ -268,3 +278,41 @@ def test_exact_mode_rejects_irrational_grid_entries(tmp_path, capsys):
                            "exact", str(game_path))
     assert code == 2
     assert "exact mode rejected" in err
+
+
+def test_exact_mode_solves_below_the_float_floor(tmp_path, capsys):
+    _, out, _ = run_cli(capsys, "gen", "--random", "3,4,1",
+                        "--grid-denominator", "4")
+    game_path = tmp_path / "grid4.json"
+    game_path.write_text(out)
+    code, out, _ = run_cli(capsys, "solve", "--method", "exact", "--delta",
+                           "1e-9", "--mode", "exact", str(game_path))
+    assert code == 0
+    sol_path = tmp_path / "sol.json"
+    sol_path.write_text(out)
+    code, out, _ = run_cli(capsys, "verify", str(game_path), str(sol_path))
+    assert code == 0 and json.loads(out)["value_ok"]
+
+
+@pytest.mark.parametrize("gen", [("--random", "2,1,0"),
+                                 ("--random", "2,1,1", "--grid-denominator",
+                                  "16")])
+def test_single_column_games_print_strict_json(tmp_path, capsys, gen):
+    # With n = 1 there is no competing action: the gap is null, not the
+    # bare Infinity that RFC 8259 JSON has no spelling for.
+    _, out, _ = run_cli(capsys, "gen", *gen)
+    game_path = tmp_path / "n1.json"
+    game_path.write_text(out)
+    mode = "exact" if "--grid-denominator" in gen else "float"
+
+    def strict(name):
+        raise ValueError(f"non-JSON constant {name}")
+
+    for argv in (("--method", "gap"),
+                 ("--method", "gap-approx", "--delta", "1/20")):
+        code, out, _ = run_cli(capsys, "solve", *argv, "--mode", mode,
+                               str(game_path))
+        assert code == 0
+        sol = json.loads(out, parse_constant=strict)
+        gap = sol["gap"] if argv[1] == "gap" else sol["guarantee"]["gap"]
+        assert gap is None

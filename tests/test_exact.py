@@ -54,7 +54,7 @@ def test_tie_break_game_value_and_gap():
 def test_solution_internal_invariants():
     game = lab.catalog("table2").game
     sol = solve_exact(game, Fraction(1, 4), exact=True)
-    assert sol.repaired_response in sol.repaired_set
+    assert sol.outcome.response in sol.repaired_set
     assert sol.repaired_set.issubset(sol.chosen_tuple.S)
     lead = leader_payoffs(game, sol.strategy, exact=True)
     assert sol.value >= lead[sol.chosen_tuple.j]
@@ -66,7 +66,7 @@ def test_validity_recheck_on_random_games():
         delta = Fraction(1, 5)
         sol = solve_exact(game, delta, exact=True)
         rset = br_delta(game, sol.strategy, delta, exact=True)
-        assert sol.repaired_response in rset
+        assert sol.outcome.response in rset
         rep = evaluate(game, sol.strategy, delta, exact=True)
         assert rep.leader_value == sol.value
         assert rset.actions == sol.repaired_set.actions
@@ -241,3 +241,15 @@ def test_float_mode_agrees_with_exact():
         want = solve_exact(game, Fraction(1, 4), exact=True)
         got = solve_exact(game, 0.25)
         assert got.value == pytest.approx(float(want.value), abs=1e-9)
+
+
+@pytest.mark.parametrize("args,delta", [((2, 3, 0), 1e-10),
+                                        ((3, 4, 1, 4), 1e-9)])
+def test_float_mode_refuses_delta_at_lp_tolerance(args, delta):
+    # At these deltas the float LP's own slack let a returned answer
+    # disagree with evaluate (2x3) or carry a negative probability (3x4).
+    m, n, seed, *grid = args
+    game = lab.gen_random(m, n, seed, rational_grid=grid[0] if grid else None)
+    with pytest.raises(ValueError, match="--mode exact"):
+        solve_exact(game, delta)
+    solve_exact(game, 1.01e-6)  # just above the floor it solves
