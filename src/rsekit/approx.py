@@ -194,7 +194,7 @@ def qptas_solve(game: BimatrixGame, delta, epsilon, *, exact: bool = False,
         raise EnumerationCapExceeded(
             f"{total} k-uniform anchors exceed the budget {anchor_budget} "
             f"(k={k}, m={game.m})")
-    best = None  # (true value, strategy, anchor, mu)
+    best = None  # (report, anchor, mu)
     for counts in compositions(k, game.m):
         anchor = KUniformStrategy(counts, k)
         region = make_region(game, anchor, epsilon, exact=exact)
@@ -219,12 +219,11 @@ def qptas_solve(game: BimatrixGame, delta, epsilon, *, exact: bool = False,
                 continue
         for x in (witness, anchor.to_strategy(exact=exact)):
             rep = evaluate(game, x, delta, exact=exact)
-            if best is None or rep.leader_value > best[0]:
-                best = (rep.leader_value, x, anchor, levels[lo])
+            if best is None or rep.leader_value > best[0].leader_value:
+                best = (rep, anchor, levels[lo])
     if best is None:
         raise GameFormatError("verification failed on every anchor")
-    value, x, anchor, mu = best
-    outcome = evaluate(game, x, delta, exact=exact)
+    outcome, anchor, mu = best
     guarantee = {
         "kind": "qptas",
         "k": k,

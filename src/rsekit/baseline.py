@@ -15,8 +15,8 @@ from fractions import Fraction
 from . import lp
 from .errors import GapTooSmall, SolverFailure
 from .game import (OPTIMISTIC, PESSIMISTIC, BimatrixGame, GameValueReport,
-                   MixedStrategy, ResponseSet, br_delta, follower_payoffs,
-                   leader_payoffs, strategy_from)
+                   MixedStrategy, ResponseSet, br_delta, leader_payoffs,
+                   strategy_from)
 
 
 @dataclass(frozen=True)
@@ -62,8 +62,7 @@ def solve_sse(game: BimatrixGame, *, exact: bool = False) -> GameValueReport:
     value, j, xs = best
     x = strategy_from(xs, exact)
     rset = br_delta(game, x, 0, exact=exact)
-    fv = follower_payoffs(game, x, exact=exact)[j]
-    return GameValueReport(x, j, rset, value, fv, OPTIMISTIC)
+    return GameValueReport(x, j, rset, value, OPTIMISTIC)
 
 
 def solve_maximin(game: BimatrixGame, *, exact: bool = False) -> GameValueReport:
@@ -81,9 +80,8 @@ def solve_maximin(game: BimatrixGame, *, exact: bool = False) -> GameValueReport
     x = strategy_from(out.solution[:m], exact)
     leads = leader_payoffs(game, x, exact=exact)
     response = min(range(n), key=lambda j: (leads[j], j))
-    fv = follower_payoffs(game, x, exact=exact)[response]
     return GameValueReport(x, response, ResponseSet(tuple(range(n))),
-                           leads[response], fv, PESSIMISTIC)
+                           leads[response], PESSIMISTIC)
 
 
 def inducibility_gap(game: BimatrixGame, *, exact: bool = False) -> InducibilityReport:

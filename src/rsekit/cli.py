@@ -22,7 +22,8 @@ from .approx import gap_approx, qptas_solve
 from .baseline import inducibility_gap, solve_maximin, solve_sse
 from .errors import (BudgetExceeded, EnumerationCapExceeded, GameFormatError,
                      GapTooSmall, RsekitError)
-from .exact import ENUMERATION_CAP, RseSolution, rse_curve, solve_exact
+from .exact import (ENUMERATION_CAP, RseSolution, parallel_map, rse_curve,
+                    solve_exact)
 from .game import (BimatrixGame, MixedStrategy, attach_exact, dumps_game,
                    evaluate, loads_game, scalar, strategy_from, tolerance)
 
@@ -83,17 +84,23 @@ def _strategy_json(x: MixedStrategy) -> dict:
     return out
 
 
-def _solution_json(sol: RseSolution, delta, mode: str) -> dict:
+def _report_json(rep, mode: str, method: str) -> dict:
+    """The outcome fields every ``solve`` method writes."""
     out = {
-        "method": sol.method,
+        "method": method,
         "mode": mode,
-        "strategy": _strategy_json(sol.strategy),
-        "response": sol.outcome.response,
-        "response_set": list(sol.outcome.response_set.actions),
-        "lp_count": sol.lp_count,
+        "strategy": _strategy_json(rep.strategy),
+        "response": rep.response,
+        "response_set": list(rep.response_set.actions),
     }
+    _put(out, "value", rep.leader_value)
+    return out
+
+
+def _solution_json(sol: RseSolution, delta, mode: str) -> dict:
+    out = _report_json(sol.outcome, mode, sol.method)
+    out["lp_count"] = sol.lp_count
     _put(out, "delta", delta)
-    _put(out, "value", sol.value)
     if sol.chosen_tuple is not None:
         out["chosen_tuple"] = {
             "S": list(sol.chosen_tuple.S.actions),
@@ -110,21 +117,16 @@ def _solution_json(sol: RseSolution, delta, mode: str) -> dict:
     return out
 
 
-def _report_json(rep, mode: str, method: str) -> dict:
-    out = {
-        "method": method,
-        "mode": mode,
-        "strategy": _strategy_json(rep.strategy),
-        "response": rep.response,
-        "response_set": list(rep.response_set.actions),
-        "tie_breaking": rep.tie_breaking,
-    }
-    _put(out, "value", rep.leader_value)
-    return out
-
-
 def _emit(obj) -> None:
     print(json.dumps(obj, sort_keys=True, allow_nan=False))
+
+
+def positive_int(text: str) -> int:
+    """argparse type of ``--jobs`` and ``--seeds``: an integer >= 1."""
+    v = int(text)
+    if v < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {v}")
+    return v
 
 
 def _grid_values(spec: str) -> list[Fraction]:
@@ -151,11 +153,12 @@ def cmd_solve(args) -> int:
     if args.method in ("exact", "qptas", "gap-approx") and delta is None:
         print("solve: --delta is required for this method", file=sys.stderr)
         return EXIT_USAGE
-    if args.method == "sse":
-        _emit(_report_json(solve_sse(game, exact=exact), args.mode, "sse"))
-    elif args.method == "maximin":
-        _emit(_report_json(solve_maximin(game, exact=exact), args.mode,
-                           "maximin"))
+    if args.method in ("sse", "maximin"):
+        solver = solve_sse if args.method == "sse" else solve_maximin
+        rep = solver(game, exact=exact)
+        out = _report_json(rep, args.mode, args.method)
+        out["tie_breaking"] = rep.tie_breaking
+        _emit(out)
     elif args.method == "gap":
         rep = inducibility_gap(game, exact=exact)
         out = {
@@ -272,12 +275,7 @@ def cmd_learn(args) -> int:
                  for i in range(args.seeds)]
     work = [(truth, args.delta, args.epsilon, args.iota, noise, args.solver, s)
             for s in run_seeds]
-    if args.jobs > 1 and len(work) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            outcomes = list(pool.map(_one_learn_run, work))
-    else:
-        outcomes = [_one_learn_run(w) for w in work]
+    outcomes = parallel_map(_one_learn_run, work, args.jobs)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["seed", "T", "sup_err_l", "sup_err_f", "value", "floor",
                      "pass"])
@@ -358,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     cp.add_argument("--grid", required=True, metavar="A:B:STEP")
     cp.add_argument("--mode", choices=["float", "exact"], default="float")
     cp.add_argument("--raw-delta", action="store_true")
-    cp.add_argument("--jobs", type=int, default=1)
+    cp.add_argument("--jobs", type=positive_int, default=1)
     cp.set_defaults(func=cmd_curve)
 
     gp = sub.add_parser("gen", help="emit a game as JSON")
@@ -378,10 +376,10 @@ def build_parser() -> argparse.ArgumentParser:
     lp_.add_argument("--epsilon", type=float, required=True)
     lp_.add_argument("--iota", type=float, required=True)
     lp_.add_argument("--noise", default="bernoulli")
-    lp_.add_argument("--seeds", type=int, default=1)
+    lp_.add_argument("--seeds", type=positive_int, default=1)
     lp_.add_argument("--seed", type=int)
     lp_.add_argument("--solver", choices=["exact", "qptas"], default="exact")
-    lp_.add_argument("--jobs", type=int, default=1)
+    lp_.add_argument("--jobs", type=positive_int, default=1)
     lp_.set_defaults(func=cmd_learn)
 
     vp = sub.add_parser("verify", help="recheck an emitted solution")

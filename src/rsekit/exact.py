@@ -93,11 +93,11 @@ class RseSolution:
 
 @dataclass(frozen=True)
 class RseCurve:
-    """Sampled robust-value curve with the classical bounds attached."""
+    """Robust value ``values[i]`` at each grid point ``deltas[i]``, with the
+    delta-free SSE value, maximin value and inducibility gap attached."""
 
     deltas: tuple
     values: tuple
-    solutions: tuple[RseSolution, ...]
     sse_value: float | Fraction
     maximin_value: float | Fraction
     gap: float | Fraction
@@ -256,18 +256,29 @@ def _nogood(support, n_opt, inside, outside):
     return need, avoid
 
 
+def parallel_map(fn, work: Sequence, jobs: int) -> list:
+    """``[fn(w) for w in work]``, over ``min(jobs, len(work))`` processes when
+    that is above 1; the results keep the order of ``work``."""
+    workers = min(jobs, len(work))
+    if workers <= 1:
+        return [fn(w) for w in work]
+    from concurrent import futures
+    with futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, work))
+
+
 def _curve_point(args):
     game, delta, exact = args
-    return solve_exact(game, delta, exact=exact)
+    return solve_exact(game, delta, exact=exact).value
 
 
 def rse_curve(game: BimatrixGame, deltas: Sequence, *, exact: bool = False,
               jobs: int = 1) -> RseCurve:
     """Solve at every grid point and attach the SSE/maximin/gap bounds.
 
-    The grid must be sorted and strictly positive. ``jobs > 1`` distributes
-    grid points over processes; results merge in grid order, so the output
-    is identical for any job count.
+    The grid must be sorted and strictly positive. The grid points run
+    through :func:`parallel_map`, so ``jobs > 1`` starts at most one process
+    per point and the curve is the same for any job count.
     """
     deltas = tuple(deltas)
     if not deltas or any(not v > 0 for v in deltas):
@@ -275,14 +286,8 @@ def rse_curve(game: BimatrixGame, deltas: Sequence, *, exact: bool = False,
     if any(a > b for a, b in zip(deltas, deltas[1:])):
         raise ValueError("delta grid must be sorted ascending")
     work = [(game, dv, exact) for dv in deltas]
-    if jobs > 1 and len(work) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            sols = tuple(pool.map(_curve_point, work))
-    else:
-        sols = tuple(_curve_point(w) for w in work)
+    values = tuple(parallel_map(_curve_point, work, jobs))
     sse = solve_sse(game, exact=exact)
     mm = solve_maximin(game, exact=exact)
     gap = inducibility_gap(game, exact=exact).gap
-    return RseCurve(deltas, tuple(s.value for s in sols), sols,
-                    sse.leader_value, mm.leader_value, gap)
+    return RseCurve(deltas, values, sse.leader_value, mm.leader_value, gap)

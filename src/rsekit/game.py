@@ -52,7 +52,8 @@ class BimatrixGame:
 
     Rows index leader actions, columns follower actions (zero-based).
     ``exact_u_l``/``exact_u_f`` hold the same matrices as Fractions when the
-    game was built from rational data.
+    game was built from rational data; an exact entry more than
+    ``tolerance(False)`` away from its float entry is a ``GameFormatError``.
     """
 
     u_l: np.ndarray
@@ -73,7 +74,7 @@ class BimatrixGame:
                 raise GameFormatError("utilities must lie in [0, 1]; normalize first")
         object.__setattr__(self, "u_l", ul)
         object.__setattr__(self, "u_f", uf)
-        for name in ("exact_u_l", "exact_u_f"):
+        for name, floats in (("exact_u_l", ul), ("exact_u_f", uf)):
             ex = getattr(self, name)
             if ex is not None:
                 ex = tuple(tuple(Fraction(v) for v in row) for row in ex)
@@ -81,6 +82,11 @@ class BimatrixGame:
                     raise GameFormatError(f"{name} shape disagrees with float matrix")
                 if any(v < 0 or v > 1 for row in ex for v in row):
                     raise GameFormatError("exact utilities must lie in [0, 1]")
+                off = np.abs(np.array(ex, dtype=np.float64) - floats)
+                i, j = np.unravel_index(off.argmax(), off.shape)
+                if off[i, j] > tolerance(False):
+                    raise GameFormatError(f"{name} disagrees with {name[6:]} at "
+                                          f"({i}, {j}): {ex[i][j]} vs {floats[i, j]}")
                 object.__setattr__(self, name, ex)
 
     @property
@@ -173,7 +179,12 @@ def exact_strategy(coords: Sequence) -> MixedStrategy:
 
 def scalar(v, exact: bool):
     """``v`` as a number of the mode: a ``Fraction`` if ``exact``, else a float."""
-    return (Fraction if exact else float)(v)
+    if exact:
+        return Fraction(v)
+    try:
+        return float(v)
+    except OverflowError:
+        raise ValueError("number too large for float mode") from None
 
 
 def tolerance(exact: bool):
@@ -219,13 +230,13 @@ class ResponseSet:
 
 @dataclass(frozen=True)
 class GameValueReport:
-    """A (strategy, response) outcome with the convention that produced it."""
+    """A (strategy, response) outcome: the set the response was picked from,
+    the leader's payoff, and the tie-breaking convention that picked it."""
 
     strategy: MixedStrategy
     response: int
     response_set: ResponseSet
     leader_value: float | Fraction
-    follower_value: float | Fraction
     tie_breaking: str = PESSIMISTIC
 
 
@@ -278,10 +289,8 @@ def evaluate(game: BimatrixGame, x: MixedStrategy, delta, *,
     """
     rset = br_delta(game, x, delta, exact=exact)
     lead = leader_payoffs(game, x, exact=exact)
-    foll = follower_payoffs(game, x, exact=exact)
     response = min(rset.actions, key=lambda j: (lead[j], j))
-    return GameValueReport(x, response, rset, lead[response], foll[response],
-                           PESSIMISTIC)
+    return GameValueReport(x, response, rset, lead[response], PESSIMISTIC)
 
 
 # ---------------------------------------------------------------------------

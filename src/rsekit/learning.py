@@ -103,9 +103,8 @@ class QueryView:
 
 @dataclass(frozen=True)
 class LearnedOutcome:
-    """Estimate, learned strategy, and harness-side evaluation."""
+    """Learned strategy, its value on the truth, and the sampling record."""
 
-    estimate: BimatrixGame
     samples_per_pair: int
     strategy: MixedStrategy
     true_value: float | Fraction
@@ -117,8 +116,8 @@ class LearnedOutcome:
 def samples_per_pair(m: int, n: int, epsilon: float, iota: float, *,
                      log_base: float = math.e) -> int:
     """ceil(log(2mn / iota) / (2 epsilon^2)); natural log by default."""
-    if not (epsilon > 0 and 0 < iota < 1):
-        raise ValueError("need epsilon > 0 and iota in (0, 1)")
+    if not (0 < epsilon < math.inf and 0 < iota < 1):
+        raise ValueError("need a finite epsilon > 0 and iota in (0, 1)")
     return int(math.ceil(math.log(2 * m * n / iota, log_base)
                          / (2 * epsilon * epsilon)))
 
@@ -173,7 +172,7 @@ def rse_from_estimate(truth: BimatrixGame, estimate: BimatrixGame, delta,
     sup_l = float(np.abs(estimate.u_l - truth.u_l).max())
     sup_f = float(np.abs(estimate.u_f - truth.u_f).max())
     T = estimate.meta.get("samples_per_pair", 0)
-    return LearnedOutcome(estimate, T, x, rep.leader_value, floor, sup_l, sup_f)
+    return LearnedOutcome(T, x, rep.leader_value, floor, sup_l, sup_f)
 
 
 def learn_rse(oracle: NoisyGameOracle, delta: float, epsilon: float,
@@ -239,7 +238,7 @@ def learn_sse(oracle: NoisyGameOracle, epsilon: float, iota: float, *,
     sse_true = solve_sse(oracle.truth).leader_value
     sup_l = float(np.abs(estimate.u_l - oracle.truth.u_l).max())
     sup_f = float(np.abs(estimate.u_f - oracle.truth.u_f).max())
-    return LearnedOutcome(estimate, estimate.meta["samples_per_pair"], x,
+    return LearnedOutcome(estimate.meta["samples_per_pair"], x,
                           rep.leader_value, sse_true - epsilon, sup_l, sup_f)
 
 

@@ -5,14 +5,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rsekit import lab, lp
+from rsekit import approx, lab, lp
 from rsekit.approx import (KUniformStrategy, build_k, gap_approx, make_region,
                            qptas_solve, utility_verification)
 from rsekit.baseline import inducibility_gap, solve_sse
 from rsekit.errors import (EnumerationCapExceeded, GameFormatError, GapTooSmall,
                            RejectionCapExceeded)
 from rsekit.exact import solve_exact
-from rsekit.game import br_delta, evaluate, exact_game, leader_payoffs
+from rsekit.game import (br_delta, evaluate, exact_game, leader_payoffs,
+                         scalar)
 
 
 def test_k_uniform_type_checks():
@@ -202,3 +203,48 @@ def test_lp_count_is_the_number_of_lps_solved(monkeypatch, name, game):
             sol = run()
             assert solved > 0
             assert sol.lp_count == solved, (name, exact, sol.method)
+
+
+ONE_EVAL_GAMES = {
+    "table2": lambda: lab.catalog("table2").game,
+    "table3": lambda: lab.catalog("table3").game,
+    "q2x4": lambda: lab.gen_random(2, 4, 3, rational_grid=8),
+}
+SOLVERS = {
+    "solve_exact": lambda game, d, ex: solve_exact(game, d, exact=ex),
+    "gap_approx": lambda game, d, ex: gap_approx(game, d, exact=ex),
+    "qptas_solve": lambda game, d, ex: qptas_solve(
+        game, d, scalar(Fraction(1, 2), ex), exact=ex),
+}
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+@pytest.mark.parametrize("name", sorted(ONE_EVAL_GAMES))
+@pytest.mark.parametrize("solver", sorted(SOLVERS))
+def test_solution_outcome_is_evaluate_at_its_strategy(solver, name, exact):
+    game = ONE_EVAL_GAMES[name]()
+    delta = scalar(Fraction(1, 4), exact)
+    gap = inducibility_gap(game, exact=exact).gap
+    if solver == "gap_approx" and not gap > delta:
+        with pytest.raises(GapTooSmall):
+            gap_approx(game, delta, exact=exact)
+        return
+    sol = SOLVERS[solver](game, delta, exact)
+    assert sol.outcome == evaluate(game, sol.strategy, delta, exact=exact)
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_qptas_evaluates_each_candidate_once(monkeypatch, exact):
+    calls = []
+
+    def counting_evaluate(*args, **kwargs):
+        calls.append(args[1])
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(approx, "evaluate", counting_evaluate)
+    game = lab.gen_random(2, 4, 3, rational_grid=8)
+    sol = qptas_solve(game, scalar(Fraction(1, 4), exact),
+                      scalar(Fraction(1, 2), exact), exact=exact)
+    # Each anchor scores its witness and itself; the winner is not rescored.
+    assert len(calls) == 2 * sol.guarantee["anchors"]
+    assert any(x is sol.strategy for x in calls)

@@ -1,9 +1,10 @@
 """The names the benchmark harness in ``perfbench/`` looks up in rsekit.
 
-The tracer patches every function named in its ``LAYERS`` table by name, and
-the workloads read fields of the solutions they check. Renaming or deleting
-one of them breaks ``perfbench/run.py --trace 1``; these checks catch that
-in seconds instead of in the minutes-long benchmark smoke test.
+The tracer patches every function named in its ``LAYERS`` table by name, its
+``ATTRS`` hooks read fields of what those functions return, and the
+workloads read fields of the solutions they check. Renaming or deleting one
+of them breaks ``perfbench/run.py --trace 1``; these checks catch that in
+seconds instead of in the minutes-long benchmark smoke test.
 """
 
 import importlib
@@ -15,7 +16,9 @@ from pathlib import Path
 import pytest
 
 from rsekit import lab
-from rsekit.exact import solve_exact
+from rsekit.approx import qptas_solve
+from rsekit.exact import rse_curve, solve_exact
+from rsekit.learning import NoisyGameOracle, learn_rse
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -31,7 +34,8 @@ def _load_tracer():
     return mod
 
 
-LAYERS = _load_tracer().LAYERS
+TRACER_MODULE = _load_tracer()
+LAYERS, ATTRS = TRACER_MODULE.LAYERS, TRACER_MODULE.ATTRS
 
 
 @pytest.mark.parametrize("layer", sorted(LAYERS))
@@ -48,3 +52,17 @@ def test_solution_has_the_fields_the_workloads_read():
                  "guarantee"):
         assert hasattr(sol, name), name
     assert sol.repaired_set == sol.outcome.response_set
+
+
+def test_tracer_attrs_hooks_read_the_results():
+    game = lab.catalog("table2").game
+    deltas = (Fraction(1, 4), Fraction(1, 2))
+    curve = rse_curve(game, deltas, exact=True)
+    assert ATTRS["exact.rse_curve"]((game, deltas), {}, curve) == {"points": 2}
+    oracle = NoisyGameOracle(game, "bernoulli", 0)
+    out = learn_rse(oracle, 0.1, 0.3, 0.3)
+    samples = ATTRS["learning.learn_rse"]((oracle,), {}, out)["samples"]
+    assert samples == oracle.query_count.sum() > 0
+    sol = qptas_solve(game, deltas[0], deltas[1], exact=True)
+    assert ATTRS["approx.qptas_solve"]((game,), {}, sol) == {
+        "lp_count": sol.lp_count, "anchors": sol.guarantee["anchors"]}

@@ -1,10 +1,12 @@
 """End-to-end CLI tests: pipelines, exit codes, byte-stable output."""
 
+import concurrent.futures
 import json
 
 import pytest
 
 from rsekit.cli import main
+from rsekit.exact import parallel_map
 from rsekit.game import loads_game
 
 
@@ -144,6 +146,99 @@ def test_usage_errors_exit_two(tmp_path, capsys):
                              "1e-9", str(grid_path))
     assert code == 2 and out == ""
     assert err.startswith("rsekit: ") and "--mode exact" in err
+    # meta.exact that disagrees with the float matrices would make the two
+    # modes solve two different games.
+    mixed = tmp_path / "mixed_exact.json"
+    eye, flip = [[1.0, 0.0], [0.0, 1.0]], [["0", "1"], ["1", "0"]]
+    mixed.write_text(json.dumps({"m": 2, "n": 2, "u_l": eye, "u_f": eye,
+                                 "meta": {"exact": {"u_l": flip,
+                                                    "u_f": flip}}}))
+    for mode in ("float", "exact"):
+        code, out, err = run_cli(capsys, "solve", "--method", "sse",
+                                 "--mode", mode, str(mixed))
+        assert code == 2 and out == ""
+        assert err.startswith("rsekit: ") and "exact_u_l" in err
+    # A level beyond the double range is a usage error in float mode.
+    for argv in (("solve", "--method", "gap-approx", "--delta", "1e400"),
+                 ("solve", "--method", "qptas", "--delta", "0.1",
+                  "--epsilon", "1e400"),
+                 ("curve", "--grid", "1:1e400:1e399")):
+        code, out, err = run_cli(capsys, *argv, str(game_path))
+        assert code == 2 and out == ""
+        assert err.startswith("rsekit: ") and "too large for float" in err
+    # An infinite learning epsilon would ask for zero samples per pair.
+    code, out, err = run_cli(capsys, "learn", "--game", str(game_path),
+                             "--delta", "0.1", "--epsilon", "1e400",
+                             "--iota", "0.1", "--seed", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("rsekit: ") and "finite epsilon" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("curve", "--grid", "0.1:0.3:0.1", "--jobs", "0"),
+    ("learn", "--delta", "0.1", "--epsilon", "0.2", "--iota", "0.2",
+     "--seed", "1", "--jobs", "-1"),
+    ("learn", "--delta", "0.1", "--epsilon", "0.2", "--iota", "0.2",
+     "--seed", "1", "--seeds", "-2"),
+])
+def test_count_flags_below_one_exit_two(tmp_path, capsys, argv):
+    game_path = tmp_path / "g.json"
+    game_path.write_text(run_cli(capsys, "gen", "--catalog", "table2")[1])
+    game = [str(game_path)] if argv[0] == "curve" else ["--game", str(game_path)]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, *game])
+    assert exc.value.code == 2
+    flag = argv[-2]
+    assert f"argument {flag}: must be at least 1" in capsys.readouterr().err
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records each pool, maps serially."""
+
+    built = []
+
+    def __init__(self, max_workers):
+        self.built.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, work):
+        return map(fn, work)
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
+    monkeypatch.setattr(RecordingPool, "built", [])
+    return RecordingPool.built
+
+
+@pytest.mark.parametrize("jobs, items, workers", [
+    (1, 3, []), (8, 1, []), (8, 3, [3]), (2, 3, [2]), (3, 3, [3])])
+def test_parallel_map_starts_at_most_one_worker_per_item(recording_pool, jobs,
+                                                         items, workers):
+    work = list(range(items))
+    assert parallel_map(str, work, jobs) == [str(w) for w in work]
+    assert recording_pool == workers
+
+
+def test_cli_jobs_fan_out_caps_workers_at_the_work(tmp_path, capsys,
+                                                   recording_pool):
+    game_path = tmp_path / "t4.json"
+    game_path.write_text(run_cli(capsys, "gen", "--catalog", "table4")[1])
+    curve = ("curve", "--grid", "0.25:0.75:0.25", str(game_path))
+    serial = run_cli(capsys, *curve)
+    assert run_cli(capsys, *curve, "--jobs", "8") == serial
+    learn = ("learn", "--game", str(game_path), "--delta", "0.1", "--epsilon",
+             "0.3", "--iota", "0.3", "--seed", "5", "--seeds", "2")
+    serial = run_cli(capsys, *learn)
+    assert run_cli(capsys, *learn, "--jobs", "4") == serial
+    assert recording_pool == [3, 2]
 
 
 @pytest.mark.parametrize("denominator", ["0", "-3"])

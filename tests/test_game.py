@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rsekit import game as g
+from rsekit import game as g, lab
 from rsekit.approx import gap_approx, qptas_solve
 from rsekit.baseline import (induce_strategy, inducibility_gap, solve_maximin,
                              solve_sse)
@@ -320,3 +320,33 @@ def test_exact_mode_rejects_float_only_game(call):
     with pytest.raises(GameFormatError,
                        match="exact mode requires a game with rational matrices"):
         call(FLOAT_ONLY)
+
+
+def test_exact_matrices_must_agree_with_the_float_ones():
+    eye = np.array([[1.0, 0.0], [0.0, 1.0]])
+    flip = [["0", "1"], ["1", "0"]]
+    with pytest.raises(GameFormatError, match="exact_u_l disagrees with u_l"):
+        g.BimatrixGame(eye, eye, {}, flip, flip)
+    with pytest.raises(GameFormatError, match="exact_u_f disagrees with u_f"):
+        g.BimatrixGame(eye, eye, {}, [["1", "0"], ["0", "1"]], flip)
+    # A float that rounds its exact entry within the float tolerance is fine.
+    third = g.BimatrixGame(np.array([[0.333333333333]]), np.array([[1.0]]),
+                           {}, [["1/3"]], [["1"]])
+    assert third.exact_u_l == ((Fraction(1, 3),),)
+
+
+def test_every_library_game_passes_the_exact_agreement_check():
+    games = [lab.catalog(name).game for name in lab.CATALOG_NAMES]
+    games += [lab.gen_random(m, n, seed, rational_grid=q)
+              for m, n, seed, q in ((2, 4, 3, 8), (3, 3, 1, 7), (4, 5, 2, 1000))]
+    for k, subsets in ((1, [{1, 2, 3}]),
+                       (2, [{1, 2, 3}, {4, 5, 6}, {1, 4, 5}, {2, 3, 6}])):
+        instance = lab.X3CInstance(k, tuple(frozenset(s) for s in subsets))
+        for delta, eps in (("3/10", "1/10"), ("1/7", "1/3")):
+            games.append(lab.gen_x3c_game(instance, Fraction(delta),
+                                          Fraction(eps)))
+    games.append(g.attach_exact(g.BimatrixGame(np.array([[0.1, 0.7]]),
+                                               np.array([[0.3, 0.9]]))))
+    for game in games:
+        assert game.has_exact
+        assert g.loads_game(g.dumps_game(game)) == game
