@@ -21,7 +21,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import lp
-from .baseline import induce_strategy, inducibility_gap, solve_sse
+from .baseline import (induce_strategy, inducibility_gap, response_rows,
+                       solve_sse)
 from .errors import EnumerationCapExceeded, GameFormatError, GapTooSmall
 from .exact import RseSolution
 from .game import (BimatrixGame, MixedStrategy, evaluate, leader_payoffs,
@@ -122,12 +123,18 @@ def gap_approx(game: BimatrixGame, delta, *, exact: bool = False) -> RseSolution
                        guarantee)
 
 
-def build_k(game: BimatrixGame, epsilon, *, log_base: float = math.e) -> int:
-    """Anchor granularity: ceil(log(2n) / (2 epsilon^2)), natural log default."""
+def build_k(game: BimatrixGame, epsilon) -> int:
+    """Anchor granularity: ceil(ln(2n) / (2 epsilon^2)), in doubles; an
+    epsilon that overflows it raises :class:`EnumerationCapExceeded`."""
     if not 0 < epsilon <= 1:
         raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
     e = float(epsilon)
-    return max(1, math.ceil(math.log(2 * game.n, log_base) / (2 * e * e)))
+    try:
+        return max(1, math.ceil(math.log(2 * game.n) / (2 * e * e)))
+    except (OverflowError, ZeroDivisionError):  # 2 e^2 left the double range
+        raise EnumerationCapExceeded(
+            f"epsilon {epsilon} puts k = ceil(ln(2n) / (2 epsilon^2)) beyond "
+            "the double range") from None
 
 
 def utility_verification(
@@ -147,19 +154,11 @@ def utility_verification(
     Q = [j for j, b in enumerate(below) if b]
     candidates = [j for j, b in enumerate(below) if not b]
     col_l, col = game.columns(exact)
-    region_rows = _region_constraints(col_l, region, exact)
-    m, n = game.m, game.n
+    cell = _region_constraints(col_l, region, exact)
     for j in candidates:
-        cons = list(region_rows)
-        for k in range(n):
-            if k == j:
-                continue
-            cons.append(lp.Constraint(
-                tuple(col[j][i] - col[k][i] for i in range(m)), ">=", 0))
-        for k in Q:
-            cons.append(lp.Constraint(
-                tuple(col[j][i] - col[k][i] for i in range(m)), ">=", d))
-        out = lp.feasible(lp.feasibility(m, cons, simplex=True), exact=exact)
+        cons = cell + response_rows(col, j) + response_rows(col, j, d, Q)
+        out = lp.feasible(lp.feasibility(game.m, cons, simplex=True),
+                          exact=exact)
         if out.status == "optimal":
             return True, strategy_from(out.solution, exact)
     return False, None
@@ -174,9 +173,8 @@ def _region_constraints(col_l, region: SurrogateRegion, exact):
     return rows
 
 
-def qptas_solve(game: BimatrixGame, delta, epsilon, *, exact: bool = False,
-                anchor_budget: int = ANCHOR_BUDGET,
-                log_base: float = math.e) -> RseSolution:
+def qptas_solve(game: BimatrixGame, delta, epsilon, *,
+                exact: bool = False) -> RseSolution:
     """Additive-epsilon approximation via k-uniform anchor enumeration.
 
     Per anchor, binary-search the largest verifiable payoff level mu over
@@ -188,11 +186,11 @@ def qptas_solve(game: BimatrixGame, delta, epsilon, *, exact: bool = False,
     if not delta > 0:
         raise ValueError(f"delta must be > 0, got {delta}")
     first = lp.solve_count()
-    k = build_k(game, epsilon, log_base=log_base)
+    k = build_k(game, epsilon)
     total = math.comb(k + game.m - 1, game.m - 1)
-    if total > anchor_budget:
+    if total > ANCHOR_BUDGET:
         raise EnumerationCapExceeded(
-            f"{total} k-uniform anchors exceed the budget {anchor_budget} "
+            f"{total} k-uniform anchors exceed the budget {ANCHOR_BUDGET} "
             f"(k={k}, m={game.m})")
     best = None  # (report, anchor, mu)
     for counts in compositions(k, game.m):

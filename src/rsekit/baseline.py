@@ -38,6 +38,15 @@ class InducibilityReport:
     per_action: tuple[ActionInducibility, ...]
 
 
+def response_rows(cols, j, margin=0, among=None, relation=">="):
+    """Follower-advantage rows ``u_f(x, j) - u_f(x, k) <relation> margin``
+    over columns ``cols``, one per k in ``among`` (default: every k != j)."""
+    if among is None:
+        among = (k for k in range(len(cols)) if k != j)
+    return [lp.Constraint(tuple(a - b for a, b in zip(cols[j], cols[k])),
+                          relation, margin) for k in among]
+
+
 def solve_sse(game: BimatrixGame, *, exact: bool = False) -> GameValueReport:
     """Optimal commitment under optimistic follower tie-breaking.
 
@@ -48,11 +57,8 @@ def solve_sse(game: BimatrixGame, *, exact: bool = False) -> GameValueReport:
     col_l, col_f = game.columns(exact)
     best = None
     for j in range(game.n):
-        cons = [
-            lp.Constraint(tuple(a - b for a, b in zip(col_f[j], col_f[k])), ">=", 0)
-            for k in range(game.n) if k != j
-        ]
-        out = lp.solve(lp.maximize(col_l[j], cons, simplex=True), exact=exact)
+        out = lp.solve(lp.maximize(col_l[j], response_rows(col_f, j),
+                                   simplex=True), exact=exact)
         if out.status != "optimal":
             continue
         if best is None or out.objective_value > best[0]:
@@ -98,11 +104,8 @@ def inducibility_gap(game: BimatrixGame, *, exact: bool = False) -> Inducibility
         return InducibilityReport(math.inf, (ActionInducibility(uniform, math.inf),))
     per = []
     for j in range(n):
-        cons = [
-            lp.Constraint(tuple(a - b for a, b in zip(col_f[j], col_f[k]))
-                          + (-1, 1), ">=", 0)
-            for k in range(n) if k != j
-        ]
+        cons = [lp.Constraint(row.coeffs + (-1, 1), ">=", 0)
+                for row in response_rows(col_f, j)]
         cons.append(lp.Constraint((1,) * m + (0, 0), "==", 1))
         out = lp.solve(lp.LinearProgram(m + 2, (0,) * m + (1, -1), "max",
                                         tuple(cons), False), exact=exact)
@@ -123,11 +126,8 @@ def induce_strategy(game: BimatrixGame, j: int, margin, *,
     what the column can support.
     """
     col_l, col_f = game.columns(exact)
-    cons = [
-        lp.Constraint(tuple(a - b for a, b in zip(col_f[j], col_f[k])), ">=", margin)
-        for k in range(game.n) if k != j
-    ]
-    out = lp.solve(lp.maximize(col_l[j], cons, simplex=True), exact=exact)
+    out = lp.solve(lp.maximize(col_l[j], response_rows(col_f, j, margin),
+                               simplex=True), exact=exact)
     if out.status != "optimal":
         raise GapTooSmall(
             f"margin {margin} is not attainable for follower action {j}")

@@ -65,8 +65,11 @@ def _follower_scale(game: BimatrixGame, exact: bool):
 
 
 def _number(v):
-    """``v`` as a JSON number; a non-finite one (no competing action) is null."""
-    v = float(v)
+    """``v`` as a JSON number, or null when it has no finite double."""
+    try:
+        v = float(v)
+    except OverflowError:  # an exact level beyond the double range
+        return None
     return v if math.isfinite(v) else None
 
 
@@ -126,6 +129,15 @@ def positive_int(text: str) -> int:
     v = int(text)
     if v < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {v}")
+    return v
+
+
+def finite_level(text: str) -> float:
+    """argparse type of ``learn --delta``: a finite number >= 0."""
+    v = float(text)
+    if not 0 <= v < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be finite and at least 0, got {text}")
     return v
 
 
@@ -372,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     lp_ = sub.add_parser("learn", help="bandit-feedback learning runs")
     lp_.add_argument("--game", required=True)
-    lp_.add_argument("--delta", type=float, required=True)
+    lp_.add_argument("--delta", type=finite_level, required=True)
     lp_.add_argument("--epsilon", type=float, required=True)
     lp_.add_argument("--iota", type=float, required=True)
     lp_.add_argument("--noise", default="bernoulli")

@@ -39,7 +39,8 @@ from itertools import combinations
 from typing import Sequence
 
 from . import lp
-from .baseline import inducibility_gap, solve_maximin, solve_sse
+from .baseline import (inducibility_gap, response_rows, solve_maximin,
+                       solve_sse)
 from .errors import EnumerationCapExceeded, SolverFailure
 from .game import (BimatrixGame, GameValueReport, MixedStrategy, ResponseSet,
                    evaluate, scalar, strategy_from, tolerance)
@@ -124,12 +125,11 @@ def solve_exact(game: BimatrixGame, delta, *, exact: bool = False,
     col_l, col_f = game.columns(exact)
     d = scalar(delta, exact)
     m, n = game.m, game.n
-    opt, member, exclude, leader = _row_cache(col_l, col_f, m, n, d)
+    opt, member, exclude, leader = _row_cache(col_l, col_f, d)
     if exhaustive:
         no_member = must_member = [0] * n
     else:
-        no_member, must_member = _static_filters(
-            col_f, member, m, n, d, tolerance(exact))
+        no_member, must_member = _static_filters(member, d, tolerance(exact))
     nogoods = [[] for _ in range(n)]  # per j_tilde: (in_mask, out_mask)
     col_max_l = [max(c) for c in col_l]
 
@@ -187,50 +187,46 @@ def solve_exact(game: BimatrixGame, delta, *, exact: bool = False,
     return RseSolution(outcome, tup, lp.solve_count() - first, "exact")
 
 
-def _row_cache(col_l, col_f, m, n, d):
+def _row_cache(col_l, col_f, d):
     """Every constraint a region LP can hold, built once per solve.
 
     Returns ``(opt, member, exclude, leader)``: ``opt[jt]`` is the tuple of
     j_tilde-optimality rows ``u_f(jt) - u_f(k) >= 0`` over k != jt;
-    ``member[jt][k]`` and ``exclude[jt][k]`` bound ``u_f(k) - u_f(jt)``
-    from below and above by ``-d``; ``leader[j][k]`` is
-    ``u_l(j) - u_l(k) <= 0``. Entries with k == jt (or k == j) are unused.
+    ``member[jt][k]`` and ``exclude[jt][k]`` bound ``u_f(jt) - u_f(k)`` by
+    ``<= d`` and ``>= d``; ``leader[j][k]`` is ``u_l(j) - u_l(k) <= 0``.
+    Entries with k == jt (or k == j) are unused.
     """
-    opt = [tuple(lp.Constraint(
-        tuple(col_f[jt][i] - col_f[k][i] for i in range(m)), ">=", 0)
-        for k in range(n) if k != jt) for jt in range(n)]
-    member, exclude = [], []
-    for jt in range(n):
-        diffs = [tuple(col_f[k][i] - col_f[jt][i] for i in range(m))
-                 for k in range(n)]
-        member.append([lp.Constraint(v, ">=", -d) for v in diffs])
-        exclude.append([lp.Constraint(v, "<=", -d) for v in diffs])
+    n = len(col_f)
+    opt = [tuple(response_rows(col_f, jt)) for jt in range(n)]
+    member = [response_rows(col_f, jt, d, range(n), "<=") for jt in range(n)]
+    exclude = [[lp.Constraint(row.coeffs, ">=", d) for row in rows]
+               for rows in member]
     leader = [[lp.Constraint(
-        tuple(col_l[j][i] - col_l[k][i] for i in range(m)), "<=", 0)
+        tuple(a - b for a, b in zip(col_l[j], col_l[k])), "<=", 0)
         for k in range(n)] for j in range(n)]
     return opt, member, exclude, leader
 
 
-def _static_filters(col_f, member, m, n, d, slack):
+def _static_filters(member, d, slack):
     """Single-row necessary conditions as bitmasks over follower actions.
 
-    For each j_tilde, ``no_member[jt]`` marks the k whose membership row
-    alone has no point in the simplex and ``must_member[jt]`` the k whose
-    exclusion row alone has none; a j_tilde that can never be optimal gets
-    every bit of ``no_member``. A set mask passes when it meets no bit of
-    the first and holds every bit of the second.
+    Reads the membership rows of :func:`_row_cache`. For each j_tilde,
+    ``no_member[jt]`` marks the k whose membership row alone has no point
+    in the simplex and ``must_member[jt]`` the k whose exclusion row alone
+    has none; a j_tilde that can never be optimal gets every bit of
+    ``no_member``. A set mask passes when it meets no bit of the first and
+    holds every bit of the second.
     """
+    n = len(member)
     no_member, must_member = [0] * n, [0] * n
-    for jt in range(n):
-        if not all(any(col_f[jt][i] >= col_f[k][i] - slack for i in range(m))
-                   for k in range(n)):
+    for jt, rows in enumerate(member):
+        if not all(any(v >= -slack for v in row.coeffs) for row in rows):
             no_member[jt] = (1 << n) - 1
             continue
-        for k in range(n):
-            diffs = member[jt][k].coeffs
-            if not any(v >= -d - slack for v in diffs):
+        for k, row in enumerate(rows):
+            if not any(v <= d + slack for v in row.coeffs):
                 no_member[jt] |= 1 << k
-            if not any(v <= -d + slack for v in diffs):
+            if not any(v >= d - slack for v in row.coeffs):
                 must_member[jt] |= 1 << k
     return no_member, must_member
 

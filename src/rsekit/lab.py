@@ -363,15 +363,16 @@ def gen_x3c_game(instance: X3CInstance, delta, epsilon) -> BimatrixGame:
 # Random games
 # ---------------------------------------------------------------------------
 
+MAX_DRAWS = 64  # draws gen_random makes for ensure_gap before giving up
+
 
 def gen_random(m: int, n: int, seed: int, *, rational_grid: int | None = None,
-               ensure_gap: float | None = None,
-               max_retries: int = 64) -> BimatrixGame:
+               ensure_gap: float | None = None) -> BimatrixGame:
     """Seeded i.i.d. uniform [0, 1] game.
 
     ``rational_grid=q`` snaps entries to multiples of 1/q and attaches exact
     matrices. ``ensure_gap`` rejection-samples until the inducibility gap
-    exceeds the threshold (cap ``max_retries``).
+    exceeds the threshold (at most ``MAX_DRAWS`` draws).
     """
     if m < 1 or n < 1:
         raise GameFormatError("need m, n >= 1")
@@ -379,7 +380,7 @@ def gen_random(m: int, n: int, seed: int, *, rational_grid: int | None = None,
         raise GameFormatError(
             f"rational_grid must be at least 1, got {rational_grid}")
     rng = np.random.default_rng(seed)
-    for _ in range(max_retries):
+    for _ in range(MAX_DRAWS):
         if rational_grid is not None:
             q = int(rational_grid)
             lw = rng.integers(0, q + 1, size=(m, n))
@@ -394,7 +395,7 @@ def gen_random(m: int, n: int, seed: int, *, rational_grid: int | None = None,
         if ensure_gap is None or inducibility_gap(game).gap > ensure_gap:
             return game
     raise RejectionCapExceeded(
-        f"no game with gap > {ensure_gap} in {max_retries} draws")
+        f"no game with gap > {ensure_gap} in {MAX_DRAWS} draws")
 
 
 # ---------------------------------------------------------------------------

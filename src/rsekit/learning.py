@@ -32,8 +32,6 @@ from .game import (BimatrixGame, MixedStrategy, br_delta, evaluate, scalar,
 def _parse_noise(noise):
     if noise == "bernoulli":
         return ("bernoulli", 0.0)
-    if isinstance(noise, tuple) and len(noise) == 2 and noise[0] == "gaussian":
-        return ("gaussian", float(noise[1]))
     if isinstance(noise, str) and noise.startswith("gaussian:"):
         return ("gaussian", float(noise.split(":", 1)[1]))
     raise GameFormatError(f"unknown noise model {noise!r}")
@@ -51,7 +49,7 @@ class NoisyGameOracle:
     """
 
     truth: BimatrixGame
-    noise: str | tuple = "bernoulli"
+    noise: str = "bernoulli"
     seed: int = 0
     query_count: np.ndarray = field(init=False)
 
@@ -113,23 +111,28 @@ class LearnedOutcome:
     sup_err_f: float
 
 
-def samples_per_pair(m: int, n: int, epsilon: float, iota: float, *,
-                     log_base: float = math.e) -> int:
-    """ceil(log(2mn / iota) / (2 epsilon^2)); natural log by default."""
+def samples_per_pair(m: int, n: int, epsilon: float, iota: float) -> int:
+    """T = ceil(ln(2mn / iota) / (2 epsilon^2)), in doubles; ``ValueError``
+    unless epsilon > 0 is finite, 0 < iota < 1 and T is finite."""
     if not (0 < epsilon < math.inf and 0 < iota < 1):
         raise ValueError("need a finite epsilon > 0 and iota in (0, 1)")
-    return int(math.ceil(math.log(2 * m * n / iota, log_base)
-                         / (2 * epsilon * epsilon)))
+    try:
+        return int(math.ceil(math.log(2 * m * n / iota)
+                             / (2 * epsilon * epsilon)))
+    except (OverflowError, ZeroDivisionError):  # T left the double range
+        raise ValueError(
+            f"samples per pair T = ceil(ln(2mn / iota) / (2 epsilon^2)) is "
+            f"not finite for epsilon {epsilon}, iota {iota}") from None
 
 
-def sample_estimate(oracle, epsilon: float, iota: float, *,
-                    log_base: float = math.e) -> BimatrixGame:
+def sample_estimate(oracle: NoisyGameOracle, epsilon: float,
+                    iota: float) -> BimatrixGame:
     """Query every pair T times and return clamped empirical means.
 
     T lands in the returned game's ``meta["samples_per_pair"]``.
     """
-    view = oracle if isinstance(oracle, QueryView) else QueryView(oracle)
-    T = samples_per_pair(view.m, view.n, epsilon, iota, log_base=log_base)
+    view = QueryView(oracle)
+    T = samples_per_pair(view.m, view.n, epsilon, iota)
     u_l = np.empty((view.m, view.n))
     u_f = np.empty((view.m, view.n))
     for i in range(view.m):
@@ -176,11 +179,10 @@ def rse_from_estimate(truth: BimatrixGame, estimate: BimatrixGame, delta,
 
 
 def learn_rse(oracle: NoisyGameOracle, delta: float, epsilon: float,
-              iota: float, solver: str = "exact", *, solver_epsilon=None,
-              log_base: float = math.e) -> LearnedOutcome:
+              iota: float, solver: str = "exact", *,
+              solver_epsilon=None) -> LearnedOutcome:
     """Sample, solve on the estimate, and score against the hidden truth."""
-    estimate = sample_estimate(QueryView(oracle), epsilon, iota,
-                               log_base=log_base)
+    estimate = sample_estimate(oracle, epsilon, iota)
     return rse_from_estimate(oracle.truth, estimate, float(delta),
                              float(epsilon), solver=solver,
                              solver_epsilon=solver_epsilon)
@@ -208,8 +210,7 @@ def check_br_inclusion(truth: BimatrixGame, estimate: BimatrixGame,
 
 
 def learn_sse(oracle: NoisyGameOracle, epsilon: float, iota: float, *,
-              gap_floor: float | None = None,
-              log_base: float = math.e) -> LearnedOutcome:
+              gap_floor: float | None = None) -> LearnedOutcome:
     """Learn a near-optimal optimistic commitment from bandit feedback.
 
     Regime: the truth's inducibility gap must exceed epsilon (harness
@@ -225,8 +226,7 @@ def learn_sse(oracle: NoisyGameOracle, epsilon: float, iota: float, *,
     g = min(float(gap_floor if gap_floor is not None else epsilon), 1.0)
     eps_s = epsilon * g / 8
     delta_prime = epsilon * g / 2
-    estimate = sample_estimate(QueryView(oracle), eps_s, iota,
-                               log_base=log_base)
+    estimate = sample_estimate(oracle, eps_s, iota)
     est_gap = inducibility_gap(estimate).gap
     if not est_gap > delta_prime:
         raise GapTooSmall(

@@ -35,8 +35,6 @@ run as its LP count.
 
 from __future__ import annotations
 
-import os
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence, Union
@@ -135,20 +133,6 @@ class LpOutcome:
     support: tuple | None = field(default=None, compare=False)
 
 
-def lp_to_text(lp: LinearProgram) -> str:
-    """Plain-text normal form, one constraint per line, for audit dumps."""
-    lines = []
-    if lp.sense == "feasibility":
-        lines.append("feasibility")
-    else:
-        lines.append(f"{lp.sense} " + " ".join(str(c) for c in lp.objective))
-    for con in lp.constraints:
-        lines.append(" ".join(str(c) for c in con.coeffs) + f" {con.relation} {con.rhs}")
-    if lp.simplex_constraint:
-        lines.append(" ".join(["1"] * lp.num_vars) + " == 1")
-    return "\n".join(lines)
-
-
 def solve(lp: LinearProgram, *, exact: bool = False) -> LpOutcome:
     """Solve ``lp`` to a vertex-optimal solution with Bland's rule.
 
@@ -156,9 +140,6 @@ def solve(lp: LinearProgram, *, exact: bool = False) -> LpOutcome:
     """
     global _solves
     _solves += 1
-    if os.environ.get("RSEKIT_LP_DUMP") == "1":
-        print(lp_to_text(lp), file=sys.stderr)
-        print("--", file=sys.stderr)
     rows, objective = _canonical(lp, Fraction if exact else float)
     status = support = None
     if exact:
@@ -194,18 +175,12 @@ def _canonical(lp: LinearProgram, conv):
 
 
 def feasible(lp: LinearProgram, *, exact: bool = False) -> LpOutcome:
-    """Feasibility variant of :func:`solve`; returns any feasible point.
-
-    The one fully unconstrained case (no constraints, simplex only) returns
-    the uniform distribution rather than an arbitrary vertex.
-    """
-    if not lp.constraints and lp.simplex_constraint:
-        conv = Fraction if exact else float
-        point = tuple(conv(1) / lp.num_vars for _ in range(lp.num_vars))
-        return LpOutcome("optimal", point, None)
-    flp = LinearProgram(lp.num_vars, None, "feasibility", lp.constraints,
-                        lp.simplex_constraint)
-    return solve(flp, exact=exact)
+    """:func:`solve` for a ``feasibility`` LP only, under its own name so
+    that a profile can tell feasibility probes from optimizations."""
+    if lp.sense != "feasibility":
+        raise MalformedLpError(
+            f"feasible() takes a feasibility LP, not {lp.sense!r}")
+    return solve(lp, exact=exact)
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +202,8 @@ def _certified(lp: LinearProgram, rows, objective):
     """
     try:
         status, _, evidence = _float_pass(lp.num_vars, rows, objective)
-    except SolverFailure:  # float phase 1 broke down; the exact simplex decides
+    except (SolverFailure, OverflowError):
+        # phase 1 broke down or a row has no double: the exact simplex decides
         return None, None, None
     if status == "infeasible":
         support = _farkas(lp.num_vars, rows, evidence, lp.simplex_constraint)

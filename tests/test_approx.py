@@ -83,7 +83,6 @@ def test_build_k_formula():
     assert build_k(t4, 1.0) == 1     # ceil(ln 4 / 2)
     t2 = lab.catalog("table2").game  # n = 3
     assert build_k(t2, 0.5) >= build_k(t4, 0.5)
-    assert build_k(t4, 0.5, log_base=2) == 4  # ceil(log2(4) / 0.5)
     with pytest.raises(ValueError):
         build_k(t4, 0.0)
 
@@ -157,7 +156,7 @@ def test_qptas_guarantee_on_catalog_and_random():
 def test_qptas_anchor_budget():
     game = lab.gen_random(4, 4, 0)
     with pytest.raises(EnumerationCapExceeded):
-        qptas_solve(game, 0.25, 0.05, anchor_budget=100)
+        qptas_solve(game, 0.25, 0.05)
 
 
 def test_vertices_are_k_uniform():

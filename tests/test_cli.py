@@ -67,6 +67,16 @@ def test_guard_errors_exit_three(tmp_path, capsys):
     assert code == 3
     assert json.loads(out)["error"]["type"] == "EnumerationCapExceeded"
 
+    # An epsilon whose anchor granularity k overflows a double (1e-160), or
+    # whose 2 epsilon^2 underflows to 0 (1e-200), is past the anchor budget.
+    for epsilon in ("1e-4", "1e-160", "1e-200"):
+        for mode in ("float", "exact"):
+            code, out, err = run_cli(capsys, "solve", "--method", "qptas",
+                                     "--delta", "0.1", "--epsilon", epsilon,
+                                     "--mode", mode, str(game_path))
+            assert (code, err) == (3, "")
+            assert json.loads(out)["error"]["type"] == "EnumerationCapExceeded"
+
 
 def test_usage_errors_exit_two(tmp_path, capsys):
     _, out, _ = run_cli(capsys, "gen", "--catalog", "table2")
@@ -172,6 +182,44 @@ def test_usage_errors_exit_two(tmp_path, capsys):
                              "--iota", "0.1", "--seed", "1")
     assert code == 2 and out == ""
     assert err.startswith("rsekit: ") and "finite epsilon" in err
+    # learn --delta must be finite and at least 0; 0 itself is allowed.
+    learn = ("learn", "--game", str(game_path), "--epsilon", "0.2", "--iota",
+             "0.2", "--seed", "1")
+    for delta in ("-1", "1e400", "nan"):
+        with pytest.raises(SystemExit) as exc:
+            main([*learn, "--delta", delta])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --delta: must be finite and at least 0" in err
+    assert run_cli(capsys, *learn, "--delta", "0")[0] == 0
+    # So tiny an iota would ask for infinitely many samples per pair.
+    code, out, err = run_cli(capsys, *learn, "--delta", "0.1", "--iota",
+                             "1e-320")
+    assert code == 2 and out == ""
+    assert err.startswith("rsekit: ") and "not finite" in err
+
+
+def test_exact_mode_takes_a_level_beyond_the_double_range(tmp_path, capsys):
+    game_path = tmp_path / "t2.json"
+    game_path.write_text(run_cli(capsys, "gen", "--catalog", "table2")[1])
+    for argv in (("solve", "--method", "exact", "--delta", "1e400"),
+                 ("solve", "--method", "qptas", "--delta", "1e400",
+                  "--epsilon", "1")):
+        code, out, err = run_cli(capsys, *argv, "--mode", "exact",
+                                 str(game_path))
+        assert (code, err) == (0, "")
+        sol = json.loads(out)
+        assert sol["delta"] is None and sol["delta_exact"] == "1" + "0" * 400
+        assert sol["value_exact"] == "1/4"
+        sol_path = tmp_path / "sol.json"
+        sol_path.write_text(out)
+        assert run_cli(capsys, "verify", str(game_path), str(sol_path))[0] == 0
+    code, out, err = run_cli(capsys, "curve", "--grid", "1e399:2e399:1e399",
+                             "--mode", "exact", str(game_path))
+    assert (code, err) == (0, "")
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [r[0] for r in rows] == ["1" + "0" * 399, "2" + "0" * 399]
+    assert [r[1] for r in rows] == ["1/4", "1/4"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,7 +1,8 @@
 """Golden CLI outputs: stdout, stderr and exit code of a fixed command set.
 
 Every command runs in-process through ``rsekit.cli.main`` on the catalog
-games and on small random games (including n = 1 and m = 1) in both modes;
+games, on small random games (including n = 1 and m = 1) and on an
+exact-cover reduction game, in both modes, plus seeded ``learn`` runs;
 ``tests/data/cli_golden.json`` holds what each one printed. A refactor that
 changes any byte of any output fails here.
 
@@ -34,14 +35,30 @@ GAMES.update({
     "rgap3x4": ("--random", "3,4,5", "--ensure-gap", "0.1"),
     "qgap2x3": ("--random", "2,3,1", "--grid-denominator", "8",
                 "--ensure-gap", "0.1"),
+    "x3c2": ("--x3c", "{x3c}", "--delta", "1/10", "--eps", "1/10"),
 })
+# A 2-set yes-instance for the exact-cover reduction game ``x3c2``.
+X3C_YES = "2\n1 2 3\n4 5 6\n"
 # Games small enough for qptas at epsilon 1/2 in well under a second.
 QPTAS_GAMES = ("table1", "table2", "table4", "table5", "table6_g2",
                "r2x3", "r2x1", "r1x3", "q2x1", "q1x3", "q2x4", "qgap2x3")
+# Games learned by `rsekit learn`, with the solvers run on the estimate;
+# qptas at its default epsilon 0.1 enumerates 71 anchors on a 2-row game.
+LEARN_SOLVERS = {"table6_g1": ("exact",), "table7_g1": ("exact", "qptas")}
 
 
 def _commands(name):
     """``(argv, verifies)`` per command; ``{game}`` is the game file."""
+    if name.startswith("x3c"):
+        for mode in ("float", "exact"):
+            yield ("solve", "--method", "exact", "--delta", "1/10", "--mode",
+                   mode, "{game}"), True
+        return
+    for solver in LEARN_SOLVERS.get(name, ()):
+        for noise in ("bernoulli", "gaussian:0.05"):
+            yield ("learn", "--game", "{game}", "--delta", "0.1", "--epsilon",
+                   "0.2", "--iota", "0.2", "--noise", noise, "--solver",
+                   solver, "--seeds", "2", "--seed", "7"), False
     if name.startswith("r"):
         # Float-only entries: exact mode rejects them at load.
         yield ("solve", "--method", "sse", "--mode", "exact", "{game}"), False
@@ -69,9 +86,12 @@ def _run(argv):
 def _sweep(tmp):
     """Run every command; return ``{command id: [code, stdout, stderr]}``."""
     results = {}
+    x3c = tmp / "x3c.txt"
+    x3c.write_text(X3C_YES)
     for name, gen in GAMES.items():
         key = "gen " + " ".join(gen)
-        results[key] = _run(("gen",) + gen)
+        results[key] = _run(("gen",) + tuple(a.replace("{x3c}", str(x3c))
+                                             for a in gen))
         game = tmp / f"{name}.json"
         game.write_text(results[key][1])
         for argv, verifies in _commands(name):

@@ -150,7 +150,7 @@ def test_gen_random_gap_constraint():
     g = lab.gen_random(3, 2, 3, ensure_gap=0.1)
     assert inducibility_gap(g).gap > 0.1
     with pytest.raises(RejectionCapExceeded):
-        lab.gen_random(1, 4, 0, ensure_gap=0.9, max_retries=8)
+        lab.gen_random(1, 4, 0, ensure_gap=0.9)
 
 
 def test_grid_oracle_variants_game():

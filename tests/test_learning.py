@@ -19,8 +19,6 @@ from rsekit.learning import (NoisyGameOracle, check_br_inclusion, learn_rse,
 
 def test_sample_count_formula():
     assert samples_per_pair(3, 2, 0.1, 0.1) == 240
-    assert samples_per_pair(3, 2, 0.1, 0.1, log_base=2) == \
-        pytest.approx(346, abs=1)
     with pytest.raises(ValueError):
         samples_per_pair(3, 2, 0.0, 0.1)
 

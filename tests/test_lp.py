@@ -30,10 +30,10 @@ def test_contradictory_equalities_infeasible():
     assert out.status == "infeasible"
 
 
-def test_empty_feasibility_over_simplex_returns_uniform():
+def test_empty_feasibility_over_simplex_returns_a_simplex_point():
     out = lp.feasible(lp.feasibility(3, [], simplex=True))
     assert out.status == "optimal"
-    assert out.solution == pytest.approx((1 / 3, 1 / 3, 1 / 3))
+    assert min(out.solution) >= 0 and sum(out.solution) == pytest.approx(1)
 
 
 def _lattice_points(resolution, dims):
@@ -172,6 +172,8 @@ def test_malformed_lp_rejected():
         Constraint((1, 2), "!=", 0)
     with pytest.raises(MalformedLpError):
         LinearProgram(2, (1, 0), "max", (Constraint((1,), "<=", 1),), False)
+    with pytest.raises(MalformedLpError, match="feasibility LP"):
+        lp.feasible(lp.maximize([1, 0], [], simplex=True))
 
 
 def test_unbounded_detected():

@@ -50,7 +50,7 @@ def fallbacks(monkeypatch):
 def assert_same(prog):
     got = lp.solve(prog, exact=True)
     want = reference(prog)
-    assert got == want, lp.lp_to_text(prog)
+    assert got == want, prog
     for v in (got.solution or ()) + (got.objective_value,):
         assert v is None or type(v) is Fraction
     assert_support_proves(prog, got)
@@ -68,7 +68,7 @@ def assert_support_proves(prog, out):
     rows = tuple(prog.constraints[r] for r in out.support)
     reduced = lp.feasibility(prog.num_vars, rows,
                              simplex=prog.simplex_constraint)
-    assert reference(reduced).status == "infeasible", lp.lp_to_text(reduced)
+    assert reference(reduced).status == "infeasible", reduced
 
 
 def _grid(rng, q):
@@ -212,7 +212,7 @@ def test_highs_agrees_on_status_and_objective():
                                A_eq=a_eq or None, b_eq=b_eq or None,
                                bounds=[(0, None)] * prog.num_vars,
                                method="highs")
-        assert codes.get(res.status) == out.status, lp.lp_to_text(prog)
+        assert codes.get(res.status) == out.status, prog
         if out.status == "optimal":
             assert sign * res.fun == pytest.approx(float(out.objective_value),
                                                    abs=1e-9)
@@ -309,3 +309,15 @@ def test_float_breakdown_falls_back(monkeypatch):
     monkeypatch.setattr(lp, "_float_pass", broken)
     assert assert_same(FEASIBLE).support is None
     assert assert_same(INFEASIBLE).support == (0, 1)
+
+
+def test_rows_beyond_the_double_range_go_to_the_fraction_simplex():
+    # A row with no double cannot take the float pass; the exact answer is
+    # the Fraction simplex's, for an optimum and for an infeasible LP.
+    huge = Fraction(10) ** 400
+    rows = [Constraint((1, -1), "<=", huge), Constraint((1, 1), "<=", 1)]
+    prog = lp.maximize((1, 0), rows, simplex=False)
+    got = assert_same(prog)
+    assert got.status == "optimal" and got.solution == (1, 0)
+    prog = lp.feasibility(2, [Constraint((1, 1), ">=", huge)], simplex=True)
+    assert assert_same(prog).status == "infeasible"
