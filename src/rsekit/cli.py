@@ -2,8 +2,9 @@
 
 Outputs are machine-readable (JSON or CSV) and byte-stable: re-running a
 command with the same flags and seed reproduces the output exactly, for any
-``--jobs`` value. Guard errors (enumeration caps, insufficient inducibility
-gap) exit with code 3 and a JSON error object; usage errors exit 2.
+``--jobs`` value. Guard errors (enumeration caps, a curve grid of more than
+``GRID_CAP`` points, insufficient inducibility gap) exit with code 3 and a
+JSON error object; usage errors exit 2.
 """
 
 from __future__ import annotations
@@ -33,6 +34,9 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_GUARD = 3
+
+# Most points a curve grid may have; each point is one robust solve.
+GRID_CAP = 10_000
 
 
 def _load_game(path: str, exact: bool) -> BimatrixGame:
@@ -148,12 +152,11 @@ def _grid_values(spec: str) -> list[Fraction]:
         raise GameFormatError(f"bad grid spec {spec!r}: {e}") from e
     if step <= 0 or a <= 0 or b < a:
         raise GameFormatError("grid needs 0 < start <= stop and step > 0")
-    vals = []
-    v = a
-    while v <= b:
-        vals.append(v)
-        v += step
-    return vals
+    count = (b - a) // step + 1
+    if count > GRID_CAP:
+        raise EnumerationCapExceeded(
+            f"grid has {count} points, above the cap {GRID_CAP}")
+    return [a + i * step for i in range(count)]
 
 
 def cmd_solve(args) -> int:

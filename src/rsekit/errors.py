@@ -22,7 +22,7 @@ class SolverFailure(RsekitError, RuntimeError):
 
 
 class EnumerationCapExceeded(RsekitError, RuntimeError):
-    """Raised when an enumeration (2^n region tuples, k-uniform anchors) exceeds its budget."""
+    """Raised when an enumeration (2^n region tuples, k-uniform anchors, curve grid points) exceeds its budget."""
 
 
 class GapTooSmall(RsekitError, RuntimeError):

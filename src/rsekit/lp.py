@@ -16,15 +16,17 @@ so results are deterministic and cycling-free:
     define the final vertex are re-solved exactly, the vertex must satisfy
     every row, and its multipliers must be strictly signed. Strict
     multipliers make the vertex the unique optimum, so it is the very point
-    the ``Fraction`` simplex would return.
+    the exact simplex would return.
 
   Everything else (a feasible ``feasibility`` LP, an unbounded LP, a
   degenerate vertex or tied optima, a failed proof) is solved by the same
-  simplex in ``Fraction`` arithmetic. Exact outcomes therefore always equal
-  the ``Fraction`` simplex's, which stays the reference.
+  simplex on an integer-preserving tableau: Python ints over one common
+  denominator, with no gcd per entry. Its pivot decisions are those of the
+  simplex in ``Fraction`` arithmetic, so exact outcomes always equal that
+  simplex's, which stays the reference.
 
   An infeasible exact outcome whose Farkas certificate checks (from the
-  float pass, or from the ``Fraction`` simplex's own phase-1 duals) also
+  float pass, or from the exact simplex's own phase-1 duals) also
   names the rows that certificate uses, ``LpOutcome.support``, so a caller
   can rule out any later LP that holds the same rows.
 
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Sequence, Union
 
 from .errors import MalformedLpError, SolverFailure
@@ -308,22 +311,25 @@ def _solve_square(mat, rhs):
 
 
 # ---------------------------------------------------------------------------
-# Two-phase tableau simplex, Bland's rule, generic over float / Fraction.
+# Two-phase tableau simplex, Bland's rule: one routine, two arithmetics.
 # ---------------------------------------------------------------------------
 
 def _simplex(num_vars: int, rows, objective, exact: bool):
     """Maximize objective . x subject to rows, x >= 0.
 
-    rows: list of (coeffs, rel in {"<=", ">=", "=="}, rhs).
+    rows: list of (coeffs, rel in {"<=", ">=", "=="}, rhs), in ``Fraction``
+    arithmetic when ``exact`` and in float otherwise. The tableau is
+    :class:`_IntTableau` or :class:`_FloatTableau` accordingly; the phases,
+    the drive-out and the read-outs here serve both.
     Returns ``(status, x, evidence)``. Evidence backs the status for the
     exact certificate: when infeasible, the phase-1 dual of every row in
     the orientation given (<= 0 on ``<=`` rows, >= 0 on ``>=`` rows, up to
     pivot noise); when optimal, the keys of the constraints the final basis
     holds tight (a row index, or ``len(rows) + i`` for ``x_i = 0``).
     """
+    tab_type = _IntTableau if exact else _FloatTableau
     # Exact mode has no tolerances: a test against 0 is an exact test.
-    zero, one, tol, feas_tol = ((Fraction(0), Fraction(1), 0, 0) if exact
-                                else (0.0, 1.0, PIVOT_TOL, FEASIBILITY_TOL))
+    zero, one, tol = tab_type.zero, tab_type.one, tab_type.tol
 
     # Normalize to rhs >= 0, preferring "<=" rows (slack-basic, no
     # artificial): flip ">=" rows whenever their rhs is nonpositive.
@@ -364,6 +370,7 @@ def _simplex(num_vars: int, rows, objective, exact: bool):
             a_at += 1
             tableau[r][art_col[r]] = one
         basis[r] = slack_col[r] if rel == "<=" else art_col[r]
+    tab = tab_type(tableau, basis)
 
     art_start = num_vars + n_slack
     keep = list(range(m))
@@ -373,82 +380,73 @@ def _simplex(num_vars: int, rows, objective, exact: bool):
         cost = [zero] * (n_total + 1)
         for j in range(art_start, n_total):
             cost[j] = one
-        for r in range(m):
-            if basis[r] >= art_start:
-                row = tableau[r]
-                for j in range(n_total + 1):
-                    cost[j] = cost[j] - row[j]
-        status = _pivot_until_optimal(tableau, basis, cost, n_total, tol,
-                                      blocked_from=None)
+        tab.set_cost(cost)
+        status = _pivot_until_optimal(tab, n_total, blocked_from=None)
         if status == "unbounded":  # cannot happen for a bounded-below phase 1
             raise SolverFailure("phase 1 reported unbounded")
-        phase1_val = -cost[n_total]
-        if abs(phase1_val) > feas_tol:
+        if abs(tab.cost[n_total]) > tab.feas_tol:
             # Reduced cost of a column = its phase-1 cost minus y . column.
             duals = []
             for r, (_, rel, _) in enumerate(norm):
                 if rel == "==":
-                    y = one - cost[art_col[r]]
+                    y = one - tab.reduced_cost(art_col[r])
                 else:
-                    y = cost[slack_col[r]] if rel == ">=" else -cost[slack_col[r]]
+                    y = tab.reduced_cost(slack_col[r])
+                    y = y if rel == ">=" else -y
                 duals.append(-y if flipped[r] else y)
             return "infeasible", None, duals
+        tab.cost = None
         # Drive remaining artificials out of the basis (or drop unit rows).
         keep = []
         for r in range(m):
-            if basis[r] >= art_start:
+            if tab.basis[r] >= art_start:
                 pivot_col = -1
                 for j in range(art_start):
-                    v = tableau[r][j]
+                    v = tab.rows[r][j]
                     if v > tol or v < -tol:
                         pivot_col = j
                         break
                 if pivot_col >= 0:
-                    _pivot(tableau, basis, r, pivot_col)
+                    tab.pivot(r, pivot_col)
                     keep.append(r)
                 # else: redundant row, skip it entirely below
             else:
                 keep.append(r)
         if len(keep) != m:
-            tableau = [tableau[r] for r in keep]
-            basis = [basis[r] for r in keep]
-            m = len(keep)
+            tab.rows = [tab.rows[r] for r in keep]
+            tab.basis = [tab.basis[r] for r in keep]
 
     # Phase 2: maximize objective. Work with cost row for min(-objective).
     cost = [zero] * (n_total + 1)
     for j in range(num_vars):
         cost[j] = -objective[j]
-    for r in range(m):
-        b = basis[r]
-        cb = cost[b]
-        if cb != 0:
-            row = tableau[r]
-            for j in range(n_total + 1):
-                cost[j] = cost[j] - cb * row[j]
-    status = _pivot_until_optimal(tableau, basis, cost, n_total, tol,
+    tab.set_cost(cost)
+    status = _pivot_until_optimal(tab, n_total,
                                   blocked_from=art_start if n_art else None)
     if status == "unbounded":
         return "unbounded", None, None
 
     x = [zero] * num_vars
-    for r in range(m):
-        if basis[r] < num_vars:
-            x[basis[r]] = tableau[r][n_total]
+    for r, b in enumerate(tab.basis):
+        if b < num_vars:
+            x[b] = tab.value(r)
     x = [zero if -tol < v < tol else v for v in x]
-    basic = set(basis)
+    basic = set(tab.basis)
     tight = [r for r in keep if slack_col[r] < 0 or slack_col[r] not in basic]
     tight += [len(rows) + i for i in range(num_vars) if i not in basic]
     return "optimal", x, tight
 
 
-def _pivot_until_optimal(tableau, basis, cost, n_total, tol, blocked_from):
+def _pivot_until_optimal(tab, n_total, blocked_from):
     """Bland pivoting on the cost row until no negative reduced cost remains.
 
     ``blocked_from`` excludes columns at or past that index (artificials in
     phase 2) from entering the basis.
     """
     limit = n_total if blocked_from is None else blocked_from
+    tol = tab.tol
     while True:
+        cost = tab.cost
         enter = -1
         for j in range(limit):
             if cost[j] < -tol:
@@ -456,41 +454,172 @@ def _pivot_until_optimal(tableau, basis, cost, n_total, tol, blocked_from):
                 break
         if enter < 0:
             return "optimal"
-        # Ratio test; ties broken by smallest basic variable index (Bland).
+        leave = tab.leaving(enter)
+        if leave < 0:
+            return "unbounded"
+        tab.pivot(leave, enter)
+
+
+class _FloatTableau:
+    """The simplex tableau in doubles, with pivot and feasibility tolerances.
+
+    ``rows`` are the constraint rows, rhs last; ``basis[r]`` is the column
+    basic in row r. ``cost`` is the reduced-cost row being minimized, its
+    last entry minus the objective value, or ``None`` between the phases.
+    """
+
+    zero, one, tol, feas_tol = 0.0, 1.0, PIVOT_TOL, FEASIBILITY_TOL
+
+    def __init__(self, rows, basis):
+        self.rows, self.basis, self.cost = rows, basis, None
+
+    def set_cost(self, cost):
+        """Make ``cost`` the cost row, its basic columns priced out."""
+        for r, b in enumerate(self.basis):
+            cb = cost[b]
+            if cb != 0:
+                row = self.rows[r]
+                for j in range(len(row)):
+                    cost[j] = cost[j] - cb * row[j]
+        self.cost = cost
+
+    def reduced_cost(self, j):
+        return self.cost[j]
+
+    def value(self, r):
+        """The value of row r's basic variable."""
+        return self.rows[r][-1]
+
+    def leaving(self, enter):
+        """Ratio test; ties broken by smallest basic variable index (Bland).
+        -1 when no row bounds the entering column."""
+        basis = self.basis
         leave = -1
         best = None
-        for r in range(len(tableau)):
-            a = tableau[r][enter]
-            if a > tol:
-                ratio = tableau[r][n_total] / a
+        for r, row in enumerate(self.rows):
+            a = row[enter]
+            if a > self.tol:
+                ratio = row[-1] / a
                 if best is None or ratio < best or (ratio == best and basis[r] < basis[leave]):
                     best = ratio
                     leave = r
-        if leave < 0:
-            return "unbounded"
-        _pivot(tableau, basis, leave, enter, cost)
+        return leave
 
-
-def _pivot(tableau, basis, r, c, cost=None):
-    row = tableau[r]
-    piv = row[c]
-    for j in range(len(row)):
-        row[j] = row[j] / piv
-    row[c] = piv / piv  # exactly one, also in float
-    for rr in range(len(tableau)):
-        if rr == r:
-            continue
-        other = tableau[rr]
-        f = other[c]
-        if f == 0:
-            continue
+    def pivot(self, r, c):
+        tableau, cost = self.rows, self.cost
+        row = tableau[r]
+        piv = row[c]
         for j in range(len(row)):
-            other[j] = other[j] - f * row[j]
-        other[c] = 0 * f  # kill residual noise in float mode
-    if cost is not None:
-        f = cost[c]
-        if f != 0:
+            row[j] = row[j] / piv
+        row[c] = piv / piv  # exactly one
+        for rr in range(len(tableau)):
+            if rr == r:
+                continue
+            other = tableau[rr]
+            f = other[c]
+            if f == 0:
+                continue
             for j in range(len(row)):
-                cost[j] = cost[j] - f * row[j]
-            cost[c] = 0 * f
-    basis[r] = c
+                other[j] = other[j] - f * row[j]
+            other[c] = 0 * f  # kill residual noise
+        if cost is not None:
+            f = cost[c]
+            if f != 0:
+                for j in range(len(row)):
+                    cost[j] = cost[j] - f * row[j]
+                cost[c] = 0 * f
+        self.basis[r] = c
+
+
+class _IntTableau:
+    """The :class:`_FloatTableau` interface on the exact tableau, kept
+    fraction-free (Edmonds 1967; Bareiss 1968): Python ints over one
+    positive common denominator ``d``.
+
+    Each row starts scaled by the LCM of its denominators, ``s``, with
+    ``d = 1``. A row holds ``d * s`` times its rational tableau row until it
+    first holds a pivot, and ``d`` times it from then on; the cost row holds
+    ``d * scale`` times the rational reduced costs. All entries stay
+    integers: each is a minor of the scaled rows. Positive factors change
+    no sign and no ratio, so every entering and leaving choice is the one
+    the rational tableau makes, with no gcd taken.
+    """
+
+    zero, one, tol, feas_tol = Fraction(0), Fraction(1), 0, 0
+
+    def __init__(self, rows, basis):
+        self.rows = [_integral(row)[0] for row in rows]
+        self.basis, self.cost, self.d, self.scale = basis, None, 1, 1
+
+    def set_cost(self, cost):
+        """Make ``cost`` (rationals) the cost row, its basic columns priced
+        out. Scaling it by the LCM of its denominators times that of the
+        basic entries to price out makes every multiplier below an int."""
+        d, rows, basis = self.d, self.rows, self.basis
+        priced = [r for r, b in enumerate(basis) if cost[b]]
+        cost, self.scale = _integral(
+            cost, lcm(*(rows[r][basis[r]] // d for r in priced)))
+        cost = [c * d for c in cost]
+        for r in priced:
+            row = rows[r]
+            k = cost[basis[r]] // row[basis[r]]
+            cost = [c - k * t for c, t in zip(cost, row)]
+        self.cost = cost
+
+    def reduced_cost(self, j):
+        return Fraction(self.cost[j], self.d * self.scale)
+
+    def value(self, r):
+        return Fraction(self.rows[r][-1], self.d)
+
+    def leaving(self, enter):
+        """Ratio test by cross-multiplication, rows ranked as in
+        :meth:`_FloatTableau.leaving`."""
+        basis, rows = self.basis, self.rows
+        leave = -1
+        for r, row in enumerate(rows):
+            a = row[enter]
+            if a > 0:
+                if leave < 0:
+                    leave = r
+                    continue
+                best = rows[leave]
+                lhs, rhs = row[-1] * best[enter], best[-1] * a
+                if lhs < rhs or (lhs == rhs and basis[r] < basis[leave]):
+                    leave = r
+        return leave
+
+    def pivot(self, r, c):
+        """Pivot on entry (r, c); a negative pivot row is negated first, so
+        that ``d`` stays positive. Every division here is exact."""
+        rows, d = self.rows, self.d
+        row = rows[r]
+        p = row[c]
+        if p < 0:
+            row = rows[r] = [-t for t in row]
+            p = -p
+        for i, other in enumerate(rows):
+            if i != r:
+                rows[i] = _eliminate(other, row, c, p, d)
+        if self.cost is not None:
+            self.cost = _eliminate(self.cost, row, c, p, d)
+        self.d = p
+        self.basis[r] = c
+
+
+def _eliminate(other, row, c, p, d):
+    """``other`` with column c cleared by the pivot row ``row``, moved from
+    common denominator ``d`` to ``p``."""
+    f = other[c]
+    if f:
+        return [(t * p - f * s) // d for t, s in zip(other, row)]
+    if p == d:
+        return other
+    return [t * p // d for t in other]
+
+
+def _integral(values, factor=1):
+    """``(ints, s)``: rationals ``values`` times ``s``, the LCM of their
+    denominators times ``factor``."""
+    s = lcm(*(v.denominator for v in values)) * factor
+    return [v.numerator * (s // v.denominator) for v in values], s

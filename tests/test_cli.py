@@ -2,10 +2,16 @@
 
 import concurrent.futures
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from rsekit.cli import main
+import rsekit
+from rsekit.cli import GRID_CAP, _grid_values, main
 from rsekit.exact import parallel_map
 from rsekit.game import loads_game
 
@@ -220,6 +226,30 @@ def test_exact_mode_takes_a_level_beyond_the_double_range(tmp_path, capsys):
     rows = [line.split(",") for line in out.splitlines()[1:]]
     assert [r[0] for r in rows] == ["1" + "0" * 399, "2" + "0" * 399]
     assert [r[1] for r in rows] == ["1/4", "1/4"]
+
+
+def test_curve_grid_is_counted_before_it_is_built(tmp_path, capsys):
+    game_path = tmp_path / "t2.json"
+    game_path.write_text(run_cli(capsys, "gen", "--catalog", "table2")[1])
+    # 10^12 points: building them first would run for hours and fill memory.
+    # A child process, so that a hang fails the test instead of stalling it.
+    env = dict(os.environ, PYTHONPATH=str(Path(rsekit.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "rsekit.cli", "curve",
+                           "--grid", "1e-12:1:1e-12", str(game_path)],
+                          capture_output=True, text=True, env=env, timeout=20)
+    assert proc.returncode == 3 and proc.stderr == ""
+    error = json.loads(proc.stdout)["error"]
+    assert error == {"type": "EnumerationCapExceeded",
+                     "message": f"grid has {10 ** 12} points, above the cap "
+                                f"{GRID_CAP}"}
+    code, out, _ = run_cli(capsys, "curve", "--grid", f"1:{GRID_CAP + 1}:1",
+                           str(game_path))
+    assert code == 3 and json.loads(out)["error"]["type"] == \
+        "EnumerationCapExceeded"
+    assert len(_grid_values(f"1:{GRID_CAP}:1")) == GRID_CAP
+    assert _grid_values("1/10:1/2:1/5") == [Fraction(1, 10), Fraction(3, 10),
+                                            Fraction(1, 2)]
+    assert _grid_values("0.25:0.3:0.1") == [Fraction(1, 4)]
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,11 +1,13 @@
-"""Exact-mode LP: certified float answers must equal the Fraction simplex's.
+"""Exact-mode LP: every answer must equal the ``Fraction`` simplex's.
 
 ``lp.solve(..., exact=True)`` keeps a float simplex answer only after proving
-it in rationals and otherwise falls back to the ``Fraction`` simplex. The
-reference here is that ``Fraction`` simplex, called directly; every
-``LpOutcome`` field that takes part in equality must match it exactly. The
-Farkas support an infeasible outcome carries is checked on its own: its
-rows alone must be infeasible under the same reference.
+it in rationals and otherwise falls back to the integer-preserving tableau.
+The reference here is the ``Fraction`` simplex of ``fraction_simplex.py``,
+which shares no code with either; every ``LpOutcome`` field that takes part
+in equality must match it exactly. The Farkas support an infeasible outcome
+carries is checked on its own: its rows alone must be infeasible under the
+same reference. The kernel tests below also compare the integer tableau
+with the reference directly, status, point, tight set and duals.
 """
 
 import random
@@ -13,37 +15,45 @@ from fractions import Fraction
 
 import pytest
 
+import fraction_simplex
 from rsekit import baseline, lab, lp
 from rsekit.lp import Constraint, LinearProgram, LpOutcome
 
 
-FRACTION_SIMPLEX = lp._simplex  # bound here, so the fixture below skips it
-
-
 def reference(prog: LinearProgram) -> LpOutcome:
     """The ``Fraction`` simplex on ``prog``, without the float pass."""
+    return kernel_outcome(prog, fraction_simplex.simplex)[0]
+
+
+def kernel_outcome(prog: LinearProgram, simplex):
+    """``(outcome, evidence)`` of ``simplex`` alone on ``prog``; an
+    infeasible outcome carries the support of its own duals' certificate."""
     rows, objective = lp._canonical(prog, Fraction)
-    status, x, _ = FRACTION_SIMPLEX(prog.num_vars, rows, objective, True)
+    status, x, evidence = simplex(prog.num_vars, rows, objective, True)
     if status != "optimal":
-        return LpOutcome(status, None, None)
+        support = None
+        if status == "infeasible":
+            support = lp._farkas(prog.num_vars, rows, evidence,
+                                 prog.simplex_constraint)
+        return LpOutcome(status, None, None, support), evidence
     value = None
     if prog.sense != "feasibility":
         value = sum(c * xi for c, xi in zip(objective, x))
         value = value if prog.sense == "max" else -value
-    return LpOutcome("optimal", tuple(x), value)
+    return LpOutcome("optimal", tuple(x), value), evidence
 
 
 @pytest.fixture
 def fallbacks(monkeypatch):
-    """Counts the LPs that exact mode hands to the ``Fraction`` simplex."""
+    """Counts the LPs that exact mode hands to the integer tableau."""
     count = [0]
-    simplex = lp._simplex
 
-    def counting(num_vars, rows, objective, exact):
-        count[0] += exact
-        return simplex(num_vars, rows, objective, exact)
+    class Counting(lp._IntTableau):
+        def __init__(self, rows, basis):
+            count[0] += 1
+            super().__init__(rows, basis)
 
-    monkeypatch.setattr(lp, "_simplex", counting)
+    monkeypatch.setattr(lp, "_IntTableau", Counting)
     return count
 
 
@@ -75,15 +85,25 @@ def _grid(rng, q):
     return Fraction(rng.randint(-q, q), q)
 
 
-def random_lp(rng: random.Random) -> LinearProgram:
-    """A small LP on a rational grid; duplicated rows and ties are common."""
-    nv = rng.randint(1, 5)
+def random_lp(rng: random.Random, num_vars=(1, 5), num_rows=(0, 7),
+              anchored=False) -> LinearProgram:
+    """An LP on a rational grid, its size drawn from the two ranges;
+    duplicated rows and ties are common. Every row of an ``anchored`` LP
+    holds at one random point of the simplex, so the LP is feasible."""
+    nv = rng.randint(*num_vars)
     q = rng.choice([1, 2, 3, 10])
+    if anchored:
+        weights = [rng.randint(0, q) for _ in range(nv - 1)] + [1]
+        point = [Fraction(w, sum(weights)) for w in weights]
     cons = []
-    for _ in range(rng.randint(0, 7)):
+    for _ in range(rng.randint(*num_rows)):
         rel = rng.choice(["<=", ">=", "<=", ">=", "=="])
-        cons.append(Constraint(tuple(_grid(rng, q) for _ in range(nv)), rel,
-                               _grid(rng, q)))
+        coeffs = tuple(_grid(rng, q) for _ in range(nv))
+        rhs = _grid(rng, q)
+        if anchored:
+            at = sum(c * v for c, v in zip(coeffs, point))
+            rhs = {"<=": at + abs(rhs), ">=": at - abs(rhs), "==": at}[rel]
+        cons.append(Constraint(coeffs, rel, rhs))
         if rng.random() < 0.15:
             cons.append(cons[-1])
     sense = rng.choice(["max", "min", "feasibility"])
@@ -218,6 +238,123 @@ def test_highs_agrees_on_status_and_objective():
                                                    abs=1e-9)
         checked += 1
     assert checked > 100
+
+
+# ---------------------------------------------------------------------------
+# The integer tableau on its own, against the Fraction simplex.
+# ---------------------------------------------------------------------------
+
+def assert_kernel_matches(prog):
+    """The integer tableau, with no float pass, against the reference: the
+    same outcome, the same tight set or duals, the same Farkas support."""
+    got, got_evidence = kernel_outcome(prog, lp._simplex)
+    want, want_evidence = kernel_outcome(prog, fraction_simplex.simplex)
+    assert got == want, prog
+    assert got.support == want.support
+    assert got_evidence == want_evidence
+    assert_same(prog)
+    return got
+
+
+@pytest.fixture
+def seen(monkeypatch):
+    """What the integer tableau met: drive-out pivot entries, redundant rows
+    dropped, and ratio tests with more than one row at the minimum ratio."""
+    met = {"drive_out": [], "dropped": 0, "ties": 0}
+
+    class Watched(lp._IntTableau):
+        def __init__(self, rows, basis):
+            super().__init__(rows, basis)
+            self.m = len(rows)
+
+        def pivot(self, r, c):
+            if self.cost is None:
+                met["drive_out"].append(self.rows[r][c])
+            super().pivot(r, c)
+
+        def set_cost(self, cost):
+            met["dropped"] += self.m - len(self.rows)
+            self.m = len(self.rows)
+            super().set_cost(cost)
+
+        def leaving(self, enter):
+            ratios = [Fraction(row[-1], row[enter]) for row in self.rows
+                      if row[enter] > 0]
+            met["ties"] += ratios.count(min(ratios, default=0)) > 1
+            return super().leaving(enter)
+
+    monkeypatch.setattr(lp, "_IntTableau", Watched)
+    return met
+
+
+def test_artificial_driven_out_on_a_negative_entry(seen):
+    # Phase 1 ends with the simplex row's artificial basic at zero; its row
+    # reads -x2 + x3 first, so it leaves on a negative pivot entry.
+    third = Fraction(1, 3)
+    prog = lp.maximize((2, -2, -1), [Constraint((0, -third, third), ">=",
+                                                third)], simplex=True)
+    out = assert_kernel_matches(prog)
+    assert out.solution == (0, 0, 1)
+    assert min(seen["drive_out"]) < 0
+
+
+def test_redundant_equality_dropped_after_phase_1(seen):
+    # The second row is the simplex row over 3: its artificial stays basic
+    # on a zero row after phase 1, and the row is dropped.
+    third = Fraction(1, 3)
+    cons = [Constraint((third, third, third), "==", third),
+            Constraint((1, -1, 0), "<=", Fraction(1, 5)),
+            Constraint((0, 1, -1), ">=", Fraction(1, 7))]
+    for prog in (lp.maximize((1, 0, 0), cons, simplex=True),
+                 lp.feasibility(3, cons, simplex=True)):
+        out = assert_kernel_matches(prog)
+        assert out.status == "optimal"
+    assert seen["dropped"] >= 2
+
+
+def test_coprime_denominators_and_a_fractional_objective():
+    f = Fraction
+    cons = [Constraint((f(1, 7), f(2, 11), f(3, 13)), "<=", f(1, 2)),
+            Constraint((f(3, 7), f(-1, 11), f(1, 13)), ">=", f(1, 77)),
+            Constraint((f(1, 13), f(1, 7), f(-1, 11)), "==", f(1, 91))]
+    objective = (f(1, 2), f(-1, 3), f(2, 5))
+    for simplex in (True, False):
+        out = assert_kernel_matches(lp.maximize(objective, cons,
+                                                simplex=simplex))
+        assert out.status == "optimal"
+        assert all(v.denominator > 1 for v in out.solution if v)
+
+
+def test_unbounded_after_phase_1():
+    # Phase 1 pivots x1 in; then (1, 1) raises the objective forever.
+    cons = [Constraint((1, -1), "<=", Fraction(1, 2)),
+            Constraint((Fraction(1, 3), -Fraction(1, 7)), ">=",
+                       Fraction(1, 5))]
+    assert assert_kernel_matches(lp.maximize((1, Fraction(1, 3)), cons)
+                                 ).status == "unbounded"
+    assert assert_kernel_matches(lp.maximize((-1, 0), cons)).status \
+        == "optimal"
+
+
+def test_degenerate_ratio_tie_goes_to_the_smallest_basic_index(seen):
+    # x2 enters at the vertex 0, where rows 1 and 2 both bound it by 0.
+    cons = [Constraint((2, 1), "<=", 2), Constraint((-2, 1), "<=", 0),
+            Constraint((-1, 2), "<=", 0)]
+    for objective in ((-1, 2), (1, 2)):
+        assert_kernel_matches(lp.maximize(objective, cons))
+    assert seen["ties"] > 0
+
+
+@pytest.mark.parametrize("anchored", [False, True])
+def test_larger_grid_lps_match_on_the_kernel(anchored):
+    """Up to 10 variables by 16 rows, so that tableau entries grow; the
+    anchored LPs are feasible, so phase 2 runs on them too."""
+    rng = random.Random(10 + anchored)
+    statuses = set()
+    for _ in range(20):
+        prog = random_lp(rng, (8, 10), (12, 16), anchored)
+        statuses.add(assert_kernel_matches(prog).status)
+    assert statuses == ({"optimal"} if anchored else {"infeasible"})
 
 
 # ---------------------------------------------------------------------------
