@@ -10,7 +10,9 @@ Two routes:
   anchor's surrogate neighborhood (strategies whose leader payoffs stay
   within epsilon of the anchor's, column by column) with a feasibility LP
   per candidate response and a binary search over the anchor's payoff
-  levels. Quasi-polynomial in the action counts.
+  levels. Quasi-polynomial in the action counts. The follower rows of
+  those LPs are built once per solve, and an anchor's cell rows once per
+  anchor.
 """
 
 from __future__ import annotations
@@ -21,10 +23,9 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import lp
-from .baseline import (induce_strategy, inducibility_gap, response_rows,
-                       solve_sse)
+from .baseline import induce_strategy, inducibility_gap, solve_sse
 from .errors import EnumerationCapExceeded, GameFormatError, GapTooSmall
-from .exact import RseSolution
+from .exact import RseSolution, _row_cache
 from .game import (BimatrixGame, MixedStrategy, evaluate, leader_payoffs,
                    scalar, strategy_from, tolerance)
 
@@ -148,17 +149,25 @@ def utility_verification(
     the strict response rule suffices to exclude Q). Returns the first
     witness.
     """
-    mu, d = scalar(mu, exact), scalar(delta, exact)
-    floor = mu - tolerance(exact)
-    below = [t < floor for t in region.anchor_payoffs]
+    col_l, col_f = game.columns(exact)
+    opt, _, exclude, _ = _row_cache(col_l, col_f, scalar(delta, exact))
+    return _verify(game.m, _region_constraints(col_l, region, exact), opt,
+                   exclude, region.anchor_payoffs, mu, exact)
+
+
+def _verify(m, cell, opt, exclude, anchor_payoffs, mu, exact):
+    """:func:`utility_verification` on prebuilt rows: the region's ``cell``
+    rows, and ``opt`` and ``exclude`` from :func:`exact._row_cache`, whose
+    ``opt[j]`` and ``exclude[j][q]`` are j's best-response rows and its
+    delta-margin row against q."""
+    floor = scalar(mu, exact) - tolerance(exact)
+    below = [t < floor for t in anchor_payoffs]
     Q = [j for j, b in enumerate(below) if b]
-    candidates = [j for j, b in enumerate(below) if not b]
-    col_l, col = game.columns(exact)
-    cell = _region_constraints(col_l, region, exact)
-    for j in candidates:
-        cons = cell + response_rows(col, j) + response_rows(col, j, d, Q)
-        out = lp.feasible(lp.feasibility(game.m, cons, simplex=True),
-                          exact=exact)
+    for j, b in enumerate(below):
+        if b:
+            continue
+        cons = cell + opt[j] + tuple(exclude[j][q] for q in Q)
+        out = lp.feasible(lp.feasibility(m, cons, simplex=True), exact=exact)
         if out.status == "optimal":
             return True, strategy_from(out.solution, exact)
     return False, None
@@ -170,7 +179,7 @@ def _region_constraints(col_l, region: SurrogateRegion, exact):
     for col, t in zip(col_l, region.anchor_payoffs):
         rows.append(lp.Constraint(col, "<=", t + eps))
         rows.append(lp.Constraint(col, ">=", t - eps))
-    return rows
+    return tuple(rows)
 
 
 def qptas_solve(game: BimatrixGame, delta, epsilon, *,
@@ -192,27 +201,31 @@ def qptas_solve(game: BimatrixGame, delta, epsilon, *,
         raise EnumerationCapExceeded(
             f"{total} k-uniform anchors exceed the budget {ANCHOR_BUDGET} "
             f"(k={k}, m={game.m})")
+    col_l, col_f = game.columns(exact)
+    opt, _, exclude, _ = _row_cache(col_l, col_f, scalar(delta, exact))
     best = None  # (report, anchor, mu)
     for counts in compositions(k, game.m):
         anchor = KUniformStrategy(counts, k)
         region = make_region(game, anchor, epsilon, exact=exact)
-        levels = sorted(set(region.anchor_payoffs))
+        cell = _region_constraints(col_l, region, exact)
+        payoffs = region.anchor_payoffs
+        levels = sorted(set(payoffs))
         # Largest verifiable mu; the smallest level always verifies with the
         # anchor's own best response as witness.
         lo, hi = 0, len(levels) - 1
         witness = None
         while lo < hi:
             mid = (lo + hi + 1) // 2
-            ok, x = utility_verification(game, region, delta, levels[mid],
-                                         exact=exact)
+            ok, x = _verify(game.m, cell, opt, exclude, payoffs, levels[mid],
+                            exact)
             if ok:
                 lo = mid
                 witness = x
             else:
                 hi = mid - 1
         if witness is None:
-            ok, witness = utility_verification(game, region, delta,
-                                               levels[lo], exact=exact)
+            ok, witness = _verify(game.m, cell, opt, exclude, payoffs,
+                                  levels[lo], exact)
             if not ok:
                 continue
         for x in (witness, anchor.to_strategy(exact=exact)):

@@ -129,7 +129,8 @@ def _emit(obj) -> None:
 
 
 def positive_int(text: str) -> int:
-    """argparse type of ``--jobs`` and ``--seeds``: an integer >= 1."""
+    """argparse type of ``--jobs``, ``--seeds`` and ``--cap``: an integer
+    >= 1."""
     v = int(text)
     if v < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {v}")
@@ -360,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--delta")
     sp.add_argument("--epsilon")
     sp.add_argument("--mode", choices=["float", "exact"], default="float")
-    sp.add_argument("--cap", type=int, default=ENUMERATION_CAP)
+    sp.add_argument("--cap", type=positive_int, default=ENUMERATION_CAP)
     sp.add_argument("--raw-delta", action="store_true",
                     help="delta is stated against the raw (pre-normalization) "
                          "follower utilities")

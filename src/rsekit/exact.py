@@ -132,6 +132,8 @@ def solve_exact(game: BimatrixGame, delta, *, exact: bool = False,
         no_member, must_member = _static_filters(member, d, tolerance(exact))
     nogoods = [[] for _ in range(n)]  # per j_tilde: (in_mask, out_mask)
     col_max_l = [max(c) for c in col_l]
+    # The bound of S is the column maximum of its first action in this order.
+    by_max = sorted(range(n), key=col_max_l.__getitem__)
 
     best = None  # (objective, RegionTuple, solution)
     for size in range(1, n + 1):
@@ -145,7 +147,7 @@ def solve_exact(game: BimatrixGame, delta, *, exact: bool = False,
                     continue
                 if not exhaustive:
                     if ub is None:
-                        ub = min(col_max_l[k] for k in S)
+                        ub = col_max_l[next(k for k in by_max if mask >> k & 1)]
                     if best is not None and ub <= best[0]:
                         break
                     # Sound: such a gate holds every row of a proven

@@ -5,7 +5,11 @@ Both arithmetic modes share one two-phase tableau simplex with Bland's rule,
 so results are deterministic and cycling-free:
 
 * float mode (default): IEEE doubles with a feasibility tolerance of 1e-8
-  and a pivot tolerance of 1e-9,
+  and a pivot tolerance of 1e-9. Pivots and price-outs skip the zero
+  entries of the row they subtract, so only the sign of a zero entry can
+  differ from a loop over every column. That sign decides no pivot and
+  cannot reach an answer: x snaps to 0.0, and a zero dual takes no part in
+  a certificate,
 * exact mode: ``fractions.Fraction`` answers with no tolerances, found by
   certify-then-fallback. The simplex first runs in float on the same rows,
   and its answer is kept only once it is proven in rationals:
@@ -466,6 +470,10 @@ class _FloatTableau:
     ``rows`` are the constraint rows, rhs last; ``basis[r]`` is the column
     basic in row r. ``cost`` is the reduced-cost row being minimized, its
     last entry minus the objective value, or ``None`` between the phases.
+
+    :meth:`pivot` and :meth:`set_cost` skip the zero entries of the row
+    they subtract, mostly slack and artificial columns. Against loops over
+    every column, only the sign of a zero entry can differ.
     """
 
     zero, one, tol, feas_tol = 0.0, 1.0, PIVOT_TOL, FEASIBILITY_TOL
@@ -479,8 +487,9 @@ class _FloatTableau:
             cb = cost[b]
             if cb != 0:
                 row = self.rows[r]
-                for j in range(len(row)):
-                    cost[j] = cost[j] - cb * row[j]
+                for j, v in enumerate(row):
+                    if v != 0:
+                        cost[j] = cost[j] - cb * v
         self.cost = cost
 
     def reduced_cost(self, j):
@@ -509,7 +518,8 @@ class _FloatTableau:
         tableau, cost = self.rows, self.cost
         row = tableau[r]
         piv = row[c]
-        for j in range(len(row)):
+        nz = [j for j, v in enumerate(row) if v != 0]
+        for j in nz:
             row[j] = row[j] / piv
         row[c] = piv / piv  # exactly one
         for rr in range(len(tableau)):
@@ -519,13 +529,13 @@ class _FloatTableau:
             f = other[c]
             if f == 0:
                 continue
-            for j in range(len(row)):
+            for j in nz:
                 other[j] = other[j] - f * row[j]
             other[c] = 0 * f  # kill residual noise
         if cost is not None:
             f = cost[c]
             if f != 0:
-                for j in range(len(row)):
+                for j in nz:
                     cost[j] = cost[j] - f * row[j]
                 cost[c] = 0 * f
         self.basis[r] = c

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rsekit import approx, lab, lp
 from rsekit.approx import (KUniformStrategy, build_k, gap_approx, make_region,
@@ -103,6 +104,27 @@ def test_utility_verification_examples():
     assert ok0 and w0 is not None
     okhi, whi = utility_verification(game, region, 0.25, 1.0 + 0.5)
     assert not okhi and whi is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 3), st.integers(2, 5), st.integers(0, 10 ** 6),
+       st.integers(1, 4), st.integers(0, 10 ** 6),
+       st.sampled_from([Fraction(1, 10), Fraction(1, 4), Fraction(1, 2)]),
+       st.sampled_from([Fraction(1, 5), Fraction(1, 2), Fraction(1)]),
+       st.booleans())
+def test_utility_verification_fails_at_every_higher_level(
+        m, n, seed, k, pick, delta, epsilon, exact):
+    # qptas binary-searches an anchor's levels, which is sound only if a
+    # level that fails makes every higher level of that anchor fail too.
+    game = lab.gen_random(m, n, seed, rational_grid=8)
+    anchors = list(approx.compositions(k, m))
+    anchor = KUniformStrategy(anchors[pick % len(anchors)], k)
+    region = make_region(game, anchor, scalar(epsilon, exact), exact=exact)
+    levels = sorted(set(region.anchor_payoffs))
+    verified = [utility_verification(game, region, scalar(delta, exact), mu,
+                                     exact=exact)[0] for mu in levels]
+    failed = verified.index(False) if False in verified else len(levels)
+    assert not any(verified[failed:]), (levels, verified)
 
 
 def test_region_soundness_of_witnesses():

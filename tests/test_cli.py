@@ -258,11 +258,14 @@ def test_curve_grid_is_counted_before_it_is_built(tmp_path, capsys):
      "--seed", "1", "--jobs", "-1"),
     ("learn", "--delta", "0.1", "--epsilon", "0.2", "--iota", "0.2",
      "--seed", "1", "--seeds", "-2"),
+    ("solve", "--method", "exact", "--delta", "0.1", "--cap", "0"),
+    ("solve", "--method", "exact", "--delta", "0.1", "--cap", "-1"),
 ])
 def test_count_flags_below_one_exit_two(tmp_path, capsys, argv):
     game_path = tmp_path / "g.json"
     game_path.write_text(run_cli(capsys, "gen", "--catalog", "table2")[1])
-    game = [str(game_path)] if argv[0] == "curve" else ["--game", str(game_path)]
+    game = ([str(game_path)] if argv[0] in ("curve", "solve")
+            else ["--game", str(game_path)])
     with pytest.raises(SystemExit) as exc:
         main([*argv, *game])
     assert exc.value.code == 2

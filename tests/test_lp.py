@@ -180,3 +180,93 @@ def test_unbounded_detected():
     prog = lp.maximize([1, 1], [Constraint((1, -1), "<=", 0)])
     out = lp.solve(prog)
     assert out.status == "unbounded"
+
+
+class _DenseTableau(lp._FloatTableau):
+    """The float tableau with the dense ``set_cost`` and ``pivot`` loops,
+    which visit every column, kept verbatim as the reference for the
+    zero-skipping kernel."""
+
+    def set_cost(self, cost):
+        for r, b in enumerate(self.basis):
+            cb = cost[b]
+            if cb != 0:
+                row = self.rows[r]
+                for j in range(len(row)):
+                    cost[j] = cost[j] - cb * row[j]
+        self.cost = cost
+
+    def pivot(self, r, c):
+        tableau, cost = self.rows, self.cost
+        row = tableau[r]
+        piv = row[c]
+        for j in range(len(row)):
+            row[j] = row[j] / piv
+        row[c] = piv / piv  # exactly one
+        for rr in range(len(tableau)):
+            if rr == r:
+                continue
+            other = tableau[rr]
+            f = other[c]
+            if f == 0:
+                continue
+            for j in range(len(row)):
+                other[j] = other[j] - f * row[j]
+            other[c] = 0 * f  # kill residual noise
+        if cost is not None:
+            f = cost[c]
+            if f != 0:
+                for j in range(len(row)):
+                    cost[j] = cost[j] - f * row[j]
+                cost[c] = 0 * f
+        self.basis[r] = c
+
+
+def _sparse_lp(rng, exact):
+    """A random LP whose coefficients are mostly zero, on a small grid."""
+    conv = Fraction if exact else float
+    q = int(rng.choice([1, 2, 3, 7]))
+
+    def entry():
+        if rng.random() < 0.6:
+            return conv(0)
+        return conv(Fraction(int(rng.integers(-2 * q, 2 * q + 1)), q))
+
+    nv = int(rng.integers(1, 7))
+    cons = [Constraint(tuple(entry() for _ in range(nv)),
+                       str(rng.choice(["<=", ">=", "<=", ">=", "=="])), entry())
+            for _ in range(int(rng.integers(0, 9)))]
+    sense = str(rng.choice(["max", "min", "feasibility"]))
+    objective = (None if sense == "feasibility"
+                 else tuple(entry() for _ in range(nv)))
+    return LinearProgram(nv, objective, sense, tuple(cons),
+                         bool(rng.random() < 0.6))
+
+
+def _unsigned_zeros(values):
+    """``values`` with each -0.0 made 0.0, the one difference the zero skip
+    may make: it leaves a zero's sign where the dense loop would flip it."""
+    return None if values is None else [v + 0 if v == 0 else v for v in values]
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_zero_skipping_pivots_match_dense_pivots(monkeypatch, exact):
+    rng = np.random.default_rng(19)
+    statuses = {}
+    for _ in range(600):
+        prog = _sparse_lp(rng, exact)
+        rows, objective = lp._canonical(prog, float)
+        got = lp.solve(prog, exact=exact)
+        got_raw = lp._simplex(prog.num_vars, rows, objective, False)
+        with monkeypatch.context() as mp:
+            mp.setattr(lp, "_FloatTableau", _DenseTableau)
+            want = lp.solve(prog, exact=exact)
+            want_raw = lp._simplex(prog.num_vars, rows, objective, False)
+        # The answer is bit-for-bit the dense kernel's, support included.
+        assert repr(got) == repr(want), prog
+        assert repr(got_raw[:2]) == repr(want_raw[:2]), prog
+        assert repr(_unsigned_zeros(got_raw[2])) == \
+            repr(_unsigned_zeros(want_raw[2])), prog
+        statuses[got.status] = statuses.get(got.status, 0) + 1
+    assert set(statuses) == {"optimal", "infeasible", "unbounded"}
+    assert min(statuses.values()) >= 20, statuses
