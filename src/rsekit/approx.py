@@ -12,12 +12,18 @@ Two routes:
   per candidate response and a binary search over the anchor's payoff
   levels. Quasi-polynomial in the action counts. The follower rows of
   those LPs are built once per solve, and an anchor's cell rows once per
-  anchor.
+  anchor. The anchors do not depend on each other, so up to
+  :data:`SEARCH_WINDOW` of them search side by side, in enumeration order:
+  each round solves the next LP of every one in one
+  :func:`lp.feasible_many` batch, and finished anchors are scored in
+  enumeration order, so ties still keep the earliest. Each anchor solves
+  the very LPs it would solve alone, and gets the same answers.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -30,6 +36,9 @@ from .game import (BimatrixGame, MixedStrategy, evaluate, leader_payoffs,
                    scalar, strategy_from, tolerance)
 
 ANCHOR_BUDGET = 2_000_000
+# Anchor searches qptas_solve keeps in flight; each round solves one LP of
+# each in a single lp.feasible_many batch.
+SEARCH_WINDOW = 64
 
 
 def compositions(total: int, parts: int):
@@ -151,15 +160,18 @@ def utility_verification(
     """
     col_l, col_f = game.columns(exact)
     opt, _, exclude, _ = _row_cache(col_l, col_f, scalar(delta, exact))
-    return _verify(game.m, _region_constraints(col_l, region, exact), opt,
-                   exclude, region.anchor_payoffs, mu, exact)
+    scan = _scan(game.m, _region_constraints(col_l, region, exact), opt,
+                 exclude, region.anchor_payoffs, mu, exact)
+    x = next(_lockstep([scan], exact))
+    return x is not None, x
 
 
-def _verify(m, cell, opt, exclude, anchor_payoffs, mu, exact):
-    """:func:`utility_verification` on prebuilt rows: the region's ``cell``
-    rows, and ``opt`` and ``exclude`` from :func:`exact._row_cache`, whose
-    ``opt[j]`` and ``exclude[j][q]`` are j's best-response rows and its
-    delta-margin row against q."""
+def _scan(m, cell, opt, exclude, anchor_payoffs, mu, exact):
+    """The scan of :func:`utility_verification` on prebuilt rows, as a
+    generator: it yields each LP, is sent its outcome, and returns the
+    witness, or ``None``. ``cell`` is the region's rows; ``opt[j]`` and
+    ``exclude[j][q]``, from :func:`exact._row_cache`, are j's best-response
+    rows and its delta-margin row against q."""
     floor = scalar(mu, exact) - tolerance(exact)
     below = [t < floor for t in anchor_payoffs]
     Q = [j for j, b in enumerate(below) if b]
@@ -167,10 +179,88 @@ def _verify(m, cell, opt, exclude, anchor_payoffs, mu, exact):
         if b:
             continue
         cons = cell + opt[j] + tuple(exclude[j][q] for q in Q)
-        out = lp.feasible(lp.feasibility(m, cons, simplex=True), exact=exact)
+        out = yield lp.feasibility(m, cons, simplex=True)
         if out.status == "optimal":
-            return True, strategy_from(out.solution, exact)
-    return False, None
+            return strategy_from(out.solution, exact)
+    return None
+
+
+def _anchor_search(game, col_l, opt, exclude, anchor, epsilon, exact):
+    """qptas's search of one anchor, an LP-yielding generator like
+    :func:`_scan`. It binary-searches the largest verifiable level mu over
+    the anchor's payoff values and returns ``(anchor, witness, mu)``, the
+    witness ``None`` when even the smallest level fails."""
+    region = make_region(game, anchor, epsilon, exact=exact)
+    cell = _region_constraints(col_l, region, exact)
+    payoffs = region.anchor_payoffs
+    levels = sorted(set(payoffs))
+    # Largest verifiable mu; the smallest level always verifies with the
+    # anchor's own best response as witness.
+    lo, hi = 0, len(levels) - 1
+    witness = None
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        x = yield from _scan(game.m, cell, opt, exclude, payoffs, levels[mid],
+                             exact)
+        if x is not None:
+            lo = mid
+            witness = x
+        else:
+            hi = mid - 1
+    if witness is None:
+        witness = yield from _scan(game.m, cell, opt, exclude, payoffs,
+                                   levels[lo], exact)
+    return anchor, witness, levels[lo]
+
+
+class _Search:
+    """One generator run by :func:`_lockstep`: its pending LP, or ``None``
+    and its return value once it is done."""
+
+    __slots__ = ("gen", "lp", "result")
+
+    def __init__(self, gen):
+        self.gen, self.lp, self.result = gen, None, None
+        self.send(None)
+
+    def send(self, outcome):
+        try:
+            self.lp = self.gen.send(outcome)
+        except StopIteration as stop:
+            self.lp, self.result = None, stop.value
+
+
+def _lockstep(searches, exact):
+    """Run the LP-yielding generators ``searches`` side by side and yield
+    their return values in the order given.
+
+    Up to :data:`SEARCH_WINDOW` searches are in flight, taken from
+    ``searches`` in order. Each round sends the pending LP of every one to
+    one :func:`lp.feasible_many` call and each its own outcome back. A
+    search never waits on another, so each solves the LPs it would solve
+    alone.
+    """
+    searches = iter(searches)
+    queue = deque()  # in order: the searches not yet reported
+    live = []
+    more = True
+    while True:
+        while more and len(live) < SEARCH_WINDOW:
+            gen = next(searches, None)
+            if gen is None:
+                more = False
+            else:
+                queue.append(_Search(gen))
+                if queue[-1].lp is not None:
+                    live.append(queue[-1])
+        while queue and queue[0].lp is None:
+            yield queue.popleft().result
+        if not live:
+            return
+        outcomes = lp.feasible_many([s.lp for s in live], exact=exact)
+        for s, out in zip(live, outcomes):
+            s.send(out)
+        live = [s for s in live if s.lp is not None]
 
 
 def _region_constraints(col_l, region: SurrogateRegion, exact):
@@ -204,34 +294,16 @@ def qptas_solve(game: BimatrixGame, delta, epsilon, *,
     col_l, col_f = game.columns(exact)
     opt, _, exclude, _ = _row_cache(col_l, col_f, scalar(delta, exact))
     best = None  # (report, anchor, mu)
-    for counts in compositions(k, game.m):
-        anchor = KUniformStrategy(counts, k)
-        region = make_region(game, anchor, epsilon, exact=exact)
-        cell = _region_constraints(col_l, region, exact)
-        payoffs = region.anchor_payoffs
-        levels = sorted(set(payoffs))
-        # Largest verifiable mu; the smallest level always verifies with the
-        # anchor's own best response as witness.
-        lo, hi = 0, len(levels) - 1
-        witness = None
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            ok, x = _verify(game.m, cell, opt, exclude, payoffs, levels[mid],
-                            exact)
-            if ok:
-                lo = mid
-                witness = x
-            else:
-                hi = mid - 1
+    anchors = (KUniformStrategy(counts, k) for counts in compositions(k, game.m))
+    for anchor, witness, mu in _lockstep(
+            (_anchor_search(game, col_l, opt, exclude, anchor, epsilon, exact)
+             for anchor in anchors), exact):
         if witness is None:
-            ok, witness = _verify(game.m, cell, opt, exclude, payoffs,
-                                  levels[lo], exact)
-            if not ok:
-                continue
+            continue
         for x in (witness, anchor.to_strategy(exact=exact)):
             rep = evaluate(game, x, delta, exact=exact)
             if best is None or rep.leader_value > best[0].leader_value:
-                best = (rep, anchor, levels[lo])
+                best = (rep, anchor, mu)
     if best is None:
         raise GameFormatError("verification failed on every anchor")
     outcome, anchor, mu = best

@@ -1,8 +1,9 @@
 """Uniform linear-program representation and a deterministic simplex solver.
 
-Every solver in the package funnels through :func:`solve` / :func:`feasible`.
-Both arithmetic modes share one two-phase tableau simplex with Bland's rule,
-so results are deterministic and cycling-free:
+Every solver in the package funnels through :func:`solve` / :func:`feasible`,
+or :func:`feasible_many` for a batch of feasibility LPs. Both arithmetic
+modes share one two-phase tableau simplex with Bland's rule, so results are
+deterministic and cycling-free:
 
 * float mode (default): IEEE doubles with a feasibility tolerance of 1e-8
   and a pivot tolerance of 1e-9. Pivots and price-outs skip the zero
@@ -34,9 +35,24 @@ so results are deterministic and cycling-free:
   names the rows that certificate uses, ``LpOutcome.support``, so a caller
   can rule out any later LP that holds the same rows.
 
-:func:`solve` counts its own calls, those made through :func:`feasible`
-included; a solver reports the change in :func:`solve_count` across its
-run as its LP count.
+``feasible_many(lps)`` returns ``[feasible(p) for p in lps]``: the same
+statuses and the same points, to the last bit. In exact mode it is that
+list. In float mode it runs phase 1, the drive-out and the read-out of the
+float simplex for the whole batch at once, on one ``(B, R + 1, C + 1)``
+array of doubles, in chunks of at most :data:`BATCH_DOUBLES`. Each LP takes
+its own Bland entering column and leaving row, and each pivot is the
+elementwise ``row / piv`` and ``other - f * row``, so each double is the one
+the one-LP tableau computes, but for the sign of a zero. With M the largest
+``num_vars`` and R the most rows in the chunk, row r owns slack column
+``M + r`` and artificial column ``M + R + r``, which keeps every LP's
+columns in their Bland order. An LP with fewer rows is padded with zero
+rows that have no slack or artificial and a basis key past every column, so
+they never enter a ratio test or a price-out.
+
+:func:`solve_count` counts the LPs solved: each :func:`solve` call, those
+made through :func:`feasible` included, and each LP of
+:func:`feasible_many`. A solver reports the change in :func:`solve_count`
+across its run as its LP count.
 """
 
 from __future__ import annotations
@@ -45,6 +61,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Sequence, Union
+
+import numpy as np
 
 from .errors import MalformedLpError, SolverFailure
 
@@ -57,6 +75,11 @@ PIVOT_TOL = 1e-9
 # duals whose true values are simple rationals; any rounding is safe, since
 # the check itself is exact.
 DUAL_DENOMINATOR = 10 ** 9
+# Tableau doubles in one lockstep kernel call of feasible_many, which
+# splits a longer batch into chunks: a call holds two arrays of this size at
+# most, the tableau and its elimination buffer. An LP too large for it
+# alone is a chunk of its own.
+BATCH_DOUBLES = 1 << 16
 
 RELATIONS = ("<=", ">=", "==")
 
@@ -64,7 +87,8 @@ _solves = 0
 
 
 def solve_count() -> int:
-    """Number of :func:`solve` calls so far in this process."""
+    """Number of LPs solved so far in this process: :func:`solve` calls,
+    and the LPs of :func:`feasible_many` calls."""
     return _solves
 
 
@@ -188,6 +212,188 @@ def feasible(lp: LinearProgram, *, exact: bool = False) -> LpOutcome:
         raise MalformedLpError(
             f"feasible() takes a feasibility LP, not {lp.sense!r}")
     return solve(lp, exact=exact)
+
+
+def feasible_many(lps: Sequence[LinearProgram], *,
+                  exact: bool = False) -> list[LpOutcome]:
+    """``[feasible(p, exact=exact) for p in lps]``, with float mode solved
+    in lockstep on one numpy tableau.
+
+    Equal outcomes (status, and points equal to the last bit), and
+    :func:`solve_count` advanced by ``len(lps)``. Exact mode is that very
+    list; float mode runs :func:`_feasible_batch` on chunks of at most
+    :data:`BATCH_DOUBLES` tableau doubles.
+    """
+    lps = list(lps)
+    for p in lps:
+        if p.sense != "feasibility":
+            raise MalformedLpError(
+                f"feasible_many() takes feasibility LPs, not {p.sense!r}")
+    if exact:
+        return [feasible(p, exact=True) for p in lps]
+    global _solves
+    _solves += len(lps)
+    outcomes = []
+    chunk, rows, nv = [], 0, 0
+    for p in lps:
+        p_rows = len(p.constraints) + p.simplex_constraint
+        r, m = max(rows, p_rows), max(nv, p.num_vars)
+        if chunk and (len(chunk) + 1) * (r + 1) * (m + 2 * r + 1) > BATCH_DOUBLES:
+            outcomes += _feasible_batch(chunk)
+            chunk, r, m = [], p_rows, p.num_vars
+        chunk.append(p)
+        rows, nv = r, m
+    if chunk:
+        outcomes += _feasible_batch(chunk)
+    return outcomes
+
+
+# ---------------------------------------------------------------------------
+# Float feasibility LPs in lockstep.
+# ---------------------------------------------------------------------------
+
+_LE, _GE, _EQ = 0, 1, 2
+_REL_CODE = {"<=": _LE, ">=": _GE, "==": _EQ}
+
+
+def _batch_tableau(lps):
+    """``(T, basis, M, R)``: the phase-1 tableaux of the feasibility LPs
+    ``lps``, stacked, each holding the rows :func:`_simplex` would build.
+
+    With M the largest ``num_vars`` and R the most rows, ``T[b]`` is LP b's
+    tableau: columns ``0..M-1`` are the variables (zero past the LP's own),
+    row r owns slack column ``M + r`` and artificial column ``M + R + r``,
+    column ``C = M + 2R`` is the rhs, and row R is the phase-1 cost row,
+    priced out. ``basis[b, r]`` is the column basic in row r. Unused
+    columns stay zero, so they never enter. Pad rows, past an LP's own, are
+    zero rows with basis key C (the module docstring gives the reasons).
+    """
+    B = len(lps)
+    M = max(p.num_vars for p in lps)
+    R = max(len(p.constraints) + p.simplex_constraint for p in lps)
+    C = M + 2 * R
+    coeffs, rels, rhs, counts = [], [], [], []
+    for p in lps:
+        pad = (0,) * (M - p.num_vars)
+        cons = p.constraints
+        coeffs += [c.coeffs + pad for c in cons]
+        rels += [_REL_CODE[c.relation] for c in cons]
+        rhs += [c.rhs for c in cons]
+        if p.simplex_constraint:
+            coeffs.append((1,) * p.num_vars + pad)
+            rels.append(_EQ)
+            rhs.append(1)
+        counts.append(len(cons) + p.simplex_constraint)
+    A = np.array(coeffs, dtype=float).reshape(len(coeffs), M)
+    rhs = np.array(rhs, dtype=float)
+    rel = np.array(rels, dtype=np.int64)
+    # (at_lp[i], at_row[i]): the LP and row of stacked row i
+    at_lp = np.repeat(np.arange(B), counts)
+    at_row = np.arange(len(rels)) - np.repeat(np.cumsum(counts) - counts, counts)
+    # rhs >= 0, and ">=" rows with rhs 0 become slack-basic "<=" rows
+    flip = (rhs < 0) | ((rel == _GE) & (rhs == 0))
+    A[flip] = -A[flip]
+    rhs[flip] = -rhs[flip]
+    rel = np.where(flip & (rel != _EQ), _LE + _GE - rel, rel)
+
+    T = np.zeros((B, R + 1, C + 1))
+    T[at_lp, at_row, :M] = A
+    T[at_lp, at_row, C] = rhs
+    s = rel != _EQ
+    T[at_lp[s], at_row[s], M + at_row[s]] = np.where(rel[s] == _LE, 1.0, -1.0)
+    a = rel != _LE
+    T[at_lp[a], at_row[a], M + R + at_row[a]] = 1.0
+    T[at_lp[a], R, M + R + at_row[a]] = 1.0  # minimize the artificials
+    basis = np.full((B, R), C, dtype=np.int64)
+    basis[at_lp, at_row] = np.where(a, M + R + at_row, M + at_row)
+    # Price out the basic artificials, row by row as set_cost does.
+    for r in range(R):
+        cb = (basis[:, r] >= M + R) & (basis[:, r] < C)
+        if cb.any():
+            T[:, R] -= cb[:, None] * T[:, r]
+    return T, basis, M, R
+
+
+def _feasible_batch(lps):
+    """Float outcomes of the feasibility LPs ``lps``: :func:`_simplex`'s
+    phase 1, drive-out and read-out, run for every LP at once on the
+    tableaux of :func:`_batch_tableau`. Phase 2 has nothing to do, since a
+    zero objective prices out to a zero cost row. Each LP takes its own
+    Bland entering column and leaving row, and pivots are elementwise, so
+    each double is the one :class:`_FloatTableau` computes, but for the
+    sign of a zero.
+    """
+    T, basis, M, R = _batch_tableau(lps)
+    B, C = len(lps), M + 2 * R
+    buf = np.empty_like(T)
+    pos = np.arange(B)  # pos[i]: the index in lps of the tableau T[i]
+    n = B  # T[:n] are the LPs still pivoting in phase 1
+    while n:
+        neg = T[:n, R, :C] < -PIVOT_TOL
+        go = neg.any(axis=1)
+        enter = neg.argmax(axis=1)
+        if not go.all():
+            # Swap the LPs at their phase-1 optimum past the active prefix.
+            k = int(go.sum())
+            holes = np.flatnonzero(~go[:k])
+            movers = k + np.flatnonzero(go[k:])
+            for arr in (T, basis, pos, enter):
+                arr[holes], arr[movers] = arr[movers], arr[holes]
+            n, enter = k, enter[:k]
+            if not n:
+                break
+        V, bas, ar = T[:n], basis[:n], np.arange(n)
+        col = V[ar, :R, enter]
+        ok = col > PIVOT_TOL
+        if not ok.any(axis=1).all():
+            raise SolverFailure("phase 1 reported unbounded")
+        ratio = np.divide(V[:, :R, C], col, out=np.full((n, R), np.inf),
+                          where=ok)
+        tie = ratio == ratio.min(axis=1, keepdims=True)
+        leave = np.where(tie, bas, C + 1).argmin(axis=1)  # Bland: least key
+        _pivot_many(V, bas, leave, enter, buf[:n])
+
+    found = np.abs(T[:, R, C]) <= FEASIBILITY_TOL
+    # Drive the artificials still basic out of the basis, row by row; a row
+    # with no other nonzero entry is redundant and read no further.
+    art = (basis >= M + R) & (basis < C) & found[:, None]
+    for r in np.flatnonzero(art.any(axis=0)):
+        idx = np.flatnonzero(art[:, r])
+        big = np.abs(T[idx, r, :M + R]) > PIVOT_TOL
+        has = big.any(axis=1)
+        idx, enter = idx[has], big[has].argmax(axis=1)
+        if idx.size:
+            sub, bas = T[idx], basis[idx]
+            _pivot_many(sub, bas, np.full(idx.size, r), enter,
+                        buf[:idx.size])
+            T[idx], basis[idx] = sub, bas
+
+    x = np.zeros((B, M))
+    lp_at, row_at = np.nonzero(basis < M)
+    x[lp_at, basis[lp_at, row_at]] = T[lp_at, row_at, C]
+    x[(x > -PIVOT_TOL) & (x < PIVOT_TOL)] = 0.0
+    outcomes = [None] * B
+    for i, b in enumerate(pos.tolist()):
+        outcomes[b] = (LpOutcome("optimal", tuple(x[i, :lps[b].num_vars].tolist()),
+                                 None) if found[i]
+                       else LpOutcome("infeasible", None, None))
+    return outcomes
+
+
+def _pivot_many(V, basis, rows, cols, buf):
+    """Pivot each tableau ``V[b]`` on entry ``(rows[b], cols[b])``, as
+    :meth:`_FloatTableau.pivot` does, the cost row included; ``buf`` is
+    scratch of V's shape."""
+    ar = np.arange(len(V))
+    prow = V[ar, rows] / V[ar, rows, cols][:, None]
+    prow[ar, cols] = 1.0
+    f = V[ar, :, cols]
+    f[ar, rows] = 0.0
+    np.multiply(f[:, :, None], prow[:, None, :], out=buf)
+    V -= buf
+    V[ar, :, cols] = 0.0
+    V[ar, rows] = prow
+    basis[ar, rows] = cols
 
 
 # ---------------------------------------------------------------------------

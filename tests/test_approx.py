@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qptas_reference
 from rsekit import approx, lab, lp
 from rsekit.approx import (KUniformStrategy, build_k, gap_approx, make_region,
                            qptas_solve, utility_verification)
@@ -205,15 +206,28 @@ def test_qptas_deterministic():
     ("table3", lab.catalog("table3").game),
 ])
 def test_lp_count_is_the_number_of_lps_solved(monkeypatch, name, game):
+    # LPs are solved one at a time by lp.solve, or a batch at a time by
+    # lp.feasible_many, whose exact mode calls lp.solve per LP.
     solved = 0
-    real_solve = lp.solve
+    in_batch = False
+    real_solve, real_many = lp.solve, lp.feasible_many
 
     def counting_solve(*args, **kwargs):
         nonlocal solved
-        solved += 1
+        solved += not in_batch
         return real_solve(*args, **kwargs)
 
+    def counting_many(lps, **kwargs):
+        nonlocal solved, in_batch
+        solved += len(lps)
+        in_batch = True
+        try:
+            return real_many(lps, **kwargs)
+        finally:
+            in_batch = False
+
     monkeypatch.setattr(lp, "solve", counting_solve)
+    monkeypatch.setattr(lp, "feasible_many", counting_many)
     delta = Fraction(1, 20)
     for exact in (False, True):
         for run in (lambda: solve_exact(game, delta, exact=exact),
@@ -269,3 +283,27 @@ def test_qptas_evaluates_each_candidate_once(monkeypatch, exact):
     # Each anchor scores its witness and itself; the winner is not rescored.
     assert len(calls) == 2 * sol.guarantee["anchors"]
     assert any(x is sol.strategy for x in calls)
+
+
+@pytest.mark.parametrize("make, epsilon, exact", [
+    # the two qptas games of the CLI benchmark, more anchors than a window
+    (lambda: lab.gen_random(3, 6, 0), 0.2, False),
+    (lambda: lab.gen_random(4, 4, 0), 0.2, False),
+    (lambda: lab.gen_random(1, 5, 2), 0.2, False),  # m = 1: one anchor
+    (lambda: lab.gen_random(4, 1, 3), 0.2, False),  # n = 1: one level
+    (lambda: lab.gen_random(3, 4, 1, rational_grid=8), Fraction(1, 4), True),
+    (lambda: lab.gen_random(2, 5, 4, rational_grid=8), Fraction(1, 3), True),
+], ids=["3x6", "4x4", "m=1", "n=1", "3x4 grid-8 exact", "2x5 grid-8 exact"])
+def test_qptas_matches_the_one_anchor_at_a_time_loop(make, epsilon, exact):
+    game = make()
+    delta = scalar(Fraction(1, 10), exact)
+    got, want = (solve(game, delta, epsilon, exact=exact)
+                 for solve in (qptas_solve, qptas_reference.qptas_solve))
+
+    def key(sol):
+        return (repr(sol.strategy.probs.tolist()), repr(sol.strategy.exact),
+                repr(sol.value), sol.outcome.response_set,
+                sol.guarantee["anchor_counts"],
+                repr(sol.guarantee["verified_mu"]), sol.lp_count)
+
+    assert key(got) == key(want)

@@ -270,3 +270,96 @@ def test_zero_skipping_pivots_match_dense_pivots(monkeypatch, exact):
         statuses[got.status] = statuses.get(got.status, 0) + 1
     assert set(statuses) == {"optimal", "infeasible", "unbounded"}
     assert min(statuses.values()) >= 20, statuses
+
+
+def _grid_feasibility_lp(rng):
+    """A random float feasibility LP on a coarse grid: rich in ratio ties,
+    zero right-hand sides, redundant rows and infeasible systems."""
+    q = int(rng.choice([1, 2, 4]))
+
+    def entry():
+        return 0.0 if rng.random() < 0.4 else \
+            float(rng.integers(-2 * q, 2 * q + 1)) / q
+
+    nv = int(rng.integers(1, 6))
+    cons = [Constraint(tuple(entry() for _ in range(nv)),
+                       str(rng.choice(["<=", ">=", "=="])), entry())
+            for _ in range(int(rng.integers(0, 9)))]
+    return lp.feasibility(nv, cons, simplex=bool(rng.random() < 0.7))
+
+
+def test_feasible_many_matches_feasible(monkeypatch):
+    rng = np.random.default_rng(23)
+    lps = [_grid_feasibility_lp(rng) for _ in range(600)]
+    # the simplex row twice: phase 1 leaves an artificial basic at zero in a
+    # row with no other nonzero entry, and the drive-out drops that row
+    lps.append(lp.feasibility(2, [Constraint((1.0, 1.0), "==", 1.0)],
+                              simplex=True))
+    want = [repr(lp.feasible(p)) for p in lps]
+
+    # What the batch holds, read off the one-LP simplex.
+    census = dict.fromkeys(("zero >=", "negative rhs", "drive-out pivot",
+                            "dropped row", "infeasible", "m = 1"), 0)
+
+    class CensusTableau(lp._FloatTableau):
+        def pivot(self, r, c):
+            census["drive-out pivot"] += self.cost is None
+            super().pivot(r, c)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(lp, "_FloatTableau", CensusTableau)
+        for p in lps:
+            rows, objective = lp._canonical(p, float)
+            status, _, tight = lp._simplex(p.num_vars, rows, objective, False)
+            census["zero >="] += sum(rel == ">=" and b == 0 for _, rel, b in rows)
+            census["negative rhs"] += sum(b < 0 for _, _, b in rows)
+            census["dropped row"] += status == "optimal" and any(
+                rel == "==" and r not in tight
+                for r, (_, rel, _) in enumerate(rows))
+            census["infeasible"] += status == "infeasible"
+            census["m = 1"] += p.num_vars == 1
+    assert min(census.values()) >= 5, census
+
+    chunks = []
+    real_batch = lp._feasible_batch
+
+    def spy(chunk):
+        # The pad layout: row r's slack and artificial columns are its own,
+        # and a pad row is a zero row keyed past every column.
+        T, basis, M, R = lp._batch_tableau(chunk)
+        C = M + 2 * R
+        for b, p in enumerate(chunk):
+            own = len(p.constraints) + p.simplex_constraint
+            assert not T[b, own:R].any() and (basis[b, own:] == C).all()
+            for r in range(own):
+                extra = set(np.flatnonzero(T[b, r, M:C]) + M)
+                assert extra <= {M + r, M + R + r}
+                assert basis[b, r] in extra
+        chunks.append(T.size)
+        return real_batch(chunk)
+
+    monkeypatch.setattr(lp, "_feasible_batch", spy)
+    ones = [i for i, p in enumerate(lps) if p.num_vars == 1]
+    for picks in (range(len(lps)), [len(lps) - 1], [], ones):
+        first = lp.solve_count()
+        got = lp.feasible_many([lps[i] for i in picks])
+        assert lp.solve_count() - first == len(picks)
+        assert [repr(o) for o in got] == [want[i] for i in picks]
+    # The whole batch is more than one kernel call holds.
+    assert len(chunks) > 3 and max(chunks) <= lp.BATCH_DOUBLES, chunks
+
+
+def test_feasible_many_exact_mode_is_feasible():
+    rng = np.random.default_rng(5)
+    lps = [lp.feasibility(p.num_vars, [
+        Constraint(tuple(Fraction(v) for v in c.coeffs), c.relation,
+                   Fraction(c.rhs)) for c in p.constraints],
+        simplex=p.simplex_constraint)
+        for p in (_grid_feasibility_lp(rng) for _ in range(40))]
+    first = lp.solve_count()
+    got = lp.feasible_many(lps, exact=True)
+    assert lp.solve_count() - first == len(lps)
+    assert [repr(o) for o in got] == \
+        [repr(lp.feasible(p, exact=True)) for p in lps]
+    with pytest.raises(MalformedLpError, match="feasibility LPs"):
+        lp.feasible_many([lps[0], lp.maximize([1], [])])
