@@ -163,15 +163,17 @@ def utility_verification(
     scan = _scan(game.m, _region_constraints(col_l, region, exact), opt,
                  exclude, region.anchor_payoffs, mu, exact)
     x = next(_lockstep([scan], exact))
-    return x is not None, x
+    if x is None:
+        return False, None
+    return True, strategy_from(x, exact)
 
 
 def _scan(m, cell, opt, exclude, anchor_payoffs, mu, exact):
     """The scan of :func:`utility_verification` on prebuilt rows, as a
     generator: it yields each LP, is sent its outcome, and returns the
-    witness, or ``None``. ``cell`` is the region's rows; ``opt[j]`` and
-    ``exclude[j][q]``, from :func:`exact._row_cache`, are j's best-response
-    rows and its delta-margin row against q."""
+    witness's LP point, or ``None``. ``cell`` is the region's rows;
+    ``opt[j]`` and ``exclude[j][q]``, from :func:`exact._row_cache`, are
+    j's best-response rows and its delta-margin row against q."""
     floor = scalar(mu, exact) - tolerance(exact)
     below = [t < floor for t in anchor_payoffs]
     Q = [j for j, b in enumerate(below) if b]
@@ -181,7 +183,7 @@ def _scan(m, cell, opt, exclude, anchor_payoffs, mu, exact):
         cons = cell + opt[j] + tuple(exclude[j][q] for q in Q)
         out = yield lp.feasibility(m, cons, simplex=True)
         if out.status == "optimal":
-            return strategy_from(out.solution, exact)
+            return out.solution
     return None
 
 
@@ -189,7 +191,8 @@ def _anchor_search(game, col_l, opt, exclude, anchor, epsilon, exact):
     """qptas's search of one anchor, an LP-yielding generator like
     :func:`_scan`. It binary-searches the largest verifiable level mu over
     the anchor's payoff values and returns ``(anchor, witness, mu)``, the
-    witness ``None`` when even the smallest level fails."""
+    witness an LP point as :func:`_scan` returns it, or ``None`` when even
+    the smallest level fails."""
     region = make_region(game, anchor, epsilon, exact=exact)
     cell = _region_constraints(col_l, region, exact)
     payoffs = region.anchor_payoffs
@@ -300,7 +303,8 @@ def qptas_solve(game: BimatrixGame, delta, epsilon, *,
              for anchor in anchors), exact):
         if witness is None:
             continue
-        for x in (witness, anchor.to_strategy(exact=exact)):
+        for x in (strategy_from(witness, exact),
+                  anchor.to_strategy(exact=exact)):
             rep = evaluate(game, x, delta, exact=exact)
             if best is None or rep.leader_value > best[0].leader_value:
                 best = (rep, anchor, mu)

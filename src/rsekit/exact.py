@@ -6,8 +6,10 @@ the leader's value while forcing S to be exactly the delta-optimal set. The
 strict membership constraints are relaxed to weak ones before solving;
 :func:`~rsekit.game.evaluate` then scores the winning strategy. Its
 delta-optimal set lies inside S, as the exclusion rows keep every action
-outside S at least delta below j_tilde. Float mode refuses a delta at or
-below ``1000 * tolerance``, where the LP's own slack breaks that argument.
+outside S at least delta below j_tilde.
+
+The search is rational in both modes: float mode solves the game's
+:func:`~rsekit.game.rational_reading` and scores the float of its optimum.
 
 Enumeration visits tuples ordered by (|S|, sorted S, j_tilde, j) and keeps
 the first maximizer, which doubles as the deterministic tie-break. Every
@@ -19,16 +21,12 @@ without changing that order or the answer:
   simplex on its own; a set S is tested against them with two integer ANDs;
 * the bound cut: a tuple is skipped once the best value so far reaches
   the smallest column maximum of the leader over S;
-* certificate cuts (exact mode): for |S| > 1 one feasibility gate per
-  (S, j_tilde) precedes the |S| objective LPs. When a gate is proven
-  infeasible by a Farkas certificate, the rows that certificate uses name
-  the members it needs in S and the actions it needs outside S; every
-  later gate for the same j_tilde with such an S holds those rows and is
-  skipped without an LP. Float mode carries no certificate, so it cuts
-  nothing here.
-
-Pass ``exhaustive=True`` to disable all three and solve every tuple, for
-verification.
+* certificate cuts: for |S| > 1 one feasibility gate per (S, j_tilde)
+  precedes the |S| objective LPs. When a gate is proven infeasible by a
+  Farkas certificate, the rows that certificate uses name the members it
+  needs in S and the actions it needs outside S; every later gate for the
+  same j_tilde with such an S holds those rows and is skipped without an
+  LP.
 """
 
 from __future__ import annotations
@@ -43,7 +41,8 @@ from .baseline import (inducibility_gap, response_rows, solve_maximin,
                        solve_sse)
 from .errors import EnumerationCapExceeded, SolverFailure
 from .game import (BimatrixGame, GameValueReport, MixedStrategy, ResponseSet,
-                   evaluate, scalar, strategy_from, tolerance)
+                   decimal_fraction, evaluate, rational_reading, strategy_from,
+                   tolerance)
 
 ENUMERATION_CAP = 16
 
@@ -105,31 +104,29 @@ class RseCurve:
 
 
 def solve_exact(game: BimatrixGame, delta, *, exact: bool = False,
-                cap: int = ENUMERATION_CAP,
-                exhaustive: bool = False) -> RseSolution:
+                cap: int = ENUMERATION_CAP) -> RseSolution:
     """Compute the exact delta-robust equilibrium.
 
-    ``delta`` must exceed ``1000 * tolerance(exact)``: 0 in exact mode,
-    1e-6 in float. Expected exponential in the follower's action count;
-    guarded by ``cap``.
+    ``delta`` must exceed ``tolerance(exact)``: 0 in exact mode, ``ETA`` in
+    float, where the float response rule counts every action within
+    ``ETA`` of the best as a response. ``exact`` picks the type of the
+    answer; the search is rational either way. Expected exponential in the
+    follower's action count; guarded by ``cap``.
     """
-    floor = 1000 * tolerance(exact)
-    if not delta > floor:
+    if not delta > tolerance(exact):
         raise ValueError(
-            f"delta must be > {floor:g} in this mode, got {delta} "
+            f"delta must be > {tolerance(exact):g} in this mode, got {delta} "
             "(--mode exact takes any delta > 0)")
     if game.n > cap:
         raise EnumerationCapExceeded(
             f"n = {game.n} exceeds the enumeration cap {cap}")
     first = lp.solve_count()
-    col_l, col_f = game.columns(exact)
-    d = scalar(delta, exact)
+    rational = game if exact else rational_reading(game)
+    col_l, col_f = rational.columns(True)
+    d = Fraction(delta) if exact else decimal_fraction(delta)
     m, n = game.m, game.n
     opt, member, exclude, leader = _row_cache(col_l, col_f, d)
-    if exhaustive:
-        no_member = must_member = [0] * n
-    else:
-        no_member, must_member = _static_filters(member, d, tolerance(exact))
+    no_member, must_member = _static_filters(member, d)
     nogoods = [[] for _ in range(n)]  # per j_tilde: (in_mask, out_mask)
     col_max_l = [max(c) for c in col_l]
     # The bound of S is the column maximum of its first action in this order.
@@ -145,35 +142,34 @@ def solve_exact(game: BimatrixGame, delta, *, exact: bool = False,
             for jt in S:
                 if mask & no_member[jt] or must_member[jt] & ~mask:
                     continue
-                if not exhaustive:
-                    if ub is None:
-                        ub = col_max_l[next(k for k in by_max if mask >> k & 1)]
-                    if best is not None and ub <= best[0]:
-                        break
-                    # Sound: such a gate holds every row of a proven
-                    # certificate, so it is infeasible too.
-                    if any(mask & need == need and not mask & avoid
-                           for need, avoid in nogoods[jt]):
-                        continue
+                if ub is None:
+                    ub = col_max_l[next(k for k in by_max if mask >> k & 1)]
+                if best is not None and ub <= best[0]:
+                    break
+                # Sound: such a gate holds every row of a proven
+                # certificate, so it is infeasible too.
+                if any(mask & need == need and not mask & avoid
+                       for need, avoid in nogoods[jt]):
+                    continue
                 inside = [k for k in S if k != jt]
                 outside = [k for k in range(n) if not mask >> k & 1]
                 region = (opt[jt] + tuple(member[jt][k] for k in inside)
                           + tuple(exclude[jt][k] for k in outside))
-                if not exhaustive and size > 1:
+                if size > 1:
                     # One feasibility probe spares |S| doomed solves.
                     gate = lp.feasible(lp.feasibility(
-                        m, region, simplex=True), exact=exact)
+                        m, region, simplex=True), exact=True)
                     if gate.status != "optimal":
                         if gate.support is not None:
                             nogoods[jt].append(_nogood(
                                 gate.support, len(opt[jt]), inside, outside))
                         continue
                 for j in S:
-                    if not exhaustive and best is not None and ub <= best[0]:
+                    if best is not None and ub <= best[0]:
                         break
                     cons = region + tuple(leader[j][k] for k in S if k != j)
                     out = lp.solve(lp.maximize(col_l[j], cons, simplex=True),
-                                   exact=exact)
+                                   exact=True)
                     if out.status != "optimal":
                         continue
                     if best is None or out.objective_value > best[0]:
@@ -185,7 +181,7 @@ def solve_exact(game: BimatrixGame, delta, *, exact: bool = False,
                             "for delta > 0")
 
     _, tup, xs = best
-    outcome = evaluate(game, strategy_from(xs, exact), d, exact=exact)
+    outcome = evaluate(game, strategy_from(xs, exact), delta, exact=exact)
     return RseSolution(outcome, tup, lp.solve_count() - first, "exact")
 
 
@@ -209,7 +205,7 @@ def _row_cache(col_l, col_f, d):
     return opt, member, exclude, leader
 
 
-def _static_filters(member, d, slack):
+def _static_filters(member, d):
     """Single-row necessary conditions as bitmasks over follower actions.
 
     Reads the membership rows of :func:`_row_cache`. For each j_tilde,
@@ -222,13 +218,13 @@ def _static_filters(member, d, slack):
     n = len(member)
     no_member, must_member = [0] * n, [0] * n
     for jt, rows in enumerate(member):
-        if not all(any(v >= -slack for v in row.coeffs) for row in rows):
+        if not all(any(v >= 0 for v in row.coeffs) for row in rows):
             no_member[jt] = (1 << n) - 1
             continue
         for k, row in enumerate(rows):
-            if not any(v <= d + slack for v in row.coeffs):
+            if not any(v <= d for v in row.coeffs):
                 no_member[jt] |= 1 << k
-            if not any(v >= d - slack for v in row.coeffs):
+            if not any(v >= d for v in row.coeffs):
                 must_member[jt] |= 1 << k
     return no_member, must_member
 

@@ -4,6 +4,8 @@ A :class:`BimatrixGame` always carries float64 utility matrices with entries
 in [0, 1]. Games built from rational data additionally carry exact
 ``Fraction`` matrices; operations accept ``exact=True`` to run entirely in
 rational arithmetic (the reference mode for boundary-sensitive questions).
+:func:`rational_reading` gives any game exact matrices; the region
+search solves that reading in float mode.
 
 The arithmetic mode is decided in one place. :meth:`BimatrixGame.columns`
 hands the solvers the matrix columns as Python floats or as ``Fraction``s
@@ -240,7 +242,14 @@ class GameValueReport:
     tie_breaking: str = PESSIMISTIC
 
 
-def _exact_payoffs(game: BimatrixGame, x: MixedStrategy, player: int) -> list:
+def _payoffs(game: BimatrixGame, x: MixedStrategy, player: int,
+             exact: bool) -> list:
+    if x.probs.size != game.m:
+        raise InvalidStrategyError(
+            f"strategy has {x.probs.size} entries, the game has {game.m} "
+            "leader actions")
+    if not exact:
+        return (x.probs @ (game.u_l, game.u_f)[player]).tolist()
     cols = game.columns(True)[player]
     if x.exact is None:
         raise InvalidStrategyError("exact mode requires an exact strategy")
@@ -250,17 +259,13 @@ def _exact_payoffs(game: BimatrixGame, x: MixedStrategy, player: int) -> list:
 def follower_payoffs(game: BimatrixGame, x: MixedStrategy, *,
                      exact: bool = False) -> list:
     """Follower utility of each pure response against ``x``."""
-    if exact:
-        return _exact_payoffs(game, x, 1)
-    return (x.probs @ game.u_f).tolist()
+    return _payoffs(game, x, 1, exact)
 
 
 def leader_payoffs(game: BimatrixGame, x: MixedStrategy, *,
                    exact: bool = False) -> list:
     """Leader utility of each follower pure response against ``x``."""
-    if exact:
-        return _exact_payoffs(game, x, 0)
-    return (x.probs @ game.u_l).tolist()
+    return _payoffs(game, x, 0, exact)
 
 
 def br_delta(game: BimatrixGame, x: MixedStrategy, delta, *,
@@ -365,9 +370,14 @@ def normalize(raw_leader, raw_follower, meta: dict | None = None) -> BimatrixGam
 _MAX_EXACT_DENOMINATOR = 10 ** 12
 
 
-def float_to_fraction(v: float) -> Fraction:
+def decimal_fraction(v) -> Fraction:
     """Decimal-faithful conversion: 0.1 becomes 1/10, not the IEEE ratio."""
-    f = Fraction(repr(float(v)))
+    return Fraction(repr(float(v)))
+
+
+def float_to_fraction(v: float) -> Fraction:
+    """:func:`decimal_fraction`, rejected off a rational grid."""
+    f = decimal_fraction(v)
     if f.denominator > _MAX_EXACT_DENOMINATOR:
         raise GameFormatError(
             f"entry {v!r} is not representable on a rational grid; "
@@ -375,13 +385,23 @@ def float_to_fraction(v: float) -> Fraction:
     return f
 
 
-def attach_exact(game: BimatrixGame) -> BimatrixGame:
-    """Return the game with exact matrices derived from its float entries."""
+def _with_exact(game: BimatrixGame, convert) -> BimatrixGame:
     if game.has_exact:
         return game
-    exl = tuple(tuple(float_to_fraction(v) for v in row) for row in game.u_l.tolist())
-    exf = tuple(tuple(float_to_fraction(v) for v in row) for row in game.u_f.tolist())
+    exl = tuple(tuple(convert(v) for v in row) for row in game.u_l.tolist())
+    exf = tuple(tuple(convert(v) for v in row) for row in game.u_f.tolist())
     return BimatrixGame(game.u_l, game.u_f, game.meta, exl, exf)
+
+
+def attach_exact(game: BimatrixGame) -> BimatrixGame:
+    """Return the game with exact matrices derived from its float entries."""
+    return _with_exact(game, float_to_fraction)
+
+
+def rational_reading(game: BimatrixGame) -> BimatrixGame:
+    """The game with exact matrices: its own, or else each float entry's
+    :func:`decimal_fraction`, with no grid limit."""
+    return _with_exact(game, decimal_fraction)
 
 
 def game_to_dict(game: BimatrixGame) -> dict[str, Any]:

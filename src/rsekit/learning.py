@@ -15,6 +15,7 @@ core used to check the guarantee under injected perturbations.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -155,6 +156,13 @@ def _solve_on_estimate(estimate: BimatrixGame, delta_prime, solver: str,
     raise GameFormatError(f"unknown solver {solver!r}")
 
 
+@functools.lru_cache(maxsize=1)
+def _robust_value(truth: BimatrixGame, delta, exact: bool):
+    """``solve_exact(truth, delta, exact=exact).value``; a learning run asks
+    it once per seed with the same arguments."""
+    return solve_exact(truth, delta, exact=exact).value
+
+
 def rse_from_estimate(truth: BimatrixGame, estimate: BimatrixGame, delta,
                       epsilon, *, solver: str = "exact", solver_epsilon=None,
                       exact: bool = False) -> LearnedOutcome:
@@ -170,8 +178,7 @@ def rse_from_estimate(truth: BimatrixGame, estimate: BimatrixGame, delta,
     delta_prime = delta + 2 * epsilon
     x = _solve_on_estimate(estimate, delta_prime, solver, solver_epsilon, exact)
     rep = evaluate(truth, x, delta, exact=exact)
-    floor = solve_exact(truth, delta + 4 * epsilon, exact=exact).value \
-        - 2 * epsilon
+    floor = _robust_value(truth, delta + 4 * epsilon, exact) - 2 * epsilon
     sup_l = float(np.abs(estimate.u_l - truth.u_l).max())
     sup_f = float(np.abs(estimate.u_f - truth.u_f).max())
     T = estimate.meta.get("samples_per_pair", 0)

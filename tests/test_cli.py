@@ -492,3 +492,43 @@ def test_single_column_games_print_strict_json(tmp_path, capsys, gen):
         sol = json.loads(out, parse_constant=strict)
         gap = sol["gap"] if argv[1] == "gap" else sol["guarantee"]["gap"]
         assert gap is None
+
+
+@pytest.mark.parametrize("gen", [("--random", "3,4,1"),
+                                 ("--random", "3,4,1", "--grid-denominator",
+                                  "4")])
+def test_float_mode_solves_just_above_eta(tmp_path, capsys, gen):
+    _, out, _ = run_cli(capsys, "gen", *gen)
+    game_path = tmp_path / "g.json"
+    game_path.write_text(out)
+    code, out, err = run_cli(capsys, "solve", "--method", "exact", "--delta",
+                             "1e-8", str(game_path))
+    assert code == 0 and err == ""
+    assert "exact" not in json.loads(out)["strategy"]
+    sol_path = tmp_path / "sol.json"
+    sol_path.write_text(out)
+    code, out, _ = run_cli(capsys, "verify", str(game_path), str(sol_path))
+    assert code == 0 and all(json.loads(out)[k] for k in
+                             ("value_ok", "response_ok", "response_set_ok"))
+
+
+@pytest.mark.parametrize("mode", ["float", "exact"])
+@pytest.mark.parametrize("coords", [["0", "1"], ["0", "1", "0", "0"]],
+                         ids=["short", "long"])
+def test_verify_rejects_a_strategy_of_the_wrong_length(tmp_path, capsys,
+                                                       mode, coords):
+    _, out, _ = run_cli(capsys, "gen", "--catalog", "table2")
+    game_path = tmp_path / "table2.json"
+    game_path.write_text(out)
+    _, out, _ = run_cli(capsys, "solve", "--method", "exact", "--delta",
+                        "1/4", "--mode", mode, str(game_path))
+    sol = json.loads(out)
+    sol["strategy"]["probs"] = [float(v) for v in coords]
+    if mode == "exact":
+        sol["strategy"]["exact"] = coords
+    sol_path = tmp_path / "sol.json"
+    sol_path.write_text(json.dumps(sol))
+    code, out, err = run_cli(capsys, "verify", str(game_path), str(sol_path))
+    assert code == 2 and out == ""
+    assert err.startswith("rsekit: ")
+    assert f"{len(coords)} entries" in err and "3 leader actions" in err

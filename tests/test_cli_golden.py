@@ -8,9 +8,14 @@ changes any byte of any output fails here.
 
 After an intended output change, re-record the fixture with
 ``PYTHONPATH=src python tests/test_cli_golden.py --record``.
+``PYTHONPATH=src python tests/test_cli_golden.py --diff`` records nothing:
+it prints, for each command whose output differs from the fixture, the
+changed JSON fields or CSV cells as ``old -> new``, then the largest float
+change.
 """
 
 import contextlib
+import csv
 import io
 import json
 import sys
@@ -114,10 +119,96 @@ def test_cli_output_matches_golden(tmp_path):
     assert not diff, f"{len(diff)} outputs changed, first: {diff[0]}"
 
 
-if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
+def _fields(text):
+    """``{field: value}`` of one output: the leaves of a JSON object, named
+    by their dotted path, or the cells of a CSV, named ``row N col``."""
+    try:
+        obj = json.loads(text)
+    except ValueError:
+        rows = list(csv.reader(io.StringIO(text)))
+        head = rows[0] if rows else []
+        return {f"row {r} {head[c] if c < len(head) else c}": cell
+                for r, row in enumerate(rows[1:], 1)
+                for c, cell in enumerate(row)}
+    out = {}
+
+    def walk(v, path):
+        if isinstance(v, dict):
+            for k, w in v.items():
+                walk(w, f"{path}.{k}" if path else k)
+        elif isinstance(v, list):
+            for i, w in enumerate(v):
+                walk(w, f"{path}[{i}]")
+        else:
+            out[path] = v
+    walk(obj, "")
+    return out
+
+
+def _float_change(a, b):
+    """``|b - a|`` when both are numbers and not both integers, else
+    ``None``; CSV cells are number strings."""
+    def integral(v):
+        return isinstance(v, int) or (isinstance(v, str)
+                                      and v.lstrip("-").isdigit())
+    if integral(a) and integral(b):
+        return None
+    try:
+        return abs(float(b) - float(a))
+    except (TypeError, ValueError):
+        return None
+
+
+def _diff(expected, got):
+    """Lines naming every changed command and field, and the largest
+    float change."""
+    lines, largest = [], (0.0, None)
+    for key in sorted(set(expected) | set(got)):
+        if key not in got or key not in expected:
+            lines.append(f"{'removed' if key not in got else 'added'}: {key}")
+            continue
+        (c0, out0, err0), (c1, out1, err1) = expected[key], got[key]
+        if [c0, out0, err0] == [c1, out1, err1]:
+            continue
+        lines.append(key)
+        if c0 != c1:
+            lines.append(f"  exit code: {c0} -> {c1}")
+        if err0 != err1:
+            lines.append(f"  stderr: {err0!r} -> {err1!r}")
+        old, new = _fields(out0), _fields(out1)
+        for field in sorted(set(old) | set(new)):
+            a, b = old.get(field), new.get(field)
+            if a == b:
+                continue
+            lines.append(f"  {field}: {a} -> {b}")
+            change = _float_change(a, b)
+            if change is not None and change > largest[0]:
+                largest = (change, f"{key}: {field}")
+    lines.append(f"largest float change: {largest[0]!r}"
+                 + (f" ({largest[1]})" if largest[1] else ""))
+    return lines
+
+
+def test_diff_names_each_changed_field():
+    old = {"j": [0, '{"n": 1, "v": [0.5]}\n', ""],
+           "c": [0, "delta,value\n0.1,0.25\n", ""]}
+    new = {"j": [0, '{"n": 2, "v": [0.5000000000000001]}\n', ""],
+           "c": [1, "delta,value\n0.1,0.125\n", "rsekit: x\n"]}
+    assert _diff(old, new) == [
+        "c", "  exit code: 0 -> 1", "  stderr: '' -> 'rsekit: x\\n'",
+        "  row 1 value: 0.25 -> 0.125",
+        "j", "  n: 1 -> 2", "  v[0]: 0.5 -> 0.5000000000000001",
+        "largest float change: 0.125 (c: row 1 value)"]
+
+
+if __name__ == "__main__" and sys.argv[1:] in (["--record"], ["--diff"]):
     import tempfile
     with tempfile.TemporaryDirectory() as d:
         recorded = _sweep(Path(d))
-    FIXTURE.parent.mkdir(exist_ok=True)
-    FIXTURE.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n")
-    print(f"recorded {len(recorded)} commands to {FIXTURE}")
+    if sys.argv[1] == "--diff":
+        print("\n".join(_diff(json.loads(FIXTURE.read_text()), recorded)))
+    else:
+        FIXTURE.parent.mkdir(exist_ok=True)
+        FIXTURE.write_text(json.dumps(recorded, indent=1, sort_keys=True)
+                           + "\n")
+        print(f"recorded {len(recorded)} commands to {FIXTURE}")

@@ -6,11 +6,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import region_sweep
 from rsekit import lab, lp
 from rsekit.baseline import inducibility_gap, solve_maximin, solve_sse
 from rsekit.errors import EnumerationCapExceeded, RejectionCapExceeded
 from rsekit.exact import rse_curve, solve_exact
-from rsekit.game import br_delta, evaluate, exact_strategy, leader_payoffs
+from rsekit.game import (br_delta, decimal_fraction, evaluate, exact_strategy,
+                         leader_payoffs, rational_reading)
 
 
 def test_variants_game_quarter_delta():
@@ -165,7 +167,7 @@ def test_exhaustive_matches_pruned():
     for seed in range(10):
         game = lab.gen_random(3, 3, seed, rational_grid=8)
         fast = solve_exact(game, Fraction(1, 4), exact=True)
-        full = solve_exact(game, Fraction(1, 4), exact=True, exhaustive=True)
+        full = region_sweep.sweep(game, Fraction(1, 4))
         assert fast.value == full.value
         assert fast.chosen_tuple == full.chosen_tuple
         assert fast.strategy.exact == full.strategy.exact
@@ -201,7 +203,7 @@ def test_certificate_cuts_change_nothing(name, monkeypatch):
     fast = solve_exact(game, delta, exact=True)
     refs = []
     if name in EXHAUSTIVE:
-        refs.append(solve_exact(game, delta, exact=True, exhaustive=True))
+        refs.append(region_sweep.sweep(game, delta))
     solve = lp.solve
 
     def uncertified(prog, *, exact=False):
@@ -240,16 +242,39 @@ def test_float_mode_agrees_with_exact():
         game = lab.gen_random(3, 3, seed, rational_grid=8)
         want = solve_exact(game, Fraction(1, 4), exact=True)
         got = solve_exact(game, 0.25)
-        assert got.value == pytest.approx(float(want.value), abs=1e-9)
+        assert got.value == pytest.approx(float(want.value), abs=1e-15)
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3, 3), (3, 5), (4, 4), (2, 7)])
+def test_float_mode_is_exact_mode_on_the_rational_reading(shape):
+    # Off-grid float games at deltas from just above ETA up to 1/2: the
+    # float answer is the exact answer of the game's rational reading.
+    m, n = shape
+    rng = np.random.default_rng(m * 10 + n)
+    for seed in range(3):
+        game = lab.gen_random(m, n, seed)
+        rational = rational_reading(game)
+        for delta in (1.5e-9, *np.exp(rng.uniform(np.log(1.5e-9),
+                                                  np.log(0.5), 2)), 0.5):
+            delta = float(delta)
+            got = solve_exact(game, delta)
+            want = solve_exact(rational, decimal_fraction(delta), exact=True)
+            assert got.chosen_tuple == want.chosen_tuple, (shape, seed, delta)
+            assert got.repaired_set == want.repaired_set, (shape, seed, delta)
+            assert abs(got.value - float(want.value)) <= 1e-15
+            assert got.strategy.exact is None
+            assert got.strategy.probs.tolist() == [
+                float(v) for v in want.strategy.exact]
 
 
 @pytest.mark.parametrize("args,delta", [((2, 3, 0), 1e-10),
                                         ((3, 4, 1, 4), 1e-9)])
 def test_float_mode_refuses_delta_at_lp_tolerance(args, delta):
-    # At these deltas the float LP's own slack let a returned answer
-    # disagree with evaluate (2x3) or carry a negative probability (3x4).
+    # At or below ETA the float response rule counts every action within
+    # ETA of the best as a response, so it cannot tell the delta-optimal
+    # set from the argmax set.
     m, n, seed, *grid = args
     game = lab.gen_random(m, n, seed, rational_grid=grid[0] if grid else None)
     with pytest.raises(ValueError, match="--mode exact"):
         solve_exact(game, delta)
-    solve_exact(game, 1.01e-6)  # just above the floor it solves
+    solve_exact(game, 1.01e-9)  # just above the floor it solves

@@ -162,6 +162,13 @@ def test_evaluate_single_leader_row():
     assert rep.leader_value == pytest.approx(0.1)
 
 
+def test_evaluate_rejects_a_strategy_of_the_wrong_length():
+    game = g.exact_game(VARIANTS_UL_EXACT, VARIANTS_UF_EXACT)
+    for coords in ([0, 1], [0, 1, 0, 0]):
+        with pytest.raises(InvalidStrategyError, match=f"{len(coords)} entries"):
+            g.evaluate(game, g.exact_strategy(coords), QUARTER, exact=True)
+
+
 def test_exact_mode_matches_float_on_rational_game():
     game = g.exact_game(VARIANTS_UL_EXACT, VARIANTS_UF_EXACT)
     x = g.exact_strategy([Fraction(1, 2), Fraction(1, 2), 0])
