@@ -47,7 +47,7 @@ from .game import (BimatrixGame, GameValueReport, MixedStrategy, ResponseSet,
 ENUMERATION_CAP = 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RegionTuple:
     """One enumerated region: response set S plus its two pinned actions."""
 
@@ -60,7 +60,7 @@ class RegionTuple:
             raise ValueError("j_tilde and j must belong to S")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RseSolution:
     """A robust-equilibrium strategy pair with its provenance.
 

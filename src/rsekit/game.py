@@ -139,7 +139,7 @@ def exact_game(u_l_rows: Sequence[Sequence], u_f_rows: Sequence[Sequence],
     return BimatrixGame(ul, uf, meta or {}, exl, exf)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MixedStrategy:
     """Point on the leader's simplex, optionally with exact coordinates."""
 
@@ -205,7 +205,7 @@ def pure_strategy(i: int, m: int, *, exact: bool = False) -> MixedStrategy:
     return strategy_from([1 if k == i else 0 for k in range(m)], exact)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResponseSet:
     """Nonempty subset of follower actions, stored sorted."""
 
@@ -230,7 +230,7 @@ class ResponseSet:
         return set(self.actions) <= set(other.actions)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GameValueReport:
     """A (strategy, response) outcome: the set the response was picked from,
     the leader's payoff, and the tie-breaking convention that picked it."""

@@ -35,6 +35,14 @@ deterministic and cycling-free:
   names the rows that certificate uses, ``LpOutcome.support``, so a caller
   can rule out any later LP that holds the same rows.
 
+  Each constraint builds its ``Fraction`` row and its float twin once, on
+  first use (:attr:`Constraint.exact_row`, :attr:`Constraint.float_row`),
+  so a row that a caller builds once and puts in many exact LPs is
+  converted once. The Farkas check skips a float dual whose sign clips it
+  to zero before rounding it: rounding to the nearest rational keeps the
+  sign or gives zero, so that dual would be clipped after rounding too,
+  and the support and the verdict are those of rounding every dual.
+
 ``feasible_many(lps)`` returns ``[feasible(p) for p in lps]``: the same
 statuses and the same points, to the last bit. In exact mode it is that
 list. In float mode it runs phase 1, the drive-out and the read-out of the
@@ -59,6 +67,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Sequence, Union
 
@@ -94,7 +103,12 @@ def solve_count() -> int:
 
 @dataclass(frozen=True)
 class Constraint:
-    """One linear constraint ``coeffs . x  <rel>  rhs``."""
+    """One linear constraint ``coeffs . x  <rel>  rhs``.
+
+    :attr:`exact_row` and :attr:`float_row` are the row in each arithmetic,
+    built on first use and kept, so a constraint that serves many exact LPs
+    is converted once. Both are tuples, and neither takes part in equality.
+    """
 
     coeffs: tuple
     relation: str
@@ -104,6 +118,24 @@ class Constraint:
         if self.relation not in RELATIONS:
             raise MalformedLpError(f"unknown relation {self.relation!r}")
         object.__setattr__(self, "coeffs", tuple(self.coeffs))
+
+    @cached_property
+    def exact_row(self) -> tuple:
+        """``(coeffs, relation, rhs)`` with ``Fraction`` numbers."""
+        return (tuple(_fraction(v) for v in self.coeffs), self.relation,
+                _fraction(self.rhs))
+
+    @cached_property
+    def float_row(self) -> tuple:
+        """``(coeffs, relation, rhs)`` with the float of each number; raises
+        ``OverflowError``, on every read, if one has no double."""
+        return (tuple(float(v) for v in self.coeffs), self.relation,
+                float(self.rhs))
+
+
+def _fraction(v) -> Fraction:
+    """``Fraction(v)``, or ``v`` itself if it is one already."""
+    return v if type(v) is Fraction else Fraction(v)
 
 
 @dataclass(frozen=True)
@@ -193,12 +225,16 @@ def solve(lp: LinearProgram, *, exact: bool = False) -> LpOutcome:
 def _canonical(lp: LinearProgram, conv):
     """``(rows, objective)`` in ``conv`` arithmetic, the objective in max form.
 
-    Rows are ``(coeffs, relation, rhs)``; the simplex row comes last.
+    Rows are ``(coeffs, relation, rhs)``; the simplex row comes last. The
+    ``Fraction`` rows are the constraints' own :attr:`Constraint.exact_row`.
     """
-    rows = [([conv(v) for v in con.coeffs], con.relation, conv(con.rhs))
-            for con in lp.constraints]
+    if conv is Fraction:
+        rows = [con.exact_row for con in lp.constraints]
+    else:
+        rows = [([conv(v) for v in con.coeffs], con.relation, conv(con.rhs))
+                for con in lp.constraints]
     if lp.simplex_constraint:
-        rows.append(([conv(1)] * lp.num_vars, "==", conv(1)))
+        rows.append(((conv(1),) * lp.num_vars, "==", conv(1)))
     if lp.sense == "feasibility":
         return rows, [conv(0)] * lp.num_vars
     sign = 1 if lp.sense == "max" else -1
@@ -400,11 +436,14 @@ def _pivot_many(V, basis, rows, cols, buf):
 # Exact mode: float simplex, rational certificate.
 # ---------------------------------------------------------------------------
 
-def _float_pass(num_vars: int, rows, objective):
-    """The float simplex on exact rows; see :func:`_simplex` for the result."""
-    return _simplex(num_vars, [([float(c) for c in coeffs], rel, float(rhs))
-                               for coeffs, rel, rhs in rows],
-                    [float(c) for c in objective], False)
+def _float_pass(lp: LinearProgram, objective):
+    """The float simplex on the float twins of ``lp``'s rows, maximizing
+    ``objective``; see :func:`_simplex` for the result. A row with no
+    double raises ``OverflowError`` here."""
+    rows = [con.float_row for con in lp.constraints]
+    if lp.simplex_constraint:
+        rows.append(((1.0,) * lp.num_vars, "==", 1.0))
+    return _simplex(lp.num_vars, rows, [float(c) for c in objective], False)
 
 
 def _certified(lp: LinearProgram, rows, objective):
@@ -414,7 +453,7 @@ def _certified(lp: LinearProgram, rows, objective):
     ``rows`` and ``objective`` are the ``Fraction`` data of :func:`solve`.
     """
     try:
-        status, _, evidence = _float_pass(lp.num_vars, rows, objective)
+        status, _, evidence = _float_pass(lp, objective)
     except (SolverFailure, OverflowError):
         # phase 1 broke down or a row has no double: the exact simplex decides
         return None, None, None
@@ -441,6 +480,10 @@ def _farkas(num_vars: int, rows, duals, simplex: bool):
     ``Fraction`` duals are used as they are. The support is the tuple of
     row indices whose clipped multiplier is nonzero, the simplex row left
     out; those rows alone carry the same proof.
+
+    A dual whose sign clips it to zero is skipped before it is rounded:
+    rounding keeps a dual's sign or makes it zero, so it would be clipped
+    after rounding too.
     """
     if simplex:
         rows, duals = rows[:-1], duals[:-1]
@@ -450,10 +493,12 @@ def _farkas(num_vars: int, rows, duals, simplex: bool):
     for r, ((coeffs, rel, rhs), y) in enumerate(zip(rows, duals)):
         if not abs(y) < float("inf"):  # NaN or infinite: no certificate
             return None
+        if y == 0 or (rel == "<=" and y > 0) or (rel == ">=" and y < 0):
+            continue
         if not isinstance(y, Fraction):
             y = Fraction(y).limit_denominator(DUAL_DENOMINATOR)
-        if (rel == "<=" and y > 0) or (rel == ">=" and y < 0) or y == 0:
-            continue
+            if y == 0:
+                continue
         support.append(r)
         bound += y * rhs
         for i, c in enumerate(coeffs):

@@ -217,20 +217,54 @@ NO_INSTANCES = [
                     frozenset({5, 6, 7}), frozenset({7, 8, 9}))),
 ]
 
+# The ladder's recorded answers: (value, S, j_tilde, j, lp_count) of each
+# instance above, yes-instances first. A change to a Farkas support changes
+# the nogood cuts, and with them the LP count, even when every value stays.
+LADDER_ANSWERS = [
+    (1, (0, 1), 0, 0, 2),
+    (1, (0, 1), 0, 0, 3),
+    (Fraction(1, 2), (0, 1, 2), 0, 0, 7),
+    (Fraction(1, 2), (0, 1, 2), 0, 0, 9),
+    (Fraction(1, 2), (0, 1, 2), 0, 0, 7),
+    (Fraction(1, 2), (0, 1, 2), 0, 0, 12),
+    (Fraction(1, 2), (0, 1, 2), 0, 0, 9),
+    (Fraction(1, 2), (0, 1, 2), 0, 0, 9),
+    (Fraction(1, 3), (0, 1, 2, 3), 0, 0, 30),
+    (Fraction(1, 3), (0, 1, 2, 3), 0, 0, 30),
+    (0, (0, 1, 2, 7, 8), 0, 7, 16),
+    (0, (0, 1, 2, 8), 0, 8, 13),
+    (0, (0, 1, 3, 9), 0, 9, 16),
+    (0, (0, 1, 2, 9), 0, 9, 39),
+    (Fraction(1, 4), (0, 1, 2, 3, 4), 0, 1, 60),
+    (0, (0, 1, 2, 4, 6), 0, 4, 16),
+    (0, (0, 1, 2, 5, 6), 0, 5, 16),
+    (0, (0, 1, 2, 3), 0, 3, 13),
+    (0, (0, 1, 2, 3, 12), 0, 12, 42),
+    (0, (0, 1, 2, 4, 10), 0, 10, 162),
+]
+
 
 def test_criterion_5_exact_cover_separation():
     t0 = time.monotonic()
     delta, eps = Fraction(1, 10), Fraction(1, 10)
+    solved = []
     for inst in YES_INSTANCES:
         assert lab.x3c_brute_check(inst), inst
         game = lab.gen_x3c_game(inst, delta, eps)
-        value = solve_exact(game, delta, exact=True).value
+        solved.append(solve_exact(game, delta, exact=True))
+        value = solved[-1].value
         assert value == Fraction(1, inst.k), (inst, value)
     for inst in NO_INSTANCES:
         assert not lab.x3c_brute_check(inst), inst
         game = lab.gen_x3c_game(inst, delta, eps)
-        value = solve_exact(game, delta, exact=True).value
+        solved.append(solve_exact(game, delta, exact=True))
+        value = solved[-1].value
         assert value <= (1 + eps) / (2 * inst.k), (inst, value)
+    for inst, sol, want in zip(YES_INSTANCES + NO_INSTANCES, solved,
+                               LADDER_ANSWERS, strict=True):
+        tup = sol.chosen_tuple
+        got = (sol.value, tup.S.actions, tup.j_tilde, tup.j, sol.lp_count)
+        assert got == want, inst
     elapsed = time.monotonic() - t0
     assert elapsed < 600, elapsed
     _report(5, f"10 yes + 10 no instances separated exactly, {elapsed:.1f}s")

@@ -1,6 +1,7 @@
 """Tests for the region-enumeration solver and the value curve."""
 
 import dataclasses
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -278,3 +279,19 @@ def test_float_mode_refuses_delta_at_lp_tolerance(args, delta):
     with pytest.raises(ValueError, match="--mode exact"):
         solve_exact(game, delta)
     solve_exact(game, 1.01e-9)  # just above the floor it solves
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_results_pickle_and_carry_no_dict(exact):
+    # ``--jobs`` workers send results back pickled; slotted result objects
+    # keep no per-instance dict.
+    game = lab.gen_random(3, 4, 2, rational_grid=8)
+    delta = Fraction(1, 4) if exact else 0.25
+    sol = solve_exact(game, delta, exact=exact)
+    report = solve_sse(game, exact=exact)
+    for obj in (sol, report):
+        back = pickle.loads(pickle.dumps(obj))
+        assert back == obj and type(back) is type(obj)
+    for obj in (sol, sol.outcome, sol.strategy, sol.outcome.response_set,
+                sol.chosen_tuple, report):
+        assert not hasattr(obj, "__dict__"), type(obj).__name__

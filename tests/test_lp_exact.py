@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import pytest
 
+import farkas_reference
 import fraction_simplex
 from rsekit import baseline, lab, lp
 from rsekit.lp import Constraint, LinearProgram, LpOutcome
@@ -448,7 +449,7 @@ def test_float_breakdown_falls_back(monkeypatch):
     assert assert_same(INFEASIBLE).support == (0, 1)
 
 
-def test_rows_beyond_the_double_range_go_to_the_fraction_simplex():
+def test_rows_beyond_the_double_range_go_to_the_fraction_simplex(fallbacks):
     # A row with no double cannot take the float pass; the exact answer is
     # the Fraction simplex's, for an optimum and for an infeasible LP.
     huge = Fraction(10) ** 400
@@ -458,3 +459,114 @@ def test_rows_beyond_the_double_range_go_to_the_fraction_simplex():
     assert got.status == "optimal" and got.solution == (1, 0)
     prog = lp.feasibility(2, [Constraint((1, 1), ">=", huge)], simplex=True)
     assert assert_same(prog).status == "infeasible"
+    # A second solve on the same constraint objects: the row with no double
+    # raises again, as no float twin was cached, and the exact simplex decides.
+    before = fallbacks[0]
+    assert assert_same(lp.maximize((1, 0), rows, simplex=False)) == got
+    assert assert_same(prog).status == "infeasible"
+    assert fallbacks[0] == before + 2
+
+
+# ---------------------------------------------------------------------------
+# Each constraint's exact and float rows, built once.
+# ---------------------------------------------------------------------------
+
+def test_cached_rows_are_the_entries_in_each_arithmetic():
+    con = Constraint((1, Fraction(-2, 3), 0.1, 0, Fraction(10) ** 30), ">=",
+                     Fraction(1, 7))
+    coeffs, rel, rhs = con.float_row
+    assert coeffs == tuple(float(v) for v in con.coeffs)
+    assert all(type(v) is float for v in coeffs)
+    assert (rel, rhs) == (">=", float(Fraction(1, 7)))
+    coeffs, rel, rhs = con.exact_row
+    assert coeffs == (1, Fraction(-2, 3), Fraction(0.1), 0, Fraction(10) ** 30)
+    assert all(type(v) is Fraction for v in coeffs + (rhs,))
+    assert (rel, rhs) == (">=", Fraction(1, 7))
+    assert con.exact_row is con.exact_row and con.float_row is con.float_row
+    assert type(con.exact_row[0]) is tuple and type(con.float_row[0]) is tuple
+
+
+def _fresh(prog):
+    """``prog`` rebuilt from new constraint objects, none of them used."""
+    cons = tuple(Constraint(c.coeffs, c.relation, c.rhs)
+                 for c in prog.constraints)
+    return LinearProgram(prog.num_vars, prog.objective, prog.sense, cons,
+                         prog.simplex_constraint)
+
+
+def test_a_used_constraint_equals_a_fresh_one():
+    rng = random.Random(7)
+    for _ in range(100):
+        prog = random_lp(rng, num_rows=(1, 7))
+        lp.solve(prog, exact=True)
+        lp.solve(prog)
+        for used, new in zip(prog.constraints, _fresh(prog).constraints):
+            assert used == new and hash(used) == hash(new)
+            assert repr(used) == repr(new)
+
+
+@pytest.mark.parametrize("first_exact", [False, True],
+                         ids=["float first", "exact first"])
+def test_one_constraint_serves_float_and_exact_lps(first_exact):
+    rng = random.Random(11)
+    statuses = set()
+    for _ in range(200):
+        prog = random_lp(rng)
+        for exact in (first_exact, not first_exact):
+            got = lp.solve(prog, exact=exact)
+            want = lp.solve(_fresh(prog), exact=exact)
+            assert repr(got) == repr(want), prog
+            assert got.support == want.support
+            statuses.add(got.status)
+    assert statuses == {"optimal", "infeasible", "unbounded"}
+
+
+# ---------------------------------------------------------------------------
+# _farkas against the routine that rounds every dual before it clips.
+# ---------------------------------------------------------------------------
+
+TINY = (1e-10, 4.99e-10, 1e-300, 5e-324)  # each below 1 / (2 * 10**9)
+
+
+def _tweak(rng, y):
+    """A dual near ``y`` or of a kind the float pass can produce."""
+    kind = rng.randrange(8)
+    if kind == 0:
+        return rng.choice([0.0, -0.0])
+    if kind == 1:
+        return rng.choice([-1, 1]) * rng.choice(TINY)
+    if kind == 2:  # a near-rational: pivot noise on a simple rational
+        return float(Fraction(rng.randint(-9, 9), rng.randint(1, 7))) + \
+            rng.choice([-1, 1]) * rng.choice([1e-15, 1e-12, 3e-10])
+    if kind == 3:
+        return -y
+    if kind == 4 and rng.random() < 0.2:
+        return rng.choice([float("nan"), float("inf"), float("-inf")])
+    return y
+
+
+def test_farkas_matches_the_rounding_reference():
+    rng = random.Random(5)
+    found = dict.fromkeys(("support", "none"), 0)
+    for _ in range(600):
+        prog = random_lp(rng, num_rows=(1, 7))
+        rows, objective = lp._canonical(prog, Fraction)
+        duals = []
+        status, _, evidence = lp._float_pass(prog, objective)
+        if status == "infeasible":
+            duals.append(evidence)
+        status, _, evidence = lp._simplex(prog.num_vars, rows, objective, True)
+        if status == "infeasible":
+            duals.append(evidence)
+        if not duals:
+            duals.append([rng.uniform(-2, 2) for _ in rows])
+        for y in list(duals):
+            duals.append([_tweak(rng, float(v)) for v in y])
+            duals.append([v if rng.random() < 0.7 else -v for v in y])
+        for y in duals:
+            want = farkas_reference.farkas(prog.num_vars, rows, y,
+                                           prog.simplex_constraint)
+            got = lp._farkas(prog.num_vars, rows, y, prog.simplex_constraint)
+            assert got == want, (prog, y)
+            found["none" if got is None else "support"] += 1
+    assert min(found.values()) >= 200, found
