@@ -31,7 +31,7 @@ from itertools import combinations
 from . import lp
 from .baseline import induce_strategy, inducibility_gap, solve_sse
 from .errors import EnumerationCapExceeded, GameFormatError, GapTooSmall
-from .exact import RseSolution, _row_cache
+from .exact import RseSolution, region_rows
 from .game import (BimatrixGame, MixedStrategy, evaluate, leader_payoffs,
                    scalar, strategy_from, tolerance)
 
@@ -159,7 +159,7 @@ def utility_verification(
     witness.
     """
     col_l, col_f = game.columns(exact)
-    opt, _, exclude, _ = _row_cache(col_l, col_f, scalar(delta, exact))
+    opt, _, exclude, _ = region_rows(col_l, col_f, scalar(delta, exact))
     scan = _scan(game.m, _region_constraints(col_l, region, exact), opt,
                  exclude, region.anchor_payoffs, mu, exact)
     x = next(_lockstep([scan], exact))
@@ -172,7 +172,7 @@ def _scan(m, cell, opt, exclude, anchor_payoffs, mu, exact):
     """The scan of :func:`utility_verification` on prebuilt rows, as a
     generator: it yields each LP, is sent its outcome, and returns the
     witness's LP point, or ``None``. ``cell`` is the region's rows;
-    ``opt[j]`` and ``exclude[j][q]``, from :func:`exact._row_cache`, are
+    ``opt[j]`` and ``exclude[j][q]``, from :func:`exact.region_rows`, are
     j's best-response rows and its delta-margin row against q."""
     floor = scalar(mu, exact) - tolerance(exact)
     below = [t < floor for t in anchor_payoffs]
@@ -295,7 +295,7 @@ def qptas_solve(game: BimatrixGame, delta, epsilon, *,
             f"{total} k-uniform anchors exceed the budget {ANCHOR_BUDGET} "
             f"(k={k}, m={game.m})")
     col_l, col_f = game.columns(exact)
-    opt, _, exclude, _ = _row_cache(col_l, col_f, scalar(delta, exact))
+    opt, _, exclude, _ = region_rows(col_l, col_f, scalar(delta, exact))
     best = None  # (report, anchor, mu)
     anchors = (KUniformStrategy(counts, k) for counts in compositions(k, game.m))
     for anchor, witness, mu in _lockstep(

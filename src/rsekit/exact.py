@@ -12,15 +12,20 @@ The search is rational in both modes: float mode solves the game's
 :func:`~rsekit.game.rational_reading` and scores the float of its optimum.
 
 Enumeration visits tuples ordered by (|S|, sorted S, j_tilde, j) and keeps
-the first maximizer, which doubles as the deterministic tie-break. Every
-row an LP can hold is built once per solve. Three cuts prune tuples
-without changing that order or the answer:
+the first maximizer, which doubles as the deterministic tie-break. Each
+row is built when the first LP that holds it is, and kept for the rest of
+the solve (:func:`region_rows`), so rows of tuples the cuts skip are never
+built. Three cuts prune tuples without changing that order or the answer:
 
 * static filters: per j_tilde, two bitmasks over follower actions mark the
   k whose membership row, or whose exclusion row, has no point in the
-  simplex on its own; a set S is tested against them with two integer ANDs;
+  simplex on its own; they are computed in integers, from the follower
+  columns and delta scaled once by their common denominator, and a set S
+  is tested against them with two integer ANDs;
 * the bound cut: a tuple is skipped once the best value so far reaches
-  the smallest column maximum of the leader over S;
+  the smallest column maximum of the leader over S, that is, once S meets
+  the bitmask of the actions whose column maximum is at most that value,
+  which is recomputed only when the best value changes;
 * certificate cuts: for |S| > 1 one feasibility gate per (S, j_tilde)
   precedes the |S| objective LPs. When a gate is proven infeasible by a
   Farkas certificate, the rows that certificate uses name the members it
@@ -33,12 +38,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from functools import partial
+from itertools import chain, combinations
 from typing import Sequence
 
 from . import lp
-from .baseline import (inducibility_gap, response_rows, solve_maximin,
-                       solve_sse)
+from .baseline import inducibility_gap, solve_maximin, solve_sse
 from .errors import EnumerationCapExceeded, SolverFailure
 from .game import (BimatrixGame, GameValueReport, MixedStrategy, ResponseSet,
                    decimal_fraction, evaluate, rational_reading, strategy_from,
@@ -125,27 +130,23 @@ def solve_exact(game: BimatrixGame, delta, *, exact: bool = False,
     col_l, col_f = rational.columns(True)
     d = Fraction(delta) if exact else decimal_fraction(delta)
     m, n = game.m, game.n
-    opt, member, exclude, leader = _row_cache(col_l, col_f, d)
-    no_member, must_member = _static_filters(member, d)
+    opt, member, exclude, leader = region_rows(col_l, col_f, d)
+    no_member, must_member = _static_filters(col_f, d)
     nogoods = [[] for _ in range(n)]  # per j_tilde: (in_mask, out_mask)
     col_max_l = [max(c) for c in col_l]
-    # The bound of S is the column maximum of its first action in this order.
-    by_max = sorted(range(n), key=col_max_l.__getitem__)
+    capped = 0  # the actions whose leader column maximum is <= best value
 
-    best = None  # (objective, RegionTuple, solution)
+    best = None  # (objective, S, j_tilde, j, solution)
     for size in range(1, n + 1):
         for S in combinations(range(n), size):
             mask = 0
             for k in S:
                 mask |= 1 << k
-            ub = None
             for jt in S:
+                if mask & capped:
+                    break
                 if mask & no_member[jt] or must_member[jt] & ~mask:
                     continue
-                if ub is None:
-                    ub = col_max_l[next(k for k in by_max if mask >> k & 1)]
-                if best is not None and ub <= best[0]:
-                    break
                 # Sound: such a gate holds every row of a proven
                 # certificate, so it is infeasible too.
                 if any(mask & need == need and not mask & avoid
@@ -165,7 +166,7 @@ def solve_exact(game: BimatrixGame, delta, *, exact: bool = False,
                                 gate.support, len(opt[jt]), inside, outside))
                         continue
                 for j in S:
-                    if best is not None and ub <= best[0]:
+                    if mask & capped:
                         break
                     cons = region + tuple(leader[j][k] for k in S if k != j)
                     out = lp.solve(lp.maximize(col_l[j], cons, simplex=True),
@@ -173,58 +174,92 @@ def solve_exact(game: BimatrixGame, delta, *, exact: bool = False,
                     if out.status != "optimal":
                         continue
                     if best is None or out.objective_value > best[0]:
-                        best = (out.objective_value,
-                                RegionTuple(ResponseSet(S), jt, j),
-                                out.solution)
+                        best = (out.objective_value, S, jt, j, out.solution)
+                        capped = sum(1 << k for k, v in enumerate(col_max_l)
+                                     if v <= best[0])
     if best is None:
         raise SolverFailure("no region tuple is feasible; this cannot happen "
                             "for delta > 0")
 
-    _, tup, xs = best
+    _, S, jt, j, xs = best
     outcome = evaluate(game, strategy_from(xs, exact), delta, exact=exact)
+    # S holds the outcome's response set, and is often that very set.
+    rset = outcome.response_set
+    tup = RegionTuple(rset if rset.actions == S else ResponseSet(S), jt, j)
     return RseSolution(outcome, tup, lp.solve_count() - first, "exact")
 
 
-def _row_cache(col_l, col_f, d):
-    """Every constraint a region LP can hold, built once per solve.
+class _Lazy(dict):
+    """A mapping that builds a missing entry as ``build(key)`` when it is
+    first read, and keeps it."""
+
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
+        return value
+
+
+def region_rows(col_l, col_f, d):
+    """The constraints a region LP can hold, each built on first read.
 
     Returns ``(opt, member, exclude, leader)``: ``opt[jt]`` is the tuple of
     j_tilde-optimality rows ``u_f(jt) - u_f(k) >= 0`` over k != jt;
     ``member[jt][k]`` and ``exclude[jt][k]`` bound ``u_f(jt) - u_f(k)`` by
     ``<= d`` and ``>= d``; ``leader[j][k]`` is ``u_l(j) - u_l(k) <= 0``.
-    Entries with k == jt (or k == j) are unused.
+    Each difference of two columns is computed once, and the first read of
+    a row builds the object every later read returns, so a search builds
+    only the rows its LPs hold, and converts each to ``Fraction`` once.
     """
     n = len(col_f)
-    opt = [tuple(response_rows(col_f, jt)) for jt in range(n)]
-    member = [response_rows(col_f, jt, d, range(n), "<=") for jt in range(n)]
-    exclude = [[lp.Constraint(row.coeffs, ">=", d) for row in rows]
-               for rows in member]
-    leader = [[lp.Constraint(
-        tuple(a - b for a, b in zip(col_l[j], col_l[k])), "<=", 0)
-        for k in range(n)] for j in range(n)]
-    return opt, member, exclude, leader
+    diff = [_Lazy(partial(_minus, col_f, jt)) for jt in range(n)]
+    opt = _Lazy(lambda jt: tuple(lp.Constraint(diff[jt][k], ">=", 0)
+                                 for k in range(n) if k != jt))
+    leader = [_Lazy(partial(_minus, col_l, j)) for j in range(n)]
+    return (opt, _rows(diff, "<=", d), _rows(diff, ">=", d),
+            _rows(leader, "<=", 0))
 
 
-def _static_filters(member, d):
+def _minus(cols, j, k):
+    return tuple(a - b for a, b in zip(cols[j], cols[k]))
+
+
+def _rows(diff, relation, rhs):
+    """Per j, the lazy rows ``diff[j][k] <relation> rhs`` keyed by k."""
+    return [_Lazy(lambda k, row=row: lp.Constraint(row[k], relation, rhs))
+            for row in diff]
+
+
+def _static_filters(col_f, d):
     """Single-row necessary conditions as bitmasks over follower actions.
 
-    Reads the membership rows of :func:`_row_cache`. For each j_tilde,
-    ``no_member[jt]`` marks the k whose membership row alone has no point
-    in the simplex and ``must_member[jt]`` the k whose exclusion row alone
-    has none; a j_tilde that can never be optimal gets every bit of
+    For each j_tilde, ``no_member[jt]`` marks the k whose membership row
+    ``u_f(jt) - u_f(k) <= d`` alone has no point in the simplex, and
+    ``must_member[jt]`` the k whose exclusion row (``>= d``) alone has
+    none; a j_tilde that can never be optimal gets every bit of
     ``no_member``. A set mask passes when it meets no bit of the first and
-    holds every bit of the second.
+    holds every bit of the second. A row has a point in the simplex when
+    one of its coefficients meets its relation, so each test reads the
+    least and greatest entry of ``u_f(jt) - u_f(k)``, in integers: the
+    columns and ``d`` are scaled once by their common denominator.
     """
-    n = len(member)
+    n = len(col_f)
+    ints, _ = lp._integral([*chain.from_iterable(col_f), d])
+    m, d = len(col_f[0]), ints.pop()
+    cols = [ints[k * m:(k + 1) * m] for k in range(n)]
     no_member, must_member = [0] * n, [0] * n
-    for jt, rows in enumerate(member):
-        if not all(any(v >= 0 for v in row.coeffs) for row in rows):
+    for jt, top in enumerate(cols):
+        spans = [(min(v), max(v)) for v in
+                 ([a - b for a, b in zip(top, col)] for col in cols)]
+        if any(hi < 0 for _, hi in spans):
             no_member[jt] = (1 << n) - 1
             continue
-        for k, row in enumerate(rows):
-            if not any(v <= d for v in row.coeffs):
+        for k, (lo, hi) in enumerate(spans):
+            if lo > d:
                 no_member[jt] |= 1 << k
-            if not any(v >= d for v in row.coeffs):
+            if hi < d:
                 must_member[jt] |= 1 << k
     return no_member, must_member
 

@@ -41,7 +41,11 @@ deterministic and cycling-free:
   converted once. The Farkas check skips a float dual whose sign clips it
   to zero before rounding it: rounding to the nearest rational keeps the
   sign or gives zero, so that dual would be clipped after rounding too,
-  and the support and the verdict are those of rounding every dual.
+  and the support and the verdict are those of rounding every dual. The
+  check sums y.A and y.b in Python ints, each row and dual scaled to one
+  positive common denominator as the integer tableau scales its rows; a
+  positive factor changes no comparison, so the verdict is that of the
+  sums in ``Fraction`` arithmetic.
 
 ``feasible_many(lps)`` returns ``[feasible(p) for p in lps]``: the same
 statuses and the same points, to the last bit. In exact mode it is that
@@ -483,12 +487,13 @@ def _farkas(num_vars: int, rows, duals, simplex: bool):
 
     A dual whose sign clips it to zero is skipped before it is rounded:
     rounding keeps a dual's sign or makes it zero, so it would be clipped
-    after rounding too.
+    after rounding too. The sums run in ints, as :class:`_IntTableau`
+    does: y.A and y.b times one positive common denominator, which
+    changes no comparison.
     """
     if simplex:
         rows, duals = rows[:-1], duals[:-1]
-    combo = [Fraction(0)] * num_vars
-    bound = Fraction(0)
+    terms = []  # (numerator of y, denominator of y * row, row as ints)
     support = []
     for r, ((coeffs, rel, rhs), y) in enumerate(zip(rows, duals)):
         if not abs(y) < float("inf"):  # NaN or infinite: no certificate
@@ -500,10 +505,16 @@ def _farkas(num_vars: int, rows, duals, simplex: bool):
             if y == 0:
                 continue
         support.append(r)
-        bound += y * rhs
-        for i, c in enumerate(coeffs):
+        ints, s = _integral((*coeffs, rhs))
+        terms.append((y.numerator, y.denominator * s, ints))
+    scale = lcm(*(t for _, t, _ in terms))
+    combo = [0] * (num_vars + 1)  # scale * (y.A, y.b)
+    for p, t, ints in terms:
+        k = p * (scale // t)
+        for i, c in enumerate(ints):
             if c:
-                combo[i] += y * c
+                combo[i] += k * c
+    bound = combo.pop()
     proven = (bound > max(combo) if simplex
               else bound > 0 and all(v <= 0 for v in combo))
     return tuple(support) if proven else None

@@ -14,14 +14,14 @@ from rsekit import lp
 from rsekit.approx import (ANCHOR_BUDGET, KUniformStrategy, _region_constraints,
                            build_k, compositions, make_region)
 from rsekit.errors import EnumerationCapExceeded, GameFormatError
-from rsekit.exact import RseSolution, _row_cache
+from rsekit.exact import RseSolution, region_rows
 from rsekit.game import (BimatrixGame, evaluate, scalar, strategy_from,
                          tolerance)
 
 
 def _verify(m, cell, opt, exclude, anchor_payoffs, mu, exact):
     """:func:`utility_verification` on prebuilt rows: the region's ``cell``
-    rows, and ``opt`` and ``exclude`` from :func:`exact._row_cache`, whose
+    rows, and ``opt`` and ``exclude`` from :func:`exact.region_rows`, whose
     ``opt[j]`` and ``exclude[j][q]`` are j's best-response rows and its
     delta-margin row against q."""
     floor = scalar(mu, exact) - tolerance(exact)
@@ -57,7 +57,7 @@ def qptas_solve(game: BimatrixGame, delta, epsilon, *,
             f"{total} k-uniform anchors exceed the budget {ANCHOR_BUDGET} "
             f"(k={k}, m={game.m})")
     col_l, col_f = game.columns(exact)
-    opt, _, exclude, _ = _row_cache(col_l, col_f, scalar(delta, exact))
+    opt, _, exclude, _ = region_rows(col_l, col_f, scalar(delta, exact))
     best = None  # (report, anchor, mu)
     for counts in compositions(k, game.m):
         anchor = KUniformStrategy(counts, k)

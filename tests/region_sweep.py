@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from rsekit import lp
-from rsekit.exact import RegionTuple, RseSolution, _row_cache
+from rsekit.exact import RegionTuple, RseSolution, region_rows
 from rsekit.game import ResponseSet, evaluate, exact_strategy
 
 
@@ -21,7 +21,7 @@ def sweep(game, delta) -> RseSolution:
     first = lp.solve_count()
     col_l, col_f = game.columns(True)
     d = Fraction(delta)
-    opt, member, exclude, leader = _row_cache(col_l, col_f, d)
+    opt, member, exclude, leader = region_rows(col_l, col_f, d)
     n = game.n
     best = None  # (objective, RegionTuple, solution)
     for size in range(1, n + 1):

@@ -1,19 +1,25 @@
 """Tests for the region-enumeration solver and the value curve."""
 
 import dataclasses
+import importlib.util
 import pickle
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import region_sweep
-from rsekit import lab, lp
-from rsekit.baseline import inducibility_gap, solve_maximin, solve_sse
+import static_filters_reference
+from rsekit import exact, lab, lp
+from rsekit.baseline import (inducibility_gap, response_rows, solve_maximin,
+                             solve_sse)
 from rsekit.errors import EnumerationCapExceeded, RejectionCapExceeded
 from rsekit.exact import rse_curve, solve_exact
-from rsekit.game import (br_delta, decimal_fraction, evaluate, exact_strategy,
-                         leader_payoffs, rational_reading)
+from rsekit.game import (BimatrixGame, br_delta, decimal_fraction, evaluate,
+                         exact_game, exact_strategy, leader_payoffs,
+                         rational_reading)
 
 
 def test_variants_game_quarter_delta():
@@ -219,6 +225,140 @@ def test_certificate_cuts_change_nothing(name, monkeypatch):
         assert fast.lp_count <= ref.lp_count
     if name in ("3x10-2", "x3c-yes", "x3c-no"):
         assert fast.lp_count < uncut.lp_count
+
+
+def test_bound_cut_at_its_edge():
+    # The optimum, 3/4, is the leader column maximum of actions 0 and 2, so
+    # once it is found every later set holding either is cut: the cut is
+    # "column maximum <= best". Cutting only below the best solves 82 LPs.
+    game = lab.gen_random(3, 4, 8, rational_grid=4)
+    delta = Fraction(1, 4)
+    fast = solve_exact(game, delta, exact=True)
+    ref = region_sweep.sweep(game, delta)
+    col_l, _ = game.columns(True)
+    assert fast.value == ref.value == Fraction(3, 4)
+    assert [k for k, col in enumerate(col_l) if max(col) == fast.value] == [0, 2]
+    assert fast.chosen_tuple == ref.chosen_tuple
+    assert fast.strategy.exact == ref.strategy.exact
+    assert fast.lp_count == 18
+
+
+def _search_inputs(game, delta, exact_mode):
+    """The follower columns and delta ``solve_exact`` searches with."""
+    rational = game if exact_mode else rational_reading(game)
+    d = Fraction(delta) if exact_mode else decimal_fraction(delta)
+    return rational.columns(True)[1], d
+
+
+def _follower_game(u_f):
+    """A game with follower matrix ``u_f`` (rows are leader actions, entries
+    anything ``Fraction`` reads) and a zero leader matrix."""
+    return exact_game([[0] * len(u_f[0])] * len(u_f), u_f)
+
+
+# Hand-built follower matrices for the filters, each with its delta.
+EDGE_GAMES = [
+    # u_f(0) - u_f(1) is (1/4, 1/2): its least entry is delta exactly.
+    ([["3/4", "1/2"], ["1", "1/2"]], "1/4"),
+    # u_f(0) - u_f(1) is (1/4, 0): its greatest entry is delta exactly,
+    # and u_f(1) - u_f(0) is (-1/4, 0), which peaks at 0 exactly.
+    ([["3/4", "1/2"], ["1/2", "1/2"]], "1/4"),
+    # Column 2 is below column 0 in every row: it is never optimal.
+    ([["1/2", "1", "1/4"], ["1/2", "0", "1/3"], ["1", "1/2", "0"]], "1/8"),
+    ([["1/3"]], "1/2"),  # m = 1, n = 1
+    ([["1/3", "2/3", "1", "0"]], "1/3"),  # m = 1
+    ([["1/7"], ["2/11"], ["12/13"]], "1/7"),  # n = 1
+    # Denominators 7, 11 and 13, and differences of exactly delta.
+    ([["1/7", "3/11", "5/13", "2/7"], ["6/7", "1/11", "1/13", "3/7"],
+      ["2/7", "10/11", "4/13", "5/7"]], "1/7"),
+    ([["5/11", "3/11", "1/13", "7/13"], ["1/7", "4/11", "12/13", "2/13"]],
+     "2/11"),
+]
+
+
+def _filter_games():
+    """``(game, delta)``: the edge games above, and random rational games up
+    to 4x12 on grids of 4, 7, 11, 13 and 77."""
+    for u_f, d in EDGE_GAMES:
+        yield _follower_game(u_f), Fraction(d)
+    for m in range(1, 5):
+        for n in range(1, 13):
+            for seed, grid in enumerate((4, 7, 11, 13, 77)):
+                d = Fraction(1 + (m + n + seed) % 3, grid)
+                yield lab.gen_random(m, n, seed, rational_grid=grid), d
+
+
+def test_static_filters_match_the_row_reference():
+    # Exact mode reads the rational matrices; float mode drops them and
+    # reads each double's shortest decimal, delta included.
+    seen = dict.fromkeys(("no_member", "must_member", "never optimal"), 0)
+    for game, d in _filter_games():
+        floats = BimatrixGame(game.u_l, game.u_f)
+        for g, delta, exact_mode in ((game, d, True), (floats, float(d), False)):
+            col_f, dd = _search_inputs(g, delta, exact_mode)
+            got = exact._static_filters(col_f, dd)
+            want = static_filters_reference.static_filters(
+                static_filters_reference.member_rows(col_f, dd), dd)
+            assert got == want, (game.exact_u_f, delta, exact_mode)
+            full = (1 << game.n) - 1
+            seen["never optimal"] += got[0].count(full) if game.n > 1 else 0
+            seen["no_member"] += sum(0 < v < full for v in got[0])
+            seen["must_member"] += sum(v & ~(1 << jt) != 0
+                                       for jt, v in enumerate(got[1]))
+    assert min(seen.values()) >= 20, seen
+
+
+def _seed0_x3c_pass():
+    """The solves of the x3c-exact benchmark workload at seed 0."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    mod = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = mod  # dataclasses resolve their module here
+    try:
+        spec.loader.exec_module(mod)
+    finally:
+        del sys.modules[spec.name]
+    work = mod.X3cExact()
+    return [(call.payload[0], mod.X3C_DELTA) for call in work.build(0)]
+
+
+def test_region_rows_are_built_only_for_the_lps_that_hold_them(monkeypatch):
+    built, held = [], []
+    region_rows, solve = exact.region_rows, lp.solve
+
+    def recording_rows(col_l, col_f, d):
+        rows = region_rows(col_l, col_f, d)
+        built.append((col_l, col_f, d, rows))
+        return rows
+
+    def recording_solve(prog, *, exact=False):
+        held.append(prog.constraints)
+        return solve(prog, exact=exact)
+
+    monkeypatch.setattr(exact, "region_rows", recording_rows)
+    monkeypatch.setattr(lp, "solve", recording_solve)
+    for game, delta in _seed0_x3c_pass():
+        solve_exact(game, delta, exact=True)
+    monkeypatch.undo()
+    in_lps = {id(con) for cons in held for con in cons}
+    count = eager = 0
+    for col_l, col_f, d, (opt, member, exclude, leader) in built:
+        n = len(col_f)
+        eager += n * (n - 1) + 3 * n * n
+        pairs = [(row, response_rows(col_f, jt)[i])
+                 for jt, rows in opt.items() for i, row in enumerate(rows)]
+        for kind, cols, margin, rel in ((member, col_f, d, "<="),
+                                        (exclude, col_f, d, ">="),
+                                        (leader, col_l, 0, "<=")):
+            pairs += [(row, response_rows(cols, j, margin, [k], rel)[0])
+                      for j, rows in enumerate(kind)
+                      for k, row in rows.items()]
+        for row, want in pairs:
+            assert id(row) in in_lps
+            assert row == want and row.exact_row == want.exact_row
+            assert type(row.rhs) is type(want.rhs)
+        count += len(pairs)
+    assert len(built) == 18 and 0 < count < eager / 2, (count, eager)
 
 
 def test_determinism():

@@ -570,3 +570,66 @@ def test_farkas_matches_the_rounding_reference():
             assert got == want, (prog, y)
             found["none" if got is None else "support"] += 1
     assert min(found.values()) >= 200, found
+    # Rows unlike any LP above: coprime denominators up to about 1e9, int
+    # and zero right-hand sides, all-zero rows; each set of duals is also
+    # tried with one right-hand side moved onto, and to either side of,
+    # the edge of the proof.
+    found = dict.fromkeys(("support", "none"), 0)
+    for _ in range(500):
+        num_vars, rows, y = _odd_certificate(rng)
+        for simplex in (True, False):
+            got = lp._farkas(num_vars, rows, y, simplex)
+            assert got == farkas_reference.farkas(num_vars, rows, y,
+                                                  simplex), (rows, y)
+            found["none" if got is None else "support"] += 1
+    assert min(found.values()) >= 200, found
+
+
+PRIMES = (7, 11, 13, 999_999_929, 999_999_937, 1_000_000_007)
+
+
+def _odd_value(rng):
+    kind = rng.randrange(4)
+    if kind == 0:
+        return 0
+    if kind == 1:
+        return rng.randint(-3, 3)
+    return Fraction(rng.randint(-10 ** 9, 10 ** 9), rng.choice(PRIMES))
+
+
+def _odd_certificate(rng):
+    """``(num_vars, rows, duals)``: rows of the kinds above, the last one
+    the simplex row, and duals of both signs, float or ``Fraction``, some
+    zero. One row's rhs is then set so that, with the duals ``_farkas``
+    keeps, ``y.b - max_i (y.A)_i`` is 0, 1e-9 (twice as often) or -1e-9."""
+    num_vars = rng.randint(1, 5)
+    rows = []
+    for _ in range(rng.randint(1, 6)):
+        if rng.random() < 0.2:
+            coeffs = (Fraction(0),) * num_vars
+        else:
+            coeffs = tuple(Fraction(_odd_value(rng)) for _ in range(num_vars))
+        rows.append((coeffs, rng.choice(["<=", ">=", "=="]), _odd_value(rng)))
+    duals = []
+    for _, rel, _ in rows:
+        y = Fraction(rng.randint(1, 10 ** 6), rng.choice(PRIMES))
+        y = -y if rel == "<=" or (rel == "==" and rng.random() < 0.5) else y
+        kind = rng.randrange(6)
+        duals.append(0 if kind == 0 else -y if kind == 1 else
+                     float(y) if kind == 2 else y)
+    kept = {}
+    for r, ((_, rel, _), y) in enumerate(zip(rows, duals)):
+        y = (Fraction(y).limit_denominator(lp.DUAL_DENOMINATOR)
+             if isinstance(y, float) else Fraction(y))
+        if y and not (rel == "<=" and y > 0) and not (rel == ">=" and y < 0):
+            kept[r] = y
+    if kept:
+        r = rng.choice(sorted(kept))
+        combo = [sum(y * rows[i][0][v] for i, y in kept.items())
+                 for v in range(num_vars)]
+        rest = sum(y * rows[i][2] for i, y in kept.items() if i != r)
+        gap = Fraction(rng.choice([0, 1, 1, -1]), 10 ** 9)
+        coeffs, rel, _ = rows[r]
+        rows[r] = (coeffs, rel, (max(combo) + gap - rest) / kept[r])
+    rows.append(((Fraction(1),) * num_vars, "==", Fraction(1)))
+    return num_vars, rows, duals + [rng.uniform(-1, 1)]
