@@ -162,16 +162,16 @@ def utility_verification(
     opt, _, exclude, _ = region_rows(col_l, col_f, scalar(delta, exact))
     scan = _scan(game.m, _region_constraints(col_l, region, exact), opt,
                  exclude, region.anchor_payoffs, mu, exact)
-    x = next(_lockstep([scan], exact))
-    if x is None:
+    witness = next(_lockstep([scan], exact))
+    if witness is None:
         return False, None
-    return True, strategy_from(x, exact)
+    return True, strategy_from(witness.solution, exact)
 
 
 def _scan(m, cell, opt, exclude, anchor_payoffs, mu, exact):
     """The scan of :func:`utility_verification` on prebuilt rows, as a
     generator: it yields each LP, is sent its outcome, and returns the
-    witness's LP point, or ``None``. ``cell`` is the region's rows;
+    witness's outcome, or ``None``. ``cell`` is the region's rows;
     ``opt[j]`` and ``exclude[j][q]``, from :func:`exact.region_rows`, are
     j's best-response rows and its delta-margin row against q."""
     floor = scalar(mu, exact) - tolerance(exact)
@@ -183,7 +183,7 @@ def _scan(m, cell, opt, exclude, anchor_payoffs, mu, exact):
         cons = cell + opt[j] + tuple(exclude[j][q] for q in Q)
         out = yield lp.feasibility(m, cons, simplex=True)
         if out.status == "optimal":
-            return out.solution
+            return out
     return None
 
 
@@ -191,8 +191,10 @@ def _anchor_search(game, col_l, opt, exclude, anchor, epsilon, exact):
     """qptas's search of one anchor, an LP-yielding generator like
     :func:`_scan`. It binary-searches the largest verifiable level mu over
     the anchor's payoff values and returns ``(anchor, witness, mu)``, the
-    witness an LP point as :func:`_scan` returns it, or ``None`` when even
-    the smallest level fails."""
+    witness an LP outcome as :func:`_scan` returns it, or ``None`` when even
+    the smallest level fails. Only the returned witness's point is read, so
+    an exact LP whose point is found on first read finds it once per
+    anchor."""
     region = make_region(game, anchor, epsilon, exact=exact)
     cell = _region_constraints(col_l, region, exact)
     payoffs = region.anchor_payoffs
@@ -203,11 +205,11 @@ def _anchor_search(game, col_l, opt, exclude, anchor, epsilon, exact):
     witness = None
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        x = yield from _scan(game.m, cell, opt, exclude, payoffs, levels[mid],
-                             exact)
-        if x is not None:
+        found = yield from _scan(game.m, cell, opt, exclude, payoffs,
+                                 levels[mid], exact)
+        if found is not None:
             lo = mid
-            witness = x
+            witness = found
         else:
             hi = mid - 1
     if witness is None:
@@ -303,7 +305,7 @@ def qptas_solve(game: BimatrixGame, delta, epsilon, *,
              for anchor in anchors), exact):
         if witness is None:
             continue
-        for x in (strategy_from(witness, exact),
+        for x in (strategy_from(witness.solution, exact),
                   anchor.to_strategy(exact=exact)):
             rep = evaluate(game, x, delta, exact=exact)
             if best is None or rep.leader_value > best[0].leader_value:

@@ -136,7 +136,7 @@ def solve_exact(game: BimatrixGame, delta, *, exact: bool = False,
     col_max_l = [max(c) for c in col_l]
     capped = 0  # the actions whose leader column maximum is <= best value
 
-    best = None  # (objective, S, j_tilde, j, solution)
+    best = None  # (objective, S, j_tilde, j, outcome)
     for size in range(1, n + 1):
         for S in combinations(range(n), size):
             mask = 0
@@ -174,15 +174,18 @@ def solve_exact(game: BimatrixGame, delta, *, exact: bool = False,
                     if out.status != "optimal":
                         continue
                     if best is None or out.objective_value > best[0]:
-                        best = (out.objective_value, S, jt, j, out.solution)
+                        best = (out.objective_value, S, jt, j, out)
                         capped = sum(1 << k for k, v in enumerate(col_max_l)
                                      if v <= best[0])
     if best is None:
         raise SolverFailure("no region tuple is feasible; this cannot happen "
                             "for delta > 0")
 
-    _, S, jt, j, xs = best
-    outcome = evaluate(game, strategy_from(xs, exact), delta, exact=exact)
+    # Only the winner's point is read: an LP whose value is proven before
+    # its point finds the point on this first read.
+    _, S, jt, j, out = best
+    outcome = evaluate(game, strategy_from(out.solution, exact), delta,
+                       exact=exact)
     # S holds the outcome's response set, and is often that very set.
     rset = outcome.response_set
     tup = RegionTuple(rset if rset.actions == S else ResponseSet(S), jt, j)

@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Any, Sequence
 
 import numpy as np
@@ -160,8 +161,8 @@ class MixedStrategy:
         p = np.where(p < 0, 0.0, p)
         object.__setattr__(self, "probs", _freeze(p))
         if self.exact is not None:
-            ex = tuple(Fraction(v) for v in self.exact)
-            if len(ex) != p.size or any(v < 0 for v in ex) or sum(ex) != 1:
+            ex = tuple(map(_fraction, self.exact))
+            if len(ex) != p.size or any(v < 0 for v in ex) or not _sum_is_one(ex):
                 raise InvalidStrategyError("exact coordinates are not a distribution")
             object.__setattr__(self, "exact", ex)
 
@@ -174,8 +175,21 @@ class MixedStrategy:
         return hash(self.probs.tobytes())
 
 
+def _fraction(v) -> Fraction:
+    """``Fraction(v)``, or ``v`` itself if it is one already."""
+    return v if type(v) is Fraction else Fraction(v)
+
+
+def _sum_is_one(values: Sequence[Fraction]) -> bool:
+    """``sum(values) == 1``, summed in ints over the LCM of the
+    denominators, so that no ``Fraction`` is made."""
+    dens = [v.denominator for v in values]
+    s = lcm(*dens)
+    return sum(v.numerator * (s // d) for v, d in zip(values, dens)) == s
+
+
 def exact_strategy(coords: Sequence) -> MixedStrategy:
-    ex = tuple(Fraction(v) for v in coords)
+    ex = tuple(map(_fraction, coords))
     return MixedStrategy(np.array([float(v) for v in ex]), ex)
 
 

@@ -17,35 +17,46 @@ deterministic and cycling-free:
 
   - *infeasible*: the phase-1 duals, clipped to their allowed signs, must
     form an exact Farkas certificate;
-  - *optimal* (``max``/``min`` only): the ``num_vars`` constraints that
-    define the final vertex are re-solved exactly, the vertex must satisfy
-    every row, and its multipliers must be strictly signed. Strict
-    multipliers make the vertex the unique optimum, so it is the very point
-    the exact simplex would return.
+  - *optimal*: the ``num_vars`` constraints the final basis holds tight
+    are solved as equalities, in ints with no fraction, and the vertex
+    must hold x >= 0 and every row, checked in ints. That proves the LP
+    feasible. For ``max``/``min``, the vertex's multipliers must also be
+    signed, weakly, as optimality asks (>= 0 on ``<=``, <= 0 on ``>=``, any
+    sign on ``==``), which proves the objective value. If each multiplier
+    of an inequality is nonzero, the vertex is the unique optimum, so it is
+    the very point the exact simplex would return, and it is kept.
 
-  Everything else (a feasible ``feasibility`` LP, an unbounded LP, a
-  degenerate vertex or tied optima, a failed proof) is solved by the same
+  A proven status or value is returned at once, before the point: the
+  outcome's ``solution`` is found when it is first read, by the exact
+  simplex on the same rows, and kept (:class:`LpOutcome`). So a caller that
+  reads only statuses and values, or the point of one winner, runs the
+  exact simplex for that winner alone.
+
+  Everything else (an unbounded LP, a failed proof) is solved by the same
   simplex on an integer-preserving tableau: Python ints over one common
   denominator, with no gcd per entry. Its pivot decisions are those of the
-  simplex in ``Fraction`` arithmetic, so exact outcomes always equal that
-  simplex's, which stays the reference.
+  simplex in ``Fraction`` arithmetic, so exact outcomes, points found on
+  first read included, always equal that simplex's, which stays the
+  reference.
 
   An infeasible exact outcome whose Farkas certificate checks (from the
   float pass, or from the exact simplex's own phase-1 duals) also
   names the rows that certificate uses, ``LpOutcome.support``, so a caller
   can rule out any later LP that holds the same rows.
 
-  Each constraint builds its ``Fraction`` row and its float twin once, on
-  first use (:attr:`Constraint.exact_row`, :attr:`Constraint.float_row`),
-  so a row that a caller builds once and puts in many exact LPs is
-  converted once. The Farkas check skips a float dual whose sign clips it
-  to zero before rounding it: rounding to the nearest rational keeps the
-  sign or gives zero, so that dual would be clipped after rounding too,
-  and the support and the verdict are those of rounding every dual. The
-  check sums y.A and y.b in Python ints, each row and dual scaled to one
-  positive common denominator as the integer tableau scales its rows; a
-  positive factor changes no comparison, so the verdict is that of the
-  sums in ``Fraction`` arithmetic.
+  Each constraint builds its ``Fraction`` row, its integer form (the row
+  times the LCM of its denominators) and its float twin once, on first use
+  (:attr:`Constraint.exact_row`, :attr:`Constraint.int_row`,
+  :attr:`Constraint.float_row`), so a row that a caller builds once and
+  puts in many exact LPs is converted once. The vertex proof and the
+  Farkas check read the integer form. The Farkas check skips a float dual
+  whose sign clips it to zero before rounding it: rounding to the nearest
+  rational keeps the sign or gives zero, so that dual would be clipped
+  after rounding too, and the support and the verdict are those of
+  rounding every dual. The check sums y.A and y.b in Python ints, each
+  row and dual scaled to one positive common denominator; a positive
+  factor changes no comparison, so the verdict is that of the sums in
+  ``Fraction`` arithmetic.
 
 ``feasible_many(lps)`` returns ``[feasible(p) for p in lps]``: the same
 statuses and the same points, to the last bit. In exact mode it is that
@@ -109,9 +120,10 @@ def solve_count() -> int:
 class Constraint:
     """One linear constraint ``coeffs . x  <rel>  rhs``.
 
-    :attr:`exact_row` and :attr:`float_row` are the row in each arithmetic,
-    built on first use and kept, so a constraint that serves many exact LPs
-    is converted once. Both are tuples, and neither takes part in equality.
+    :attr:`exact_row`, :attr:`int_row` and :attr:`float_row` are the row in
+    each arithmetic, built on first use and kept, so a constraint that serves
+    many exact LPs is converted once. All are tuples, and none takes part in
+    equality.
     """
 
     coeffs: tuple
@@ -130,11 +142,21 @@ class Constraint:
                 _fraction(self.rhs))
 
     @cached_property
+    def int_row(self) -> tuple:
+        """``(coeffs, relation, rhs, s)``: the row times ``s``, the LCM of
+        the denominators of its coefficients and rhs, in Python ints."""
+        coeffs, rel, rhs = self.exact_row
+        ints, s = _integral((*coeffs, rhs))
+        return tuple(ints[:-1]), rel, ints[-1], s
+
+    @cached_property
     def float_row(self) -> tuple:
         """``(coeffs, relation, rhs)`` with the float of each number; raises
-        ``OverflowError``, on every read, if one has no double."""
-        return (tuple(float(v) for v in self.coeffs), self.relation,
-                float(self.rhs))
+        ``OverflowError``, on every read, if one has no double. Each is read
+        off :attr:`int_row` as ``int / s``, which Python rounds correctly,
+        so it is the very double ``float()`` gives."""
+        coeffs, rel, rhs, s = self.int_row
+        return tuple(c / s for c in coeffs), rel, rhs / s
 
 
 def _fraction(v) -> Fraction:
@@ -192,12 +214,45 @@ class LpOutcome:
     holds those rows, plus the simplex row if the original had it, is
     infeasible too. It is ``None`` in every other case. It is evidence, not
     part of the answer, so it takes no part in equality.
+
+    An exact ``"optimal"`` outcome whose status, or value, is proven before
+    its point is found (see the module docstring) holds its LP in place of
+    ``solution``. The first read of ``solution`` runs the exact simplex on
+    that LP and keeps its point, so every read, equality and hash included,
+    sees the point the exact simplex returns.
     """
 
     status: str  # "optimal" | "infeasible" | "unbounded"
     solution: tuple | None
     objective_value: Scalar | None
     support: tuple | None = field(default=None, compare=False)
+
+    def __getattr__(self, name):
+        # Reached only for a name the instance lacks: the solution of an
+        # outcome made by _deferred, read for the first time.
+        state = self.__dict__
+        if name != "solution" or "_lp" not in state:
+            raise AttributeError(name)
+        state["solution"] = _exact_point(state["_lp"])
+        del state["_lp"]
+        return state["solution"]
+
+
+def _deferred(lp: LinearProgram, value) -> LpOutcome:
+    """The ``"optimal"`` outcome of ``lp`` with objective value ``value``,
+    its point found by the exact simplex when first read."""
+    out = object.__new__(LpOutcome)
+    out.__dict__.update(status="optimal", objective_value=value, support=None,
+                        _lp=lp)
+    return out
+
+
+def _exact_point(lp: LinearProgram) -> tuple:
+    """The point the exact simplex returns for ``lp``, which must have one."""
+    status, x, _ = _simplex(lp.num_vars, *_canonical(lp, Fraction), True)
+    if status != "optimal":
+        raise SolverFailure(f"a proven optimal LP came back {status}")
+    return tuple(x)
 
 
 def solve(lp: LinearProgram, *, exact: bool = False) -> LpOutcome:
@@ -208,15 +263,16 @@ def solve(lp: LinearProgram, *, exact: bool = False) -> LpOutcome:
     global _solves
     _solves += 1
     rows, objective = _canonical(lp, Fraction if exact else float)
-    status = support = None
     if exact:
-        status, x, support = _certified(lp, rows, objective)
-    if status is None:
-        status, x, evidence = _simplex(lp.num_vars, rows, objective, exact)
-        if exact and status == "infeasible":
-            support = _farkas(lp.num_vars, rows, evidence,
-                              lp.simplex_constraint)
+        proven = _certified(lp, objective)
+        if proven is not None:
+            return proven
+    status, x, evidence = _simplex(lp.num_vars, rows, objective, exact)
     if status != "optimal":
+        support = None
+        if exact and status == "infeasible":
+            support = _farkas(lp.num_vars, _int_rows(lp), evidence,
+                              lp.simplex_constraint)
         return LpOutcome(status, None, None, support)
 
     obj_val = None
@@ -450,31 +506,38 @@ def _float_pass(lp: LinearProgram, objective):
     return _simplex(lp.num_vars, rows, [float(c) for c in objective], False)
 
 
-def _certified(lp: LinearProgram, rows, objective):
-    """``(status, x, support)`` of the float pass once proven exactly.
+def _int_rows(lp: LinearProgram) -> list:
+    """The :attr:`Constraint.int_row` of each of ``lp``'s rows, the simplex
+    row last."""
+    rows = [con.int_row for con in lp.constraints]
+    if lp.simplex_constraint:
+        rows.append(((1,) * lp.num_vars, "==", 1, 1))
+    return rows
 
-    All three are ``None`` when the float answer is not proven.
-    ``rows`` and ``objective`` are the ``Fraction`` data of :func:`solve`.
+
+def _certified(lp: LinearProgram, objective) -> LpOutcome | None:
+    """The float pass's outcome once proven exactly, else ``None``.
+
+    ``objective`` is the ``Fraction`` objective of :func:`solve`.
     """
     try:
         status, _, evidence = _float_pass(lp, objective)
     except (SolverFailure, OverflowError):
         # phase 1 broke down or a row has no double: the exact simplex decides
-        return None, None, None
+        return None
+    rows = _int_rows(lp)
     if status == "infeasible":
         support = _farkas(lp.num_vars, rows, evidence, lp.simplex_constraint)
         if support is not None:
-            return "infeasible", None, support
-    if status == "optimal" and lp.sense != "feasibility":
-        x = _unique_vertex(lp.num_vars, rows, objective, evidence)
-        if x is not None:
-            return "optimal", x, None
-    return None, None, None
+            return LpOutcome("infeasible", None, None, support)
+    if status == "optimal":
+        return _proven_vertex(lp, rows, objective, evidence)
+    return None
 
 
 def _farkas(num_vars: int, rows, duals, simplex: bool):
     """The certificate's support when ``duals`` prove exactly that ``rows``
-    have no point x >= 0, else ``None``.
+    (each a :attr:`Constraint.int_row`) have no point x >= 0, else ``None``.
 
     Each dual is clipped to its relation's sign (<= 0 on ``<=`` rows, >= 0
     on ``>=`` rows), so every x satisfying the rows has ``y.A x >= y.b``.
@@ -493,9 +556,9 @@ def _farkas(num_vars: int, rows, duals, simplex: bool):
     """
     if simplex:
         rows, duals = rows[:-1], duals[:-1]
-    terms = []  # (numerator of y, denominator of y * row, row as ints)
+    terms = []  # (numerator of y, denominator of y * row scale, coeffs, rhs)
     support = []
-    for r, ((coeffs, rel, rhs), y) in enumerate(zip(rows, duals)):
+    for r, ((coeffs, rel, rhs, s), y) in enumerate(zip(rows, duals)):
         if not abs(y) < float("inf"):  # NaN or infinite: no certificate
             return None
         if y == 0 or (rel == "<=" and y > 0) or (rel == ">=" and y < 0):
@@ -505,75 +568,98 @@ def _farkas(num_vars: int, rows, duals, simplex: bool):
             if y == 0:
                 continue
         support.append(r)
-        ints, s = _integral((*coeffs, rhs))
-        terms.append((y.numerator, y.denominator * s, ints))
-    scale = lcm(*(t for _, t, _ in terms))
-    combo = [0] * (num_vars + 1)  # scale * (y.A, y.b)
-    for p, t, ints in terms:
+        terms.append((y.numerator, y.denominator * s, coeffs, rhs))
+    scale = lcm(*(t for _, t, _, _ in terms))
+    combo = [0] * num_vars  # scale * y.A
+    bound = 0  # scale * y.b
+    for p, t, coeffs, rhs in terms:
         k = p * (scale // t)
-        for i, c in enumerate(ints):
+        for i, c in enumerate(coeffs):
             if c:
                 combo[i] += k * c
-    bound = combo.pop()
+        bound += k * rhs
     proven = (bound > max(combo) if simplex
               else bound > 0 and all(v <= 0 for v in combo))
     return tuple(support) if proven else None
 
 
-def _unique_vertex(num_vars: int, rows, objective, active):
-    """The vertex pinned by ``active``, if it is provably the unique optimum.
+def _proven_vertex(lp: LinearProgram, rows, objective, active):
+    """The outcome the vertex pinned by ``active`` proves, or ``None``.
 
-    ``active`` holds ``num_vars`` constraint keys: a row index, or
-    ``len(rows) + i`` for the bound ``x_i >= 0``. The vertex solves those
-    constraints as equalities; it is returned only if it satisfies every row
-    and bound, and if ``objective = sum_k lam_k * g_k`` over the constraint
-    normals g_k with lam_k > 0 on ``<=`` and lam_k < 0 on ``>=``
-    constraints (bounds included). Then every optimum is tight on all of
-    them, so the vertex is the only one.
+    ``rows`` are :func:`_int_rows` of ``lp``; ``active`` holds ``num_vars``
+    constraint keys: a row index, or ``len(rows) + i`` for the bound
+    ``x_i >= 0``. The vertex solves those constraints as equalities, in
+    ints; it proves ``lp`` feasible if it satisfies every row and bound.
+    For a ``max`` or ``min`` LP (``objective`` in max form) it must also be
+    optimal: ``objective = sum_k lam_k * g_k`` over the normals g_k of the
+    active constraints, with lam_k >= 0 on ``<=`` and lam_k <= 0 on ``>=``
+    constraints (bounds included), so no point of the LP does better. Then
+    the value is proven. If every such lam_k is nonzero, every optimum is
+    tight on all of them, so the vertex is the only one, and the point is
+    proven too. A point not proven is left to the exact simplex, found when
+    it is first read (:func:`_deferred`).
     """
+    num_vars = lp.num_vars
     if len(active) != num_vars:
         return None
-    normals, rhs, rels = [], [], []
-    for k in active:
-        if k < len(rows):
-            coeffs, rel, b = rows[k]
-        else:
-            coeffs = [Fraction(int(i == k - len(rows))) for i in range(num_vars)]
-            rel, b = ">=", Fraction(0)
-        normals.append(coeffs)
-        rhs.append(b)
-        rels.append(rel)
-    lam = _solve_square([list(col) for col in zip(*normals)], objective)
-    if lam is None or any((rel == "<=" and v <= 0) or (rel == ">=" and v >= 0)
-                          for rel, v in zip(rels, lam)):
+    tight = [rows[k] if k < len(rows) else
+             (tuple(int(i == k - len(rows)) for i in range(num_vars)), ">=", 0, 1)
+             for k in active]
+    vertex = _solve_int([coeffs for coeffs, _, _, _ in tight],
+                        [rhs for _, _, rhs, _ in tight])
+    if vertex is None:
         return None
-    x = _solve_square(normals, rhs)
-    if any(v < 0 for v in x):
+    xs, d = vertex  # x = xs / d
+    if any(v < 0 for v in xs):
         return None
-    for coeffs, rel, b in rows:
-        lhs = sum(c * xi for c, xi in zip(coeffs, x) if xi)
+    for coeffs, rel, rhs, _ in rows:
+        lhs, b = sum(c * v for c, v in zip(coeffs, xs) if v), rhs * d
         if (rel == "<=" and lhs > b) or (rel == ">=" and lhs < b) or \
                 (rel == "==" and lhs != b):
             return None
-    return x
+    if lp.sense == "feasibility":
+        return _deferred(lp, None)
+    # Each g_k is a row scaled by s_k > 0, and the objective by its own
+    # positive scale, so each multiplier below has the sign of lam_k. The
+    # transposed system is nonsingular, as the vertex's is.
+    ints, s = _integral(objective)
+    lam, _ = _solve_int([list(col) for col in zip(*(c for c, _, _, _ in tight))],
+                        ints)
+    if any((rel == "<=" and v < 0) or (rel == ">=" and v > 0)
+           for (_, rel, _, _), v in zip(tight, lam)):
+        return None
+    value = Fraction(sum(c * v for c, v in zip(ints, xs)), s * d)
+    if lp.sense == "min":
+        value = -value
+    if any(not v and rel != "==" for (_, rel, _, _), v in zip(tight, lam)):
+        return _deferred(lp, value)
+    return LpOutcome("optimal", tuple(Fraction(v, d) for v in xs), value)
 
 
-def _solve_square(mat, rhs):
-    """Solve ``mat . z = rhs`` exactly by Gauss-Jordan; None if singular."""
+def _solve_int(mat, rhs):
+    """``(z, d)`` with ``mat . (z / d) = rhs`` and ``d > 0``, for an int
+    matrix and rhs, by fraction-free Gauss-Jordan; ``None`` if ``mat`` is
+    singular. Each pivot updates the rows as :meth:`_IntTableau.pivot`
+    does, so every division is exact and, once every column holds a pivot,
+    row r reads ``d`` times (e_r, z_r / d)."""
     n = len(rhs)
     aug = [list(row) + [v] for row, v in zip(mat, rhs)]
+    d = 1
     for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        piv = next((r for r in range(col, n) if aug[r][col]), None)
         if piv is None:
             return None
         aug[col], aug[piv] = aug[piv], aug[col]
-        prow = aug[col]
+        row = aug[col]
+        p = row[col]
+        if p < 0:
+            row = aug[col] = [-t for t in row]
+            p = -p
         for r in range(n):
-            f = aug[r][col]
-            if r != col and f != 0:
-                f = f / prow[col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], prow)]
-    return [aug[r][n] / aug[r][r] for r in range(n)]
+            if r != col:
+                aug[r] = _eliminate(aug[r], row, col, p, d)
+        d = p
+    return [row[n] for row in aug], d
 
 
 # ---------------------------------------------------------------------------
@@ -893,5 +979,6 @@ def _eliminate(other, row, c, p, d):
 def _integral(values, factor=1):
     """``(ints, s)``: rationals ``values`` times ``s``, the LCM of their
     denominators times ``factor``."""
-    s = lcm(*(v.denominator for v in values)) * factor
-    return [v.numerator * (s // v.denominator) for v in values], s
+    dens = [v.denominator for v in values]
+    s = lcm(*dens) * factor
+    return [v.numerator * (s // d) for v, d in zip(values, dens)], s

@@ -322,6 +322,27 @@ def _seed0_x3c_pass():
     return [(call.payload[0], mod.X3C_DELTA) for call in work.build(0)]
 
 
+# (value, lp_count) of each solve of the seed-0 x3c pass.
+SEED0_X3C = [(1, 2), (1, 3), (Fraction(1, 2), 7), (Fraction(1, 2), 9),
+             (Fraction(1, 2), 7), (Fraction(1, 2), 12), (Fraction(1, 2), 9),
+             (Fraction(1, 2), 9), (Fraction(1, 3), 30), (0, 16), (0, 13),
+             (0, 16), (0, 39), (Fraction(1, 4), 60), (0, 16), (0, 16), (0, 13),
+             (0, 42)]
+
+
+def test_seed0_x3c_pass_reads_one_point_per_solve(fallbacks):
+    """Each LP of the search is proven from its float basis; at most the
+    winner's point is found on the integer tableau, when the solver reads
+    it."""
+    got = []
+    for game, delta in _seed0_x3c_pass():
+        before = fallbacks[0]
+        sol = solve_exact(game, delta, exact=True)
+        assert fallbacks[0] - before <= 1
+        got.append((sol.value, sol.lp_count))
+    assert got == SEED0_X3C
+
+
 def test_region_rows_are_built_only_for_the_lps_that_hold_them(monkeypatch):
     built, held = [], []
     region_rows, solve = exact.region_rows, lp.solve

@@ -2,6 +2,8 @@
 
 ``lp.solve(..., exact=True)`` keeps a float simplex answer only after proving
 it in rationals and otherwise falls back to the integer-preserving tableau.
+When the float basis proves the status, or the value, but not the point, the
+point is found on the integer tableau when it is first read.
 The reference here is the ``Fraction`` simplex of ``fraction_simplex.py``,
 which shares no code with either; every ``LpOutcome`` field that takes part
 in equality must match it exactly. The Farkas support an infeasible outcome
@@ -12,6 +14,7 @@ with the reference directly, status, point, tight set and duals.
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -34,7 +37,7 @@ def kernel_outcome(prog: LinearProgram, simplex):
     if status != "optimal":
         support = None
         if status == "infeasible":
-            support = lp._farkas(prog.num_vars, rows, evidence,
+            support = lp._farkas(prog.num_vars, lp._int_rows(prog), evidence,
                                  prog.simplex_constraint)
         return LpOutcome(status, None, None, support), evidence
     value = None
@@ -42,20 +45,6 @@ def kernel_outcome(prog: LinearProgram, simplex):
         value = sum(c * xi for c, xi in zip(objective, x))
         value = value if prog.sense == "max" else -value
     return LpOutcome("optimal", tuple(x), value), evidence
-
-
-@pytest.fixture
-def fallbacks(monkeypatch):
-    """Counts the LPs that exact mode hands to the integer tableau."""
-    count = [0]
-
-    class Counting(lp._IntTableau):
-        def __init__(self, rows, basis):
-            count[0] += 1
-            super().__init__(rows, basis)
-
-    monkeypatch.setattr(lp, "_IntTableau", Counting)
-    return count
 
 
 def assert_same(prog):
@@ -156,6 +145,31 @@ def test_unique_vertex_is_certified_without_fallback(fallbacks):
     assert out.solution == (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6))
     assert out.objective_value == Fraction(7, 6)
     assert fallbacks[0] == 0
+
+
+# Two rows and the simplex row are tight at (1/2, 1/2): a degenerate vertex.
+DEGENERATE_GATE = lp.feasibility(2, [Constraint((1, 0), "<=", Fraction(1, 2)),
+                                     Constraint((0, 1), "<=", Fraction(1, 2))],
+                                 simplex=True)
+
+
+@pytest.mark.parametrize("name", ["tied", "degenerate gate"])
+def test_status_and_value_proven_before_the_point(name, fallbacks):
+    """The float basis proves the status, and the value of the tied LP,
+    with no integer-tableau run. The point is the reference simplex's,
+    found by one run on its first read and kept."""
+    prog, value = {"tied": (TIED, 1),
+                   "degenerate gate": (DEGENERATE_GATE, None)}[name]
+    out = lp.solve(prog, exact=True)
+    assert (out.status, out.objective_value, out.support) == \
+        ("optimal", value, None)
+    assert value is None or type(out.objective_value) is Fraction
+    assert fallbacks[0] == 0
+    x = out.solution
+    assert fallbacks[0] == 1
+    assert out.solution is x and out == out and fallbacks[0] == 1
+    assert out == reference(prog) and x == reference(prog).solution
+    assert all(type(v) is Fraction for v in x)
 
 
 def test_degenerate_vertex_and_duplicated_rows():
@@ -407,8 +421,7 @@ def test_bogus_duals_on_infeasible_lp_teach_no_support(monkeypatch, duals):
     ones the Fraction simplex's own certificate uses, never the liar's."""
     honest = lp.solve(INFEASIBLE, exact=True).support
     assert honest == (0, 1)
-    assert lp._farkas(2, lp._canonical(INFEASIBLE, Fraction)[0], duals,
-                      True) is None
+    assert lp._farkas(2, lp._int_rows(INFEASIBLE), duals, True) is None
     _lie(monkeypatch, "infeasible", None, duals)
     for prog in (INFEASIBLE, lp.feasibility(2, INFEASIBLE.constraints,
                                             simplex=True)):
@@ -438,6 +451,50 @@ def test_wrong_optimal_vertex_is_not_trusted(monkeypatch, prog, active):
     want = reference(prog)
     assert assert_same(prog) == want
     assert want.status == ("infeasible" if prog is INFEASIBLE else "optimal")
+
+
+# Each LP below is infeasible but for the last, which is a feasible gate.
+INFEASIBLE_GATE = lp.feasibility(2, INFEASIBLE.constraints, simplex=True)
+NEGATIVE_GATE = lp.feasibility(1, [Constraint((1,), "<=", -1)])
+FEASIBLE_GATE = lp.feasibility(3, FEASIBLE.constraints, simplex=True)
+
+
+@pytest.mark.parametrize("prog, active", [
+    (INFEASIBLE_GATE, [0, 1]),  # (2/3, 2/3) misses the simplex row
+    (INFEASIBLE_GATE, [0, 2]),  # (2/3, 1/3) breaks x2 >= 2/3
+    (INFEASIBLE_GATE, [2, 4]),  # (1, 0) breaks x2 >= 2/3
+    (NEGATIVE_GATE, [0]),       # x1 = -1 holds the row, not x1 >= 0
+    (FEASIBLE_GATE, [0, 1, 5]),  # (1/2, 1/3, 0) misses the simplex row
+])
+def test_wrong_feasible_vertex_is_not_trusted(monkeypatch, fallbacks, prog,
+                                              active):
+    _lie(monkeypatch, "optimal", None, active)
+    out = lp.solve(prog, exact=True)
+    assert fallbacks[0] == 1  # the integer tableau decided
+    assert out == reference(prog)
+    assert out.status == ("optimal" if prog is FEASIBLE_GATE else "infeasible")
+
+
+# x1 + x2 >= 1 and x1 <= 2: the least x1 + x2 is 1, at (1, 0) or (0, 1).
+MIN_LP = LinearProgram(2, (1, 1), "min", (Constraint((1, 1), ">=", 1),
+                                          Constraint((1, 0), "<=", 2)), False)
+
+
+@pytest.mark.parametrize("prog, active", [
+    # (0, 0, 1): 1 = lam on x1 >= 0, a ">=" constraint, so lam must be <= 0
+    (FEASIBLE, [2, 3, 4]),
+    # (2, 0): in max form -1 = lam on x1 <= 2, a "<=" row, so lam must be >= 0
+    (MIN_LP, [1, 3]),
+])
+def test_wrongly_signed_multiplier_is_not_trusted(monkeypatch, fallbacks, prog,
+                                                  active):
+    """A feasible vertex whose multipliers have a wrong sign is not optimal:
+    neither its value nor its point may be kept."""
+    _lie(monkeypatch, "optimal", None, active)
+    out = lp.solve(prog, exact=True)
+    assert fallbacks[0] == 1
+    assert out == reference(prog)
+    assert out.objective_value == {FEASIBLE: Fraction(7, 6), MIN_LP: 1}[prog]
 
 
 def test_float_breakdown_falls_back(monkeypatch):
@@ -482,8 +539,26 @@ def test_cached_rows_are_the_entries_in_each_arithmetic():
     assert coeffs == (1, Fraction(-2, 3), Fraction(0.1), 0, Fraction(10) ** 30)
     assert all(type(v) is Fraction for v in coeffs + (rhs,))
     assert (rel, rhs) == (">=", Fraction(1, 7))
+    ints, rel, rhs, s = con.int_row
+    assert s == lcm(*(v.denominator for v in coeffs + (Fraction(1, 7),)))
+    assert tuple(Fraction(v, s) for v in ints) == coeffs
+    assert (rel, Fraction(rhs, s)) == (">=", Fraction(1, 7))
+    assert all(type(v) is int for v in ints + (rhs, s))
     assert con.exact_row is con.exact_row and con.float_row is con.float_row
+    assert con.int_row is con.int_row
     assert type(con.exact_row[0]) is tuple and type(con.float_row[0]) is tuple
+    assert type(con.int_row[0]) is tuple
+    # The float twin is read off the integer form: the same double as
+    # float() of each entry, to the last bit, over a shared scale.
+    rng = random.Random(3)
+    for _ in range(300):
+        vals = [Fraction(rng.randint(-10 ** 30, 10 ** 30),
+                         rng.choice(PRIMES) ** rng.randint(1, 4))
+                for _ in range(4)]
+        vals.append(rng.choice([0, 0.1, -2.5e-300, 1e300]))
+        con = Constraint(vals[:-1], "<=", vals[-1])
+        want = (tuple(float(v) for v in vals[:-1]), "<=", float(vals[-1]))
+        assert repr(con.float_row) == repr(want)
 
 
 def _fresh(prog):
@@ -545,6 +620,11 @@ def _tweak(rng, y):
     return y
 
 
+def int_rows(rows):
+    """The integer form ``_farkas`` reads of each ``Fraction`` row."""
+    return [Constraint(*row).int_row for row in rows]
+
+
 def test_farkas_matches_the_rounding_reference():
     rng = random.Random(5)
     found = dict.fromkeys(("support", "none"), 0)
@@ -566,7 +646,8 @@ def test_farkas_matches_the_rounding_reference():
         for y in duals:
             want = farkas_reference.farkas(prog.num_vars, rows, y,
                                            prog.simplex_constraint)
-            got = lp._farkas(prog.num_vars, rows, y, prog.simplex_constraint)
+            got = lp._farkas(prog.num_vars, int_rows(rows), y,
+                             prog.simplex_constraint)
             assert got == want, (prog, y)
             found["none" if got is None else "support"] += 1
     assert min(found.values()) >= 200, found
@@ -578,7 +659,7 @@ def test_farkas_matches_the_rounding_reference():
     for _ in range(500):
         num_vars, rows, y = _odd_certificate(rng)
         for simplex in (True, False):
-            got = lp._farkas(num_vars, rows, y, simplex)
+            got = lp._farkas(num_vars, int_rows(rows), y, simplex)
             assert got == farkas_reference.farkas(num_vars, rows, y,
                                                   simplex), (rows, y)
             found["none" if got is None else "support"] += 1
