@@ -15,7 +15,12 @@ Enumeration visits tuples ordered by (|S|, sorted S, j_tilde, j) and keeps
 the first maximizer, which doubles as the deterministic tie-break. Each
 row is built when the first LP that holds it is, and kept for the rest of
 the solve (:func:`region_rows`), so rows of tuples the cuts skip are never
-built. Three cuts prune tuples without changing that order or the answer:
+built. Rows are built in integers: the columns and delta are scaled once
+per solve by their common denominator, and each row is a difference of
+ints over that scale, whose exact LPs make no ``Fraction`` row. Only the
+winner's point is read, after the search; when its optimum is proven
+unique from its vertex, no exact simplex runs in the whole solve. Three
+cuts prune tuples without changing that order or the answer:
 
 * static filters: per j_tilde, two bitmasks over follower actions mark the
   k whose membership row, or whose exclusion row, has no point in the
@@ -214,24 +219,48 @@ def region_rows(col_l, col_f, d):
     ``<= d`` and ``>= d``; ``leader[j][k]`` is ``u_l(j) - u_l(k) <= 0``.
     Each difference of two columns is computed once, and the first read of
     a row builds the object every later read returns, so a search builds
-    only the rows its LPs hold, and converts each to ``Fraction`` once.
+    only the rows its LPs hold.
+
+    Rational columns and ``d`` are scaled to ints once, the follower's with
+    ``d`` and the leader's on their own (:func:`_integral_columns`), so each
+    difference is a subtraction of ints and each row a
+    :class:`~rsekit.lp.Constraint` over that common scale: no ``Fraction``
+    is made until a row's :attr:`~rsekit.lp.Constraint.exact_row` is read.
+    Float columns with a float ``d`` (float-mode qptas) give rows of
+    doubles, as the columns stand.
     """
     n = len(col_f)
-    diff = [_Lazy(partial(_minus, col_f, jt)) for jt in range(n)]
-    opt = _Lazy(lambda jt: tuple(lp.Constraint(diff[jt][k], ">=", 0)
+    if isinstance(d, float):
+        f_cols, l_cols, f_scale, l_scale = col_f, col_l, 1, 1
+    else:
+        f_cols, (d,), f_scale = _integral_columns(col_f, d)
+        l_cols, _, l_scale = _integral_columns(col_l)
+    diff = [_Lazy(partial(_minus, f_cols, jt)) for jt in range(n)]
+    opt = _Lazy(lambda jt: tuple(lp.Constraint(diff[jt][k], ">=", 0, f_scale)
                                  for k in range(n) if k != jt))
-    leader = [_Lazy(partial(_minus, col_l, j)) for j in range(n)]
-    return (opt, _rows(diff, "<=", d), _rows(diff, ">=", d),
-            _rows(leader, "<=", 0))
+    leader = [_Lazy(partial(_minus, l_cols, j)) for j in range(n)]
+    return (opt, _rows(diff, "<=", d, f_scale), _rows(diff, ">=", d, f_scale),
+            _rows(leader, "<=", 0, l_scale))
+
+
+def _integral_columns(cols, *extra):
+    """``(int_cols, int_extra, s)``: the rational columns ``cols`` and the
+    numbers ``extra`` times ``s``, the LCM of all their denominators."""
+    ints, s = lp._integral([*chain.from_iterable(cols), *extra])
+    m = len(cols[0])
+    return ([ints[k * m:(k + 1) * m] for k in range(len(cols))],
+            ints[len(cols) * m:], s)
 
 
 def _minus(cols, j, k):
     return tuple(a - b for a, b in zip(cols[j], cols[k]))
 
 
-def _rows(diff, relation, rhs):
-    """Per j, the lazy rows ``diff[j][k] <relation> rhs`` keyed by k."""
-    return [_Lazy(lambda k, row=row: lp.Constraint(row[k], relation, rhs))
+def _rows(diff, relation, rhs, scale):
+    """Per j, the lazy rows ``diff[j][k] / scale <relation> rhs / scale``
+    keyed by k."""
+    return [_Lazy(lambda k, row=row: lp.Constraint(row[k], relation, rhs,
+                                                   scale))
             for row in diff]
 
 
@@ -249,9 +278,7 @@ def _static_filters(col_f, d):
     columns and ``d`` are scaled once by their common denominator.
     """
     n = len(col_f)
-    ints, _ = lp._integral([*chain.from_iterable(col_f), d])
-    m, d = len(col_f[0]), ints.pop()
-    cols = [ints[k * m:(k + 1) * m] for k in range(n)]
+    cols, (d,), _ = _integral_columns(col_f, d)
     no_member, must_member = [0] * n, [0] * n
     for jt, top in enumerate(cols):
         spans = [(min(v), max(v)) for v in

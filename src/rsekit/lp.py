@@ -27,36 +27,46 @@ deterministic and cycling-free:
     the very point the exact simplex would return, and it is kept.
 
   A proven status or value is returned at once, before the point: the
-  outcome's ``solution`` is found when it is first read, by the exact
-  simplex on the same rows, and kept (:class:`LpOutcome`). So a caller that
-  reads only statuses and values, or the point of one winner, runs the
-  exact simplex for that winner alone.
+  outcome's ``solution`` is found when it is first read, and kept
+  (:class:`LpOutcome`). That read first tests the optimal face at the
+  vertex. Each active inequality with a zero multiplier gives one
+  direction out of it, and the vertex is the only optimum when no
+  nonnegative mix of those directions keeps to the feasible side of the
+  other constraints tight there; a Farkas certificate on that small LP,
+  from the float simplex and checked in ints, proves it, and the vertex is
+  kept. Failing that proof, the exact simplex runs on the LP. So a caller
+  that reads only statuses and values, or the point of one winner, runs
+  the exact simplex at most for that winner.
 
   Everything else (an unbounded LP, a failed proof) is solved by the same
   simplex on an integer-preserving tableau: Python ints over one common
-  denominator, with no gcd per entry. Its pivot decisions are those of the
-  simplex in ``Fraction`` arithmetic, so exact outcomes, points found on
-  first read included, always equal that simplex's, which stays the
-  reference.
+  denominator, with no gcd per entry, each row starting as its
+  constraint's integer form. Its pivot decisions are those of the simplex
+  in ``Fraction`` arithmetic, so exact outcomes, points found on first
+  read included, always equal that simplex's, which stays the reference.
 
   An infeasible exact outcome whose Farkas certificate checks (from the
   float pass, or from the exact simplex's own phase-1 duals) also
   names the rows that certificate uses, ``LpOutcome.support``, so a caller
   can rule out any later LP that holds the same rows.
 
-  Each constraint builds its ``Fraction`` row, its integer form (the row
-  times the LCM of its denominators) and its float twin once, on first use
-  (:attr:`Constraint.exact_row`, :attr:`Constraint.int_row`,
-  :attr:`Constraint.float_row`), so a row that a caller builds once and
-  puts in many exact LPs is converted once. The vertex proof and the
-  Farkas check read the integer form. The Farkas check skips a float dual
-  whose sign clips it to zero before rounding it: rounding to the nearest
-  rational keeps the sign or gives zero, so that dual would be clipped
-  after rounding too, and the support and the verdict are those of
-  rounding every dual. The check sums y.A and y.b in Python ints, each
-  row and dual scaled to one positive common denominator; a positive
-  factor changes no comparison, so the verdict is that of the sums in
-  ``Fraction`` arithmetic.
+  Each constraint builds its integer form (the row times the LCM of its
+  denominators), its float twin, read off the integer form, and its
+  ``Fraction`` row once, on first use (:attr:`Constraint.int_row`,
+  :attr:`Constraint.float_row`, :attr:`Constraint.exact_row`), so a row
+  that a caller builds once and puts in many exact LPs is converted once.
+  The float pass reads the float twin; the vertex proof, the Farkas check
+  and the integer tableau read the integer form, so an exact solve makes
+  no ``Fraction`` row. A row given as ints over a common ``scale`` gets
+  its integer form with one gcd and no ``Fraction`` at all. The Farkas
+  check skips a float dual whose sign clips it to zero before rounding it:
+  rounding to the nearest rational keeps the sign or gives zero, so that
+  dual would be clipped after rounding too, and the support and the
+  verdict are those of rounding every dual. A whole-number dual is taken
+  as that int, which is what rounding gives. The check sums y.A and y.b in
+  Python ints, each row and dual scaled to one positive common
+  denominator; a positive factor changes no comparison, so the verdict is
+  that of the sums in ``Fraction`` arithmetic.
 
 ``feasible_many(lps)`` returns ``[feasible(p) for p in lps]``: the same
 statuses and the same points, to the last bit. In exact mode it is that
@@ -83,7 +93,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from typing import Sequence, Union
 
 import numpy as np
@@ -118,7 +128,13 @@ def solve_count() -> int:
 
 @dataclass(frozen=True)
 class Constraint:
-    """One linear constraint ``coeffs . x  <rel>  rhs``.
+    """One linear constraint ``coeffs / scale . x  <rel>  rhs / scale``.
+
+    ``scale`` (a positive int, 1 unless given) lets a caller that holds a
+    row as ints over a common denominator pass it as it is; it is then the
+    same half-space as ``coeffs . x <rel> rhs``, which is what float mode
+    reads. Exact mode solves the row divided by ``scale``, as it would the
+    row built from ``Fraction`` numbers.
 
     :attr:`exact_row`, :attr:`int_row` and :attr:`float_row` are the row in
     each arithmetic, built on first use and kept, so a constraint that serves
@@ -129,22 +145,37 @@ class Constraint:
     coeffs: tuple
     relation: str
     rhs: Scalar
+    scale: int = 1
 
     def __post_init__(self):
         if self.relation not in RELATIONS:
             raise MalformedLpError(f"unknown relation {self.relation!r}")
+        if type(self.scale) is not int or self.scale < 1:
+            raise MalformedLpError(f"scale must be a positive int, not "
+                                   f"{self.scale!r}")
         object.__setattr__(self, "coeffs", tuple(self.coeffs))
 
     @cached_property
     def exact_row(self) -> tuple:
         """``(coeffs, relation, rhs)`` with ``Fraction`` numbers."""
-        return (tuple(_fraction(v) for v in self.coeffs), self.relation,
-                _fraction(self.rhs))
+        s = self.scale
+        if s == 1:
+            return (tuple(_fraction(v) for v in self.coeffs), self.relation,
+                    _fraction(self.rhs))
+        return (tuple(Fraction(v, s) for v in self.coeffs), self.relation,
+                Fraction(self.rhs, s))
 
     @cached_property
     def int_row(self) -> tuple:
         """``(coeffs, relation, rhs, s)``: the row times ``s``, the LCM of
-        the denominators of its coefficients and rhs, in Python ints."""
+        the denominators of its coefficients and rhs, in Python ints. A row
+        of ints over ``scale`` gets it with one gcd and no ``Fraction``:
+        the LCM is ``scale`` over the gcd of ``scale`` and every entry."""
+        coeffs, rhs = self.coeffs, self.rhs
+        if type(rhs) is int and all(type(v) is int for v in coeffs):
+            g = gcd(self.scale, rhs, *coeffs)
+            return (tuple(v // g for v in coeffs), self.relation, rhs // g,
+                    self.scale // g)
         coeffs, rel, rhs = self.exact_row
         ints, s = _integral((*coeffs, rhs))
         return tuple(ints[:-1]), rel, ints[-1], s
@@ -216,10 +247,12 @@ class LpOutcome:
     part of the answer, so it takes no part in equality.
 
     An exact ``"optimal"`` outcome whose status, or value, is proven before
-    its point is found (see the module docstring) holds its LP in place of
-    ``solution``. The first read of ``solution`` runs the exact simplex on
-    that LP and keeps its point, so every read, equality and hash included,
-    sees the point the exact simplex returns.
+    its point is found (see the module docstring) holds its LP and the
+    float basis's vertex in place of ``solution``. The first read of
+    ``solution`` keeps that vertex if it is proven to be the only optimum,
+    and else runs the exact simplex on the LP; either way it keeps the
+    point the exact simplex returns, drops the rest, and every later read,
+    equality and hash included, sees that point.
     """
 
     status: str  # "optimal" | "infeasible" | "unbounded"
@@ -231,25 +264,28 @@ class LpOutcome:
         # Reached only for a name the instance lacks: the solution of an
         # outcome made by _deferred, read for the first time.
         state = self.__dict__
-        if name != "solution" or "_lp" not in state:
+        if name != "solution" or "_pending" not in state:
             raise AttributeError(name)
-        state["solution"] = _exact_point(state["_lp"])
-        del state["_lp"]
+        lp, vertex = state.pop("_pending")
+        point = _unique_point(lp, *vertex)
+        state["solution"] = _exact_point(lp) if point is None else point
         return state["solution"]
 
 
-def _deferred(lp: LinearProgram, value) -> LpOutcome:
+def _deferred(lp: LinearProgram, value, vertex) -> LpOutcome:
     """The ``"optimal"`` outcome of ``lp`` with objective value ``value``,
-    its point found by the exact simplex when first read."""
+    its point found when first read; ``vertex`` is the optimal vertex
+    ``(active, xs, d, free)`` of :func:`_proven_vertex`."""
     out = object.__new__(LpOutcome)
     out.__dict__.update(status="optimal", objective_value=value, support=None,
-                        _lp=lp)
+                        _pending=(lp, vertex))
     return out
 
 
 def _exact_point(lp: LinearProgram) -> tuple:
     """The point the exact simplex returns for ``lp``, which must have one."""
-    status, x, _ = _simplex(lp.num_vars, *_canonical(lp, Fraction), True)
+    status, x, _ = _simplex(lp.num_vars, _int_rows(lp),
+                            _objective(lp, Fraction), True)
     if status != "optimal":
         raise SolverFailure(f"a proven optimal LP came back {status}")
     return tuple(x)
@@ -262,16 +298,19 @@ def solve(lp: LinearProgram, *, exact: bool = False) -> LpOutcome:
     """
     global _solves
     _solves += 1
-    rows, objective = _canonical(lp, Fraction if exact else float)
     if exact:
-        proven = _certified(lp, objective)
+        objective = _objective(lp, Fraction)
+        rows = _int_rows(lp)
+        proven = _certified(lp, rows, objective)
         if proven is not None:
             return proven
+    else:
+        rows, objective = _canonical(lp, float)
     status, x, evidence = _simplex(lp.num_vars, rows, objective, exact)
     if status != "optimal":
         support = None
         if exact and status == "infeasible":
-            support = _farkas(lp.num_vars, _int_rows(lp), evidence,
+            support = _farkas(lp.num_vars, rows, evidence,
                               lp.simplex_constraint)
         return LpOutcome(status, None, None, support)
 
@@ -286,7 +325,8 @@ def _canonical(lp: LinearProgram, conv):
     """``(rows, objective)`` in ``conv`` arithmetic, the objective in max form.
 
     Rows are ``(coeffs, relation, rhs)``; the simplex row comes last. The
-    ``Fraction`` rows are the constraints' own :attr:`Constraint.exact_row`.
+    ``Fraction`` rows are the constraints' own :attr:`Constraint.exact_row`;
+    float rows read ``coeffs`` and ``rhs`` as they stand.
     """
     if conv is Fraction:
         rows = [con.exact_row for con in lp.constraints]
@@ -295,10 +335,18 @@ def _canonical(lp: LinearProgram, conv):
                 for con in lp.constraints]
     if lp.simplex_constraint:
         rows.append(((conv(1),) * lp.num_vars, "==", conv(1)))
+    return rows, _objective(lp, conv)
+
+
+def _objective(lp: LinearProgram, conv) -> list:
+    """``lp``'s objective in ``conv`` arithmetic, in max form."""
+    if conv is Fraction:
+        conv = _fraction
     if lp.sense == "feasibility":
-        return rows, [conv(0)] * lp.num_vars
-    sign = 1 if lp.sense == "max" else -1
-    return rows, [sign * conv(v) for v in lp.objective]
+        return [conv(0)] * lp.num_vars
+    if lp.sense == "max":
+        return [conv(v) for v in lp.objective]
+    return [-conv(v) for v in lp.objective]
 
 
 def feasible(lp: LinearProgram, *, exact: bool = False) -> LpOutcome:
@@ -515,17 +563,17 @@ def _int_rows(lp: LinearProgram) -> list:
     return rows
 
 
-def _certified(lp: LinearProgram, objective) -> LpOutcome | None:
+def _certified(lp: LinearProgram, rows, objective) -> LpOutcome | None:
     """The float pass's outcome once proven exactly, else ``None``.
 
-    ``objective`` is the ``Fraction`` objective of :func:`solve`.
+    ``rows`` are :func:`_int_rows` of ``lp``, and ``objective`` is its
+    ``Fraction`` objective in max form.
     """
     try:
         status, _, evidence = _float_pass(lp, objective)
     except (SolverFailure, OverflowError):
         # phase 1 broke down or a row has no double: the exact simplex decides
         return None
-    rows = _int_rows(lp)
     if status == "infeasible":
         support = _farkas(lp.num_vars, rows, evidence, lp.simplex_constraint)
         if support is not None:
@@ -543,7 +591,8 @@ def _farkas(num_vars: int, rows, duals, simplex: bool):
     on ``>=`` rows), so every x satisfying the rows has ``y.A x >= y.b``.
     Without the simplex row, ``y.A <= 0`` and ``y.b > 0`` contradict that;
     with it, the simplex row's own dual is dropped and
-    ``y.b > max_i (y.A)_i`` does. Float duals are rounded first; exact
+    ``y.b > max_i (y.A)_i`` does. Float duals are rounded first (a whole
+    number becomes that int, as rounding would make it); exact
     ``Fraction`` duals are used as they are. The support is the tuple of
     row indices whose clipped multiplier is nonzero, the simplex row left
     out; those rows alone carry the same proof.
@@ -564,9 +613,12 @@ def _farkas(num_vars: int, rows, duals, simplex: bool):
         if y == 0 or (rel == "<=" and y > 0) or (rel == ">=" and y < 0):
             continue
         if not isinstance(y, Fraction):
-            y = Fraction(y).limit_denominator(DUAL_DENOMINATOR)
-            if y == 0:
-                continue
+            if y == int(y):  # a whole number is its own nearest rational
+                y = int(y)
+            else:
+                y = Fraction(y).limit_denominator(DUAL_DENOMINATOR)
+                if y == 0:
+                    continue
         support.append(r)
         terms.append((y.numerator, y.denominator * s, coeffs, rhs))
     scale = lcm(*(t for _, t, _, _ in terms))
@@ -594,22 +646,21 @@ def _proven_vertex(lp: LinearProgram, rows, objective, active):
     optimal: ``objective = sum_k lam_k * g_k`` over the normals g_k of the
     active constraints, with lam_k >= 0 on ``<=`` and lam_k <= 0 on ``>=``
     constraints (bounds included), so no point of the LP does better. Then
-    the value is proven. If every such lam_k is nonzero, every optimum is
-    tight on all of them, so the vertex is the only one, and the point is
-    proven too. A point not proven is left to the exact simplex, found when
+    the value is proven. If every such lam_k is nonzero (for a feasibility
+    LP, whose objective is zero, if every active constraint is an
+    equality), every optimum is tight on all of them, so the vertex is the
+    only one, and the point is proven too. A point not proven is found when
     it is first read (:func:`_deferred`).
     """
     num_vars = lp.num_vars
     if len(active) != num_vars:
         return None
-    tight = [rows[k] if k < len(rows) else
-             (tuple(int(i == k - len(rows)) for i in range(num_vars)), ">=", 0, 1)
-             for k in active]
+    tight = _tight_rows(rows, active, num_vars)
     vertex = _solve_int([coeffs for coeffs, _, _, _ in tight],
-                        [rhs for _, _, rhs, _ in tight])
+                        [[rhs for _, _, rhs, _ in tight]])
     if vertex is None:
         return None
-    xs, d = vertex  # x = xs / d
+    (xs,), d = vertex  # x = xs / d
     if any(v < 0 for v in xs):
         return None
     for coeffs, rel, rhs, _ in rows:
@@ -617,33 +668,98 @@ def _proven_vertex(lp: LinearProgram, rows, objective, active):
         if (rel == "<=" and lhs > b) or (rel == ">=" and lhs < b) or \
                 (rel == "==" and lhs != b):
             return None
-    if lp.sense == "feasibility":
-        return _deferred(lp, None)
-    # Each g_k is a row scaled by s_k > 0, and the objective by its own
-    # positive scale, so each multiplier below has the sign of lam_k. The
-    # transposed system is nonsingular, as the vertex's is.
-    ints, s = _integral(objective)
-    lam, _ = _solve_int([list(col) for col in zip(*(c for c, _, _, _ in tight))],
-                        ints)
-    if any((rel == "<=" and v < 0) or (rel == ">=" and v > 0)
-           for (_, rel, _, _), v in zip(tight, lam)):
-        return None
-    value = Fraction(sum(c * v for c, v in zip(ints, xs)), s * d)
-    if lp.sense == "min":
-        value = -value
-    if any(not v and rel != "==" for (_, rel, _, _), v in zip(tight, lam)):
-        return _deferred(lp, value)
+    value, lam = None, [0] * num_vars
+    if lp.sense != "feasibility":
+        # Each g_k is a row scaled by s_k > 0, and the objective by its own
+        # positive scale, so each multiplier below has the sign of lam_k.
+        # The transposed system is nonsingular, as the vertex's is.
+        ints, s = _integral(objective)
+        (lam,), _ = _solve_int(
+            [list(col) for col in zip(*(c for c, _, _, _ in tight))], [ints])
+        if any((rel == "<=" and v < 0) or (rel == ">=" and v > 0)
+               for (_, rel, _, _), v in zip(tight, lam)):
+            return None
+        value = Fraction(sum(c * v for c, v in zip(ints, xs)), s * d)
+        if lp.sense == "min":
+            value = -value
+    free = [k for k, (_, rel, _, _), v in zip(active, tight, lam)
+            if not v and rel != "=="]
+    if free:
+        return _deferred(lp, value, (active, xs, d, free))
     return LpOutcome("optimal", tuple(Fraction(v, d) for v in xs), value)
 
 
-def _solve_int(mat, rhs):
-    """``(z, d)`` with ``mat . (z / d) = rhs`` and ``d > 0``, for an int
-    matrix and rhs, by fraction-free Gauss-Jordan; ``None`` if ``mat`` is
-    singular. Each pivot updates the rows as :meth:`_IntTableau.pivot`
-    does, so every division is exact and, once every column holds a pivot,
-    row r reads ``d`` times (e_r, z_r / d)."""
-    n = len(rhs)
-    aug = [list(row) + [v] for row, v in zip(mat, rhs)]
+def _tight_rows(rows, active, num_vars) -> list:
+    """The integer row of each key in ``active``: ``rows[k]``, or the bound
+    ``x_i >= 0`` for ``k = len(rows) + i``."""
+    return [rows[k] if k < len(rows) else
+            (tuple(int(i == k - len(rows)) for i in range(num_vars)), ">=", 0, 1)
+            for k in active]
+
+
+def _unique_point(lp: LinearProgram, active, xs, d, free) -> tuple | None:
+    """The vertex ``xs / d`` of :func:`_proven_vertex` if it is proven to
+    be the only optimum of ``lp`` (its only point, for a feasibility LP),
+    else ``None``. No :class:`_IntTableau` runs, and no LP is counted.
+
+    With B the normals of the ``active`` constraints, an optimum y gives
+    the direction y - x, which every constraint tight at x allows, and
+    along which the objective ``sum_k lam_k (B (y - x))_k`` stays put. Each
+    term has the sign that keeps to the feasible side, so each is zero:
+    B (y - x) is zero but on ``free``, the active inequalities whose lam_k
+    is zero. So y - x is ``sum_z s_z D_z`` with s >= 0, where
+    ``D_z = B^-1 (sign_z e_z)`` leaves constraint z into its feasible side
+    (sign -1 on ``<=``, +1 on ``>=`` and on a bound). The vertex is the
+    only optimum when no such s, scaled to ``sum s = 1``, also keeps to
+    the feasible side of every other constraint tight at x: a small LP over
+    s, one row per such constraint, that the float simplex solves and
+    :func:`_farkas` proves infeasible in ints.
+    """
+    rows = _int_rows(lp)
+    num_vars = lp.num_vars
+    tight = _tight_rows(rows, active, num_vars)
+    at = {k: i for i, k in enumerate(active)}
+    units = []
+    for z in free:
+        e = [0] * num_vars
+        e[at[z]] = -1 if tight[at[z]][1] == "<=" else 1
+        units.append(e)
+    dirs, _ = _solve_int([coeffs for coeffs, _, _, _ in tight], units)
+    cone = []  # (coefficients over s, relation) of each other tight one
+    for k, (coeffs, rel, rhs, _) in enumerate(rows):
+        if k not in at and sum(c * v for c, v in zip(coeffs, xs)) == rhs * d:
+            cone.append(([sum(c * v for c, v in zip(coeffs, dz) if c)
+                          for dz in dirs], rel))
+    for i, v in enumerate(xs):
+        if not v and len(rows) + i not in at:
+            cone.append(([dz[i] for dz in dirs], ">="))
+    size = len(free)
+    float_rows, int_rows = [], []
+    for coeffs, rel in cone:
+        top = max(map(abs, coeffs))
+        if top:  # each row over its largest entry, so floats stay in [-1, 1]
+            float_rows.append(([c / top for c in coeffs], rel, 0.0))
+            int_rows.append((coeffs, rel, 0, top))
+    float_rows.append(([1.0] * size, "==", 1.0))
+    int_rows.append(((1,) * size, "==", 1, 1))
+    try:
+        status, _, duals = _simplex(size, float_rows, [0.0] * size, False)
+    except SolverFailure:
+        return None
+    if status != "infeasible" or _farkas(size, int_rows, duals, True) is None:
+        return None
+    return tuple(Fraction(v, d) for v in xs)
+
+
+def _solve_int(mat, cols):
+    """``(zs, d)``, d > 0, with ``mat . (z / d) = col`` for each int column
+    ``col`` in ``cols`` and its z in ``zs``, by fraction-free Gauss-Jordan
+    on the int matrix ``mat``; ``None`` if ``mat`` is singular. Each pivot
+    updates the rows as :meth:`_IntTableau.pivot` does, so every division
+    is exact and, once every column holds a pivot, row r reads ``d`` times
+    (e_r, z_r / d) for each column."""
+    n = len(mat)
+    aug = [list(row) + [col[r] for col in cols] for r, row in enumerate(mat)]
     d = 1
     for col in range(n):
         piv = next((r for r in range(col, n) if aug[r][col]), None)
@@ -659,7 +775,7 @@ def _solve_int(mat, rhs):
             if r != col:
                 aug[r] = _eliminate(aug[r], row, col, p, d)
         d = p
-    return [row[n] for row in aug], d
+    return [[row[n + j] for row in aug] for j in range(len(cols))], d
 
 
 # ---------------------------------------------------------------------------
@@ -669,10 +785,12 @@ def _solve_int(mat, rhs):
 def _simplex(num_vars: int, rows, objective, exact: bool):
     """Maximize objective . x subject to rows, x >= 0.
 
-    rows: list of (coeffs, rel in {"<=", ">=", "=="}, rhs), in ``Fraction``
-    arithmetic when ``exact`` and in float otherwise. The tableau is
-    :class:`_IntTableau` or :class:`_FloatTableau` accordingly; the phases,
-    the drive-out and the read-outs here serve both.
+    rows: list of (coeffs, rel in {"<=", ">=", "=="}, rhs) in float, or,
+    when ``exact``, of :attr:`Constraint.int_row` (coeffs, rel, rhs, s):
+    the rational row times s, in ints. The tableau is :class:`_IntTableau`
+    or :class:`_FloatTableau` accordingly; the phases, the drive-out and
+    the read-outs here serve both. An int row's slack and artificial
+    entries are s, so the row starts as s times its rational tableau row.
     Returns ``(status, x, evidence)``. Evidence backs the status for the
     exact certificate: when infeasible, the phase-1 dual of every row in
     the orientation given (<= 0 on ``<=`` rows, >= 0 on ``>=`` rows, up to
@@ -687,40 +805,41 @@ def _simplex(num_vars: int, rows, objective, exact: bool):
     # artificial): flip ">=" rows whenever their rhs is nonpositive.
     norm = []
     flipped = []
-    for coeffs, rel, rhs in rows:
+    for coeffs, rel, rhs, *unit in rows:
         flip = rhs < 0 or (rel == ">=" and rhs == 0)
         if flip:
             coeffs = [-c for c in coeffs]
             rhs = -rhs
             rel = {"<=": ">=", ">=": "<=", "==": "=="}[rel]
-        norm.append((coeffs, rel, rhs))
+        norm.append((coeffs, rel, rhs, unit[0] if unit else one))
         flipped.append(flip)
 
-    n_slack = sum(1 for _, rel, _ in norm if rel != "==")
+    n_slack = sum(1 for _, rel, _, _ in norm if rel != "==")
     # artificial vars for ">=" and "==" rows
-    art_rows = [i for i, (_, rel, _) in enumerate(norm) if rel != "<="]
+    art_rows = [i for i, (_, rel, _, _) in enumerate(norm) if rel != "<="]
     n_art = len(art_rows)
     n_total = num_vars + n_slack + n_art
 
     m = len(norm)
-    tableau = [[zero] * (n_total + 1) for _ in range(m)]
+    fill = 0 if exact else zero  # the int tableau holds ints
+    tableau = [[fill] * (n_total + 1) for _ in range(m)]
     basis = [-1] * m
     slack_col = [-1] * m
     art_col = [-1] * m
     s_at = num_vars
     a_at = num_vars + n_slack
-    for r, (coeffs, rel, rhs) in enumerate(norm):
+    for r, (coeffs, rel, rhs, unit) in enumerate(norm):
         for j, c in enumerate(coeffs):
             tableau[r][j] = c
         tableau[r][n_total] = rhs
         if rel != "==":
-            tableau[r][s_at] = one if rel == "<=" else -one
+            tableau[r][s_at] = unit if rel == "<=" else -unit
             slack_col[r] = s_at
             s_at += 1
         if rel != "<=":
             art_col[r] = a_at
             a_at += 1
-            tableau[r][art_col[r]] = one
+            tableau[r][art_col[r]] = unit
         basis[r] = slack_col[r] if rel == "<=" else art_col[r]
     tab = tab_type(tableau, basis)
 
@@ -739,7 +858,7 @@ def _simplex(num_vars: int, rows, objective, exact: bool):
         if abs(tab.cost[n_total]) > tab.feas_tol:
             # Reduced cost of a column = its phase-1 cost minus y . column.
             duals = []
-            for r, (_, rel, _) in enumerate(norm):
+            for r, (_, rel, _, _) in enumerate(norm):
                 if rel == "==":
                     y = one - tab.reduced_cost(art_col[r])
                 else:
@@ -894,10 +1013,11 @@ class _IntTableau:
     fraction-free (Edmonds 1967; Bareiss 1968): Python ints over one
     positive common denominator ``d``.
 
-    Each row starts scaled by the LCM of its denominators, ``s``, with
-    ``d = 1``. A row holds ``d * s`` times its rational tableau row until it
-    first holds a pivot, and ``d`` times it from then on; the cost row holds
-    ``d * scale`` times the rational reduced costs. All entries stay
+    Each row starts as its :attr:`Constraint.int_row`, scaled by the LCM
+    of its denominators, ``s``, with ``d = 1``. A row holds ``d * s`` times
+    its rational tableau row until it first holds a pivot, and ``d`` times
+    it from then on; the cost row holds ``d * scale`` times the rational
+    reduced costs. All entries stay
     integers: each is a minor of the scaled rows. Positive factors change
     no sign and no ratio, so every entering and leaving choice is the one
     the rational tableau makes, with no gcd taken.
@@ -906,7 +1026,7 @@ class _IntTableau:
     zero, one, tol, feas_tol = Fraction(0), Fraction(1), 0, 0
 
     def __init__(self, rows, basis):
-        self.rows = [_integral(row)[0] for row in rows]
+        self.rows = rows
         self.basis, self.cost, self.d, self.scale = basis, None, 1, 1
 
     def set_cost(self, cost):

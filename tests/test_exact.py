@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import region_sweep
 import static_filters_reference
@@ -19,7 +20,7 @@ from rsekit.errors import EnumerationCapExceeded, RejectionCapExceeded
 from rsekit.exact import rse_curve, solve_exact
 from rsekit.game import (BimatrixGame, br_delta, decimal_fraction, evaluate,
                          exact_game, exact_strategy, leader_payoffs,
-                         rational_reading)
+                         rational_reading, scalar)
 
 
 def test_variants_game_quarter_delta():
@@ -330,17 +331,23 @@ SEED0_X3C = [(1, 2), (1, 3), (Fraction(1, 2), 7), (Fraction(1, 2), 9),
              (0, 42)]
 
 
+# Integer-tableau runs of each solve of the seed-0 x3c pass: a winner whose
+# optimum is proven unique from its vertex needs none.
+SEED0_X3C_RUNS = [0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 0, 1, 1, 1, 1]
+
+
 def test_seed0_x3c_pass_reads_one_point_per_solve(fallbacks):
     """Each LP of the search is proven from its float basis; at most the
     winner's point is found on the integer tableau, when the solver reads
-    it."""
-    got = []
+    it and its vertex is not proven to be the only optimum."""
+    got, runs = [], []
     for game, delta in _seed0_x3c_pass():
         before = fallbacks[0]
         sol = solve_exact(game, delta, exact=True)
-        assert fallbacks[0] - before <= 1
+        runs.append(fallbacks[0] - before)
         got.append((sol.value, sol.lp_count))
     assert got == SEED0_X3C
+    assert runs == SEED0_X3C_RUNS and sum(runs) == 8
 
 
 def test_region_rows_are_built_only_for_the_lps_that_hold_them(monkeypatch):
@@ -363,23 +370,98 @@ def test_region_rows_are_built_only_for_the_lps_that_hold_them(monkeypatch):
     monkeypatch.undo()
     in_lps = {id(con) for cons in held for con in cons}
     count = eager = 0
-    for col_l, col_f, d, (opt, member, exclude, leader) in built:
+    for col_l, col_f, d, rows in built:
         n = len(col_f)
         eager += n * (n - 1) + 3 * n * n
-        pairs = [(row, response_rows(col_f, jt)[i])
-                 for jt, rows in opt.items() for i, row in enumerate(rows)]
-        for kind, cols, margin, rel in ((member, col_f, d, "<="),
-                                        (exclude, col_f, d, ">="),
-                                        (leader, col_l, 0, "<=")):
-            pairs += [(row, response_rows(cols, j, margin, [k], rel)[0])
-                      for j, rows in enumerate(kind)
-                      for k, row in rows.items()]
-        for row, want in pairs:
+        pairs = _row_pairs(col_l, col_f, d, rows)
+        for row, _ in pairs:
             assert id(row) in in_lps
-            assert row == want and row.exact_row == want.exact_row
-            assert type(row.rhs) is type(want.rhs)
+        _assert_same_rows(pairs)
         count += len(pairs)
     assert len(built) == 18 and 0 < count < eager / 2, (count, eager)
+
+
+def _row_pairs(col_l, col_f, d, rows):
+    """Each row ``region_rows`` has built, paired with the same row built by
+    ``Fraction`` subtraction (``baseline.response_rows``)."""
+    opt, member, exclude, leader = rows
+    pairs = [(row, response_rows(col_f, jt)[i])
+             for jt, rows in opt.items() for i, row in enumerate(rows)]
+    for kind, cols, margin, rel in ((member, col_f, d, "<="),
+                                    (exclude, col_f, d, ">="),
+                                    (leader, col_l, 0, "<=")):
+        pairs += [(row, response_rows(cols, j, margin, [k], rel)[0])
+                  for j, rows in enumerate(kind) for k, row in rows.items()]
+    return pairs
+
+
+def _assert_same_rows(pairs):
+    """The two rows of each pair are equal in all three arithmetics, the
+    float twins to the last bit."""
+    for row, want in pairs:
+        assert row.exact_row == want.exact_row
+        assert row.int_row == want.int_row
+        assert repr(row.float_row) == repr(want.float_row)
+
+
+def _read_every_row(col_l, col_f, d):
+    """``region_rows(col_l, col_f, d)`` with every row built."""
+    rows = exact.region_rows(col_l, col_f, d)
+    opt, member, exclude, leader = rows
+    for jt in range(len(col_f)):
+        opt[jt]
+        for kind in (member, exclude, leader):
+            for k in range(len(col_f)):
+                kind[jt][k]
+    return rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=st.tuples(st.integers(1, 4), st.integers(1, 6)),
+       seed=st.integers(0, 10 ** 6), grid=st.sampled_from([2, 7, 12, 64]),
+       delta=st.fractions(Fraction(1, 1000), 1, max_denominator=1000))
+def test_region_rows_in_integers_are_the_fraction_rows(shape, seed, grid,
+                                                       delta):
+    """In exact mode, in float mode (the game's rational reading) and in
+    exact qptas, rows built in integers equal rows built by ``Fraction``
+    subtraction: ``exact_row``, ``int_row`` and ``float_row``."""
+    m, n = shape
+    on_grid = lab.gen_random(m, n, seed, rational_grid=grid)
+    off_grid = lab.gen_random(m, n, seed)
+    for cols, d in ((on_grid.columns(True), delta),
+                    (rational_reading(off_grid).columns(True),
+                     decimal_fraction(float(delta))),
+                    (on_grid.columns(True), scalar(float(delta), True))):
+        rows = _read_every_row(*cols, d)
+        pairs = _row_pairs(*cols, d, rows)
+        assert len(pairs) == n * (n - 1) + 3 * n * n
+        _assert_same_rows(pairs)
+
+
+def test_region_rows_make_no_fraction_until_the_exact_row_is_read(
+        monkeypatch):
+    game = lab.gen_random(3, 5, 2, rational_grid=7)
+    col_l, col_f = game.columns(True)
+    delta = Fraction(1, 10)
+    made = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    opt, member, exclude, leader = _read_every_row(col_l, col_f, delta)
+    rows = [row for kind in (member, exclude, leader) for by_k in kind
+            for row in by_k.values()]
+    rows += [row for by_jt in opt.values() for row in by_jt]
+    assert len(rows) == 5 * 4 + 3 * 5 * 5
+    for row in rows:
+        row.int_row, row.float_row
+    assert made == []
+    for row in rows:
+        assert all(type(v) is Fraction for v in row.exact_row[0])
+    assert made
 
 
 def test_determinism():

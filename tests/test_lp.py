@@ -174,6 +174,9 @@ def test_malformed_lp_rejected():
         LinearProgram(2, (1, 0), "max", (Constraint((1,), "<=", 1),), False)
     with pytest.raises(MalformedLpError, match="feasibility LP"):
         lp.feasible(lp.maximize([1, 0], [], simplex=True))
+    for scale in (0, -2, 1.5, True):
+        with pytest.raises(MalformedLpError, match="scale"):
+            Constraint((1, 2), "<=", 1, scale)
 
 
 def test_unbounded_detected():

@@ -17,6 +17,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import farkas_reference
 import fraction_simplex
@@ -31,8 +32,12 @@ def reference(prog: LinearProgram) -> LpOutcome:
 
 def kernel_outcome(prog: LinearProgram, simplex):
     """``(outcome, evidence)`` of ``simplex`` alone on ``prog``; an
-    infeasible outcome carries the support of its own duals' certificate."""
+    infeasible outcome carries the support of its own duals' certificate.
+    The integer tableau reads the integer rows, the reference the
+    ``Fraction`` rows."""
     rows, objective = lp._canonical(prog, Fraction)
+    if simplex is lp._simplex:
+        rows = lp._int_rows(prog)
     status, x, evidence = simplex(prog.num_vars, rows, objective, True)
     if status != "optimal":
         support = None
@@ -147,9 +152,10 @@ def test_unique_vertex_is_certified_without_fallback(fallbacks):
     assert fallbacks[0] == 0
 
 
-# Two rows and the simplex row are tight at (1/2, 1/2): a degenerate vertex.
-DEGENERATE_GATE = lp.feasibility(2, [Constraint((1, 0), "<=", Fraction(1, 2)),
-                                     Constraint((0, 1), "<=", Fraction(1, 2))],
+# Two rows, the simplex row and x3 >= 0 are tight at (1/2, 1/2, 0): a
+# degenerate vertex of a gate with more points than that one.
+DEGENERATE_GATE = lp.feasibility(3, [Constraint((1, 0, 0), "<=", Fraction(1, 2)),
+                                     Constraint((0, 1, 0), "<=", Fraction(1, 2))],
                                  simplex=True)
 
 
@@ -170,6 +176,75 @@ def test_status_and_value_proven_before_the_point(name, fallbacks):
     assert out.solution is x and out == out and fallbacks[0] == 1
     assert out == reference(prog) and x == reference(prog).solution
     assert all(type(v) is Fraction for v in x)
+
+
+# Degenerate optima whose float basis holds one, then two, inequalities
+# with a zero multiplier; a row tight at the vertex but out of the basis
+# still makes the vertex the only optimum.
+ONE_ZERO = lp.maximize((1, 1), [Constraint((1, 0), "<=", 1),
+                                Constraint((1, 1), "<=", 2),
+                                Constraint((0, 1), "<=", 1)])
+TWO_ZEROS = lp.maximize((1, 1, 1), [Constraint((1, 0, 0), "<=", 1),
+                                    Constraint((0, 1, 0), "<=", 1),
+                                    Constraint((1, 1, 1), "<=", 3),
+                                    Constraint((0, 0, 1), "<=", 1)])
+# The same two rows and the simplex row in two dimensions: the gate's only
+# point is (1/2, 1/2).
+SINGLE_POINT_GATE = lp.feasibility(2, [Constraint((1, 0), "<=", Fraction(1, 2)),
+                                       Constraint((0, 1), "<=", Fraction(1, 2))],
+                                   simplex=True)
+
+
+@pytest.mark.parametrize("name, zeros, runs", [
+    ("one zero multiplier", 1, 0), ("two zero multipliers", 2, 0),
+    ("single-point gate", 1, 0), ("tied", 1, 1), ("degenerate gate", 2, 1)])
+def test_unique_optimum_is_proven_from_its_vertex(name, zeros, runs,
+                                                  fallbacks):
+    """A point found on first read is the float basis's vertex, with no
+    integer-tableau run, when the optimal face is proven to be that one
+    point; otherwise one run finds it. Either way the state held for the
+    read is dropped."""
+    prog = {"one zero multiplier": ONE_ZERO, "two zero multipliers": TWO_ZEROS,
+            "single-point gate": SINGLE_POINT_GATE, "tied": TIED,
+            "degenerate gate": DEGENERATE_GATE}[name]
+    out = lp.solve(prog, exact=True)
+    _, (_, _, _, free) = out.__dict__["_pending"]
+    assert len(free) == zeros
+    assert out.solution == reference(prog).solution
+    assert all(type(v) is Fraction for v in out.solution)
+    assert fallbacks[0] == runs
+    assert "_pending" not in out.__dict__
+    assert out == reference(prog)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rng=st.randoms(use_true_random=False))
+def test_points_proven_without_the_tableau_are_the_reference_points(
+        rng, fallbacks):
+    prog = random_lp(rng, (2, 4), (1, 6))
+    before = fallbacks[0]
+    out = lp.solve(prog, exact=True)
+    if out.status == "optimal":
+        x = out.solution
+        if fallbacks[0] == before:
+            assert x == reference(prog).solution, prog
+
+
+def test_face_proofs_spare_the_tableau_on_random_lps(fallbacks):
+    """Of the random LPs whose point is left to its first read, some are
+    proven unique from the vertex (no run) and some are not (one run)."""
+    rng = random.Random(7)
+    runs = []
+    for _ in range(400):
+        prog = random_lp(rng, (2, 4), (1, 6))
+        out = lp.solve(prog, exact=True)
+        if "_pending" in out.__dict__:
+            before = fallbacks[0]
+            assert out.solution == reference(prog).solution, prog
+            runs.append(fallbacks[0] - before)
+    assert runs.count(0) >= 10 and runs.count(1) >= 10, runs
+    assert set(runs) == {0, 1}
 
 
 def test_degenerate_vertex_and_duplicated_rows():
@@ -453,6 +528,34 @@ def test_wrong_optimal_vertex_is_not_trusted(monkeypatch, prog, active):
     assert want.status == ("infeasible" if prog is INFEASIBLE else "optimal")
 
 
+# max x1 + x2 over the simplex in three dimensions: a tied face from
+# (1, 0, 0), where the reference ends, to (0, 1, 0), where x2 <= 1 is tight
+# too. The second LP also holds the row x1 >= 0, tight there.
+TIED_DEGENERATE = lp.maximize((1, 1, 0), [Constraint((0, 1, 0), "<=", 1)],
+                              simplex=True)
+TIED_ROW = lp.maximize((1, 1, 0), [Constraint((0, 1, 0), "<=", 1),
+                                   Constraint((1, 0, 0), ">=", 0)],
+                       simplex=True)
+
+
+@pytest.mark.parametrize("prog, active", [
+    (TIED_DEGENERATE, [0, 1, 4]),  # the bound x1 >= 0, out of the basis
+    (TIED_ROW, [0, 2, 5]),         # the row x1 >= 0 and that bound
+])
+def test_vertex_of_a_tied_face_is_not_kept(monkeypatch, fallbacks, prog,
+                                           active):
+    """A float basis at (0, 1, 0) proves the value, with a zero multiplier
+    on x2 <= 1. The constraints tight there but out of the basis allow the
+    direction (1, -1, 0) along the face, so the vertex is not kept: one
+    run finds the reference's point."""
+    _lie(monkeypatch, "optimal", None, active)
+    out = lp.solve(prog, exact=True)
+    _, (_, xs, d, free) = out.__dict__["_pending"]
+    assert (xs, d, free) == ([0, 1, 0], 1, [0])
+    assert out.solution == reference(prog).solution == (1, 0, 0)
+    assert fallbacks[0] == 1
+
+
 # Each LP below is infeasible but for the last, which is a feasible gate.
 INFEASIBLE_GATE = lp.feasibility(2, INFEASIBLE.constraints, simplex=True)
 NEGATIVE_GATE = lp.feasibility(1, [Constraint((1,), "<=", -1)])
@@ -527,6 +630,26 @@ def test_rows_beyond_the_double_range_go_to_the_fraction_simplex(fallbacks):
 # ---------------------------------------------------------------------------
 # Each constraint's exact and float rows, built once.
 # ---------------------------------------------------------------------------
+
+def test_scaled_row_is_its_ints_over_the_scale():
+    # 12/30 x1 - 6/30 x2 <= 9/30 is 2/5 x1 - 1/5 x2 <= 3/10: the integer
+    # form takes the LCM 10, not 30, as the row built from Fractions does.
+    con = Constraint((12, -6), "<=", 9, 30)
+    want = Constraint((Fraction(2, 5), Fraction(-1, 5)), "<=", Fraction(3, 10))
+    assert con.exact_row == want.exact_row
+    assert con.int_row == want.int_row == ((4, -2), "<=", 3, 10)
+    assert repr(con.float_row) == repr(want.float_row)
+    assert Constraint((0, 0), ">=", 0, 7).int_row == ((0, 0), ">=", 0, 1)
+    assert con != want  # equality compares the fields as given
+    for prog in (lp.maximize((1, 1), [con], simplex=True),
+                 lp.feasibility(2, [con, Constraint((5, 0), ">=", 6, 5)],
+                                simplex=True)):
+        assert_same(prog)
+        twin = LinearProgram(prog.num_vars, prog.objective, prog.sense,
+                             tuple(Constraint(*c.exact_row)
+                                   for c in prog.constraints), True)
+        assert lp.solve(prog, exact=True) == lp.solve(twin, exact=True)
+
 
 def test_cached_rows_are_the_entries_in_each_arithmetic():
     con = Constraint((1, Fraction(-2, 3), 0.1, 0, Fraction(10) ** 30), ">=",
@@ -635,7 +758,8 @@ def test_farkas_matches_the_rounding_reference():
         status, _, evidence = lp._float_pass(prog, objective)
         if status == "infeasible":
             duals.append(evidence)
-        status, _, evidence = lp._simplex(prog.num_vars, rows, objective, True)
+        status, _, evidence = lp._simplex(prog.num_vars, lp._int_rows(prog),
+                                          objective, True)
         if status == "infeasible":
             duals.append(evidence)
         if not duals:
