@@ -28,15 +28,23 @@ cuts prune tuples without changing that order or the answer:
   columns and delta scaled once by their common denominator, and a set S
   is tested against them with two integer ANDs;
 * the bound cut: a tuple is skipped once the best value so far reaches
-  the smallest column maximum of the leader over S, that is, once S meets
-  the bitmask of the actions whose column maximum is at most that value,
-  which is recomputed only when the best value changes;
+  the smallest column maximum of the leader over S. The actions whose
+  column maximum is at most that value are capped, and the enumeration
+  draws each S from the uncapped actions only, so a set that holds a
+  capped action is never visited. When the best value caps more actions,
+  the sets of the current size resume after the current S, in the same
+  order;
 * certificate cuts: for |S| > 1 one feasibility gate per (S, j_tilde)
-  precedes the |S| objective LPs. When a gate is proven infeasible by a
-  Farkas certificate, the rows that certificate uses name the members it
-  needs in S and the actions it needs outside S; every later gate for the
-  same j_tilde with such an S holds those rows and is skipped without an
-  LP.
+  precedes the |S| objective LPs. A gate holds the member rows of S, the
+  exclusion rows of the actions outside S, and the j_tilde-optimality
+  rows of S only: for k outside S the exclusion row (``>= d``, d > 0)
+  implies the optimality row (``>= 0``), so the gate has the feasible set
+  of the full region. The objective LPs keep every optimality row, as the
+  winner's point is the vertex the full rows lead to. When a gate is proven
+  infeasible by a Farkas certificate, the rows that certificate uses name
+  the members it needs in S and the actions it needs outside S; every
+  later gate for the same j_tilde with such an S is infeasible too
+  (:func:`_nogood`) and is skipped without an LP.
 """
 
 from __future__ import annotations
@@ -44,7 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import chain, combinations
+from itertools import chain, combinations, dropwhile
 from typing import Sequence
 
 from . import lp
@@ -142,34 +150,44 @@ def solve_exact(game: BimatrixGame, delta, *, exact: bool = False,
     capped = 0  # the actions whose leader column maximum is <= best value
 
     best = None  # (objective, S, j_tilde, j, outcome)
+    allowed = range(n)  # the actions outside capped
     for size in range(1, n + 1):
-        for S in combinations(range(n), size):
+        if len(allowed) < size:
+            break  # every larger set meets capped
+        sets = combinations(allowed, size)
+        while S := next(sets, None):
             mask = 0
             for k in S:
                 mask |= 1 << k
+            was = capped
             for jt in S:
                 if mask & capped:
                     break
                 if mask & no_member[jt] or must_member[jt] & ~mask:
                     continue
                 # Sound: such a gate holds every row of a proven
-                # certificate, so it is infeasible too.
+                # certificate, or a row that implies it, so it is
+                # infeasible too (see _nogood).
                 if any(mask & need == need and not mask & avoid
                        for need, avoid in nogoods[jt]):
                     continue
                 inside = [k for k in S if k != jt]
                 outside = [k for k in range(n) if not mask >> k & 1]
-                region = (opt[jt] + tuple(member[jt][k] for k in inside)
-                          + tuple(exclude[jt][k] for k in outside))
+                rows = (tuple(member[jt][k] for k in inside)
+                        + tuple(exclude[jt][k] for k in outside))
                 if size > 1:
-                    # One feasibility probe spares |S| doomed solves.
+                    # One feasibility probe spares |S| doomed solves. It
+                    # holds the optimality rows of S only: the exclusion
+                    # row of each k outside S implies that k's.
                     gate = lp.feasible(lp.feasibility(
-                        m, region, simplex=True), exact=True)
+                        m, tuple(opt.rows[jt][k] for k in inside) + rows,
+                        simplex=True), exact=True)
                     if gate.status != "optimal":
                         if gate.support is not None:
                             nogoods[jt].append(_nogood(
-                                gate.support, len(opt[jt]), inside, outside))
+                                gate.support, inside, outside))
                         continue
+                region = opt[jt] + rows
                 for j in S:
                     if mask & capped:
                         break
@@ -182,6 +200,11 @@ def solve_exact(game: BimatrixGame, delta, *, exact: bool = False,
                         best = (out.objective_value, S, jt, j, out)
                         capped = sum(1 << k for k, v in enumerate(col_max_l)
                                      if v <= best[0])
+            if capped != was:
+                # The same order on the sets left: those after S that
+                # meet no capped action.
+                allowed = [k for k in allowed if not capped >> k & 1]
+                sets = dropwhile(S.__ge__, combinations(allowed, size))
     if best is None:
         raise SolverFailure("no region tuple is feasible; this cannot happen "
                             "for delta > 0")
@@ -213,8 +236,9 @@ class _Lazy(dict):
 def region_rows(col_l, col_f, d):
     """The constraints a region LP can hold, each built on first read.
 
-    Returns ``(opt, member, exclude, leader)``: ``opt[jt]`` is the tuple of
-    j_tilde-optimality rows ``u_f(jt) - u_f(k) >= 0`` over k != jt;
+    Returns ``(opt, member, exclude, leader)``: ``opt.rows[jt][k]`` is the
+    j_tilde-optimality row ``u_f(jt) - u_f(k) >= 0``, and ``opt[jt]`` the
+    tuple of those rows over k != jt;
     ``member[jt][k]`` and ``exclude[jt][k]`` bound ``u_f(jt) - u_f(k)`` by
     ``<= d`` and ``>= d``; ``leader[j][k]`` is ``u_l(j) - u_l(k) <= 0``.
     Each difference of two columns is computed once, and the first read of
@@ -236,11 +260,23 @@ def region_rows(col_l, col_f, d):
         f_cols, (d,), f_scale = _integral_columns(col_f, d)
         l_cols, _, l_scale = _integral_columns(col_l)
     diff = [_Lazy(partial(_minus, f_cols, jt)) for jt in range(n)]
-    opt = _Lazy(lambda jt: tuple(lp.Constraint(diff[jt][k], ">=", 0, f_scale)
-                                 for k in range(n) if k != jt))
     leader = [_Lazy(partial(_minus, l_cols, j)) for j in range(n)]
-    return (opt, _rows(diff, "<=", d, f_scale), _rows(diff, ">=", d, f_scale),
+    return (_Optimal(_rows(diff, ">=", 0, f_scale)),
+            _rows(diff, "<=", d, f_scale), _rows(diff, ">=", d, f_scale),
             _rows(leader, "<=", 0, l_scale))
+
+
+class _Optimal(_Lazy):
+    """The j_tilde-optimality rows: ``opt.rows[jt][k]`` is the row of one
+    k, and ``opt[jt]`` the tuple of those rows over k != jt. Each is built
+    on first read, so a gate that holds the rows of a few k builds only
+    those."""
+
+    def __init__(self, rows):
+        n = len(rows)
+        super().__init__(lambda jt: tuple(rows[jt][k] for k in range(n)
+                                          if k != jt))
+        self.rows = rows
 
 
 def _integral_columns(cols, *extra):
@@ -294,24 +330,29 @@ def _static_filters(col_f, d):
     return no_member, must_member
 
 
-def _nogood(support, n_opt, inside, outside):
+def _nogood(support, inside, outside):
     """``(in_mask, out_mask)`` of the member and exclude rows in ``support``.
 
-    ``support`` indexes a gate's rows for ``(S, jt)``: the ``n_opt``
-    optimality rows (in every gate for jt), then the member rows of
-    ``inside`` (S without jt), then the exclude rows of ``outside``. Every
-    gate ``(S', jt)`` with ``S'`` holding ``in_mask`` and missing
-    ``out_mask`` holds these rows.
+    ``support`` indexes a gate's rows for ``(S, jt)``: the optimality rows
+    of ``inside`` (S without jt), then their member rows, then the exclude
+    rows of ``outside``. Every gate ``(S', jt)`` with ``S'`` holding
+    ``in_mask`` and missing ``out_mask`` holds these member and exclude
+    rows. An optimality row adds no bit: such a gate holds it for each k
+    in ``S'``, and for each k outside ``S'`` it holds the exclusion row on
+    the same difference, ``>= d`` with ``d > 0``. With the same multiplier
+    that row raises the certificate's ``y.b`` by ``y_k d >= 0`` and leaves
+    ``y.A`` as it is, so the certificate still proves the gate infeasible.
     """
     need = avoid = 0
+    n_in = len(inside)
     for r in support:
-        r -= n_opt
-        if r < 0:
+        if r < n_in:
             continue
-        if r < len(inside):
+        r -= n_in
+        if r < n_in:
             need |= 1 << inside[r]
         else:
-            avoid |= 1 << outside[r - len(inside)]
+            avoid |= 1 << outside[r - n_in]
     return need, avoid
 
 

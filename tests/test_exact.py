@@ -6,6 +6,7 @@ import pickle
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -228,6 +229,93 @@ def test_certificate_cuts_change_nothing(name, monkeypatch):
         assert fast.lp_count < uncut.lp_count
 
 
+def _cut_solves():
+    """``(game, delta)`` for each of ``CUT_GAMES``, at the delta
+    :func:`test_certificate_cuts_change_nothing` solves it with."""
+    for name, make in CUT_GAMES.items():
+        delta = Fraction(1, 10) if name.startswith("x3c") else Fraction(1, 4)
+        yield make(), delta
+
+
+def _full_gate(m, rows, S, jt):
+    """The feasibility gate of ``(S, jt)`` over ``region_rows`` output
+    ``rows``, holding every optimality row of jt, solved exactly."""
+    opt, member, exclude, _ = rows
+    n = len(member)
+    cons = (opt[jt] + tuple(member[jt][k] for k in S if k != jt)
+            + tuple(exclude[jt][k] for k in range(n) if k not in S))
+    return lp.feasible(lp.feasibility(m, cons, simplex=True), exact=True)
+
+
+def test_gates_hold_the_optimality_rows_of_S_only(monkeypatch):
+    """A gate for (S, jt) holds ``opt.rows[jt][k]`` for k in S only: the
+    exclusion row of each k outside S implies the optimality row of k, so
+    each gate has the status of the gate that holds every row."""
+    built, gates = [], []
+    region_rows, feasible = exact.region_rows, lp.feasible
+
+    def recording_rows(col_l, col_f, d):
+        built.append(region_rows(col_l, col_f, d))
+        return built[-1]
+
+    def recording_feasible(prog, *, exact=False):
+        out = feasible(prog, exact=exact)
+        gates.append((built[-1], prog, out.status))
+        return out
+
+    monkeypatch.setattr(exact, "region_rows", recording_rows)
+    monkeypatch.setattr(lp, "feasible", recording_feasible)
+    for game, delta in [*_seed0_x3c_pass(), *_cut_solves()]:
+        solve_exact(game, delta, exact=True)
+    monkeypatch.undo()
+    dropped = 0
+    for rows, prog, status in gates:
+        opt, member, exclude, _ = rows
+        names = {}
+        for kind, by_jt in (("opt", opt.rows), ("member", member),
+                            ("exclude", exclude)):
+            names.update({id(row): (kind, jt, k) for jt, by_k in
+                          enumerate(by_jt) for k, row in by_k.items()})
+        held = [names[id(con)] for con in prog.constraints]
+        (jt,) = {jt for _, jt, _ in held}
+        inside = [k for kind, _, k in held if kind == "member"]
+        outside = [k for kind, _, k in held if kind == "exclude"]
+        assert [k for kind, _, k in held if kind == "opt"] == inside
+        S = sorted([jt, *inside])
+        assert sorted(S + outside) == list(range(len(member)))
+        assert _full_gate(prog.num_vars, rows, S, jt).status == status
+        dropped += len(outside)
+    assert len(gates) > 500 and dropped > 1000, (len(gates), dropped)
+
+
+def test_nogoods_skip_only_infeasible_gates(monkeypatch):
+    """Every gate a Farkas nogood skips is infeasible with every optimality
+    row of jt in it, though the certificate came from a gate that held
+    the optimality rows of its own S only.
+
+    The skips are seen where the search tests its nogoods, through
+    ``any``: on a hit in ``solve_exact``, its frame names the gate's S and
+    jt."""
+    skipped = []
+
+    def recording_any(tests):
+        hit = any(tests)
+        caller = sys._getframe(1)
+        if hit and caller.f_code is solve_exact.__code__:
+            f = caller.f_locals
+            skipped.append((f["m"], f["opt"], f["member"], f["exclude"],
+                            f["S"], f["jt"]))
+        return hit
+
+    monkeypatch.setattr(exact, "any", recording_any, raising=False)
+    for game, delta in _cut_solves():
+        solve_exact(game, delta, exact=True)
+    monkeypatch.undo()
+    for m, *rows, S, jt in skipped:
+        assert _full_gate(m, (*rows, None), S, jt).status == "infeasible"
+    assert len(skipped) > 1000, len(skipped)
+
+
 def test_bound_cut_at_its_edge():
     # The optimum, 3/4, is the leader column maximum of actions 0 and 2, so
     # once it is found every later set holding either is cut: the cut is
@@ -242,6 +330,28 @@ def test_bound_cut_at_its_edge():
     assert fast.chosen_tuple == ref.chosen_tuple
     assert fast.strategy.exact == ref.strategy.exact
     assert fast.lp_count == 18
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=st.integers(1, 3), n=st.integers(1, 6), seed=st.integers(0, 10 ** 6),
+       grid=st.sampled_from([2, 3, 4, 8, 16]),
+       delta=st.sampled_from([Fraction(1, 10), Fraction(1, 4), Fraction(1, 3),
+                              Fraction(3, 4)]))
+def test_pruned_search_is_the_sweep_on_random_grid_games(m, n, seed, grid,
+                                                         delta):
+    """The search visits the sets that meet no capped action, resuming
+    after the current set whenever the bound cut caps more; it returns
+    what the every-tuple sweep returns. Its objective LPs are no more than
+    the sweep's, but with its gates it may solve more: a 2x2 game whose
+    one gate passes costs 8 LPs to the sweep's 6."""
+    game = lab.gen_random(m, n, seed, rational_grid=grid)
+    with mock.patch.object(lp, "feasible", wraps=lp.feasible) as gates:
+        fast = solve_exact(game, delta, exact=True)
+    full = region_sweep.sweep(game, delta)
+    assert fast.value == full.value
+    assert fast.chosen_tuple == full.chosen_tuple
+    assert fast.strategy.exact == full.strategy.exact
+    assert fast.lp_count - gates.call_count <= full.lp_count
 
 
 def _search_inputs(game, delta, exact_mode):
@@ -383,11 +493,17 @@ def test_region_rows_are_built_only_for_the_lps_that_hold_them(monkeypatch):
 
 def _row_pairs(col_l, col_f, d, rows):
     """Each row ``region_rows`` has built, paired with the same row built by
-    ``Fraction`` subtraction (``baseline.response_rows``)."""
+    ``Fraction`` subtraction (``baseline.response_rows``). Optimality rows
+    are built one (jt, k) at a time; a built ``opt[jt]`` holds the very
+    rows ``opt.rows[jt][k]`` over k != jt."""
     opt, member, exclude, leader = rows
-    pairs = [(row, response_rows(col_f, jt)[i])
-             for jt, rows in opt.items() for i, row in enumerate(rows)]
-    for kind, cols, margin, rel in ((member, col_f, d, "<="),
+    for jt, full in opt.items():
+        others = [opt.rows[jt][k] for k in range(len(col_f)) if k != jt]
+        assert len(full) == len(others)
+        assert all(a is b for a, b in zip(full, others))
+    pairs = []
+    for kind, cols, margin, rel in ((opt.rows, col_f, 0, ">="),
+                                    (member, col_f, d, "<="),
                                     (exclude, col_f, d, ">="),
                                     (leader, col_l, 0, "<=")):
         pairs += [(row, response_rows(cols, j, margin, [k], rel)[0])
@@ -409,10 +525,12 @@ def _read_every_row(col_l, col_f, d):
     rows = exact.region_rows(col_l, col_f, d)
     opt, member, exclude, leader = rows
     for jt in range(len(col_f)):
-        opt[jt]
-        for kind in (member, exclude, leader):
-            for k in range(len(col_f)):
+        for k in range(len(col_f)):
+            if k != jt:
+                opt.rows[jt][k]
+            for kind in (member, exclude, leader):
                 kind[jt][k]
+        opt[jt]
     return rows
 
 
@@ -454,7 +572,7 @@ def test_region_rows_make_no_fraction_until_the_exact_row_is_read(
     opt, member, exclude, leader = _read_every_row(col_l, col_f, delta)
     rows = [row for kind in (member, exclude, leader) for by_k in kind
             for row in by_k.values()]
-    rows += [row for by_jt in opt.values() for row in by_jt]
+    rows += [row for by_k in opt.rows for row in by_k.values()]
     assert len(rows) == 5 * 4 + 3 * 5 * 5
     for row in rows:
         row.int_row, row.float_row
