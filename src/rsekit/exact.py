@@ -44,7 +44,10 @@ cuts prune tuples without changing that order or the answer:
   infeasible by a Farkas certificate, the rows that certificate uses name
   the members it needs in S and the actions it needs outside S; every
   later gate for the same j_tilde with such an S is infeasible too
-  (:func:`_nogood`) and is skipped without an LP.
+  (:func:`_nogood`) and is skipped without an LP. A gate's certificate
+  comes from the optimal basis of its normalized Farkas dual
+  (:func:`rsekit.lp.solve`), so it uses at most m + 1 rows, and the
+  fewer rows it names, the more later gates its nogood covers.
 """
 
 from __future__ import annotations

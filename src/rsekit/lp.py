@@ -15,8 +15,13 @@ deterministic and cycling-free:
   certify-then-fallback. The simplex first runs in float on the same rows,
   and its answer is kept only once it is proven in rationals:
 
-  - *infeasible*: the phase-1 duals, clipped to their allowed signs, must
-    form an exact Farkas certificate;
+  - *infeasible*: float multipliers, clipped to their allowed signs, must
+    form an exact Farkas certificate. A feasibility LP over the simplex
+    takes them from the optimal basis of its normalized Farkas dual, an
+    LP of ``num_vars + 1`` rows whose slack basis is feasible, so the
+    certificate names at most ``num_vars + 1`` rows; only when that dual's
+    optimum is not positive does the simplex run on the LP itself. Any
+    other LP takes its phase-1 duals;
   - *optimal*: the ``num_vars`` constraints the final basis holds tight
     are solved as equalities, in ints with no fraction, and the vertex
     must hold x >= 0 and every row, checked in ints. That proves the LP
@@ -547,11 +552,58 @@ def _pivot_many(V, basis, rows, cols, buf):
 def _float_pass(lp: LinearProgram, objective):
     """The float simplex on the float twins of ``lp``'s rows, maximizing
     ``objective``; see :func:`_simplex` for the result. A row with no
-    double raises ``OverflowError`` here."""
+    double raises ``OverflowError`` here.
+
+    A feasibility LP with the simplex row first solves its normalized
+    Farkas dual (:func:`_farkas_dual`), and a positive optimum is returned
+    as ``("infeasible", None, y)``: a certificate on at most
+    ``num_vars + 1`` rows, for :func:`_farkas` to prove. Any other LP, and
+    one whose dual optimum is not positive, runs the simplex itself."""
     rows = [con.float_row for con in lp.constraints]
     if lp.simplex_constraint:
+        if lp.sense == "feasibility":
+            y = _farkas_dual(lp.num_vars, rows)
+            if y is not None:
+                return "infeasible", None, y
         rows.append(((1.0,) * lp.num_vars, "==", 1.0))
     return _simplex(lp.num_vars, rows, [float(c) for c in objective], False)
+
+
+# The signs a row's Farkas multiplier may take, by relation: one dual column
+# per sign.
+_DUAL_SIGNS = {"<=": (-1.0,), ">=": (1.0,), "==": (1.0, -1.0)}
+
+
+def _farkas_dual(num_vars: int, rows):
+    """Float multipliers, one per row and a last 0 for the simplex row,
+    whose combination proves that the float ``rows`` have no point in the
+    simplex; ``None`` if the float pass finds none.
+
+    They solve: maximize ``y.b - t`` subject to ``(y.A)_i <= t`` for each
+    variable i and ``sum_r |y_r| <= 1``, with ``y_r <= 0`` on ``<=`` rows
+    and ``>= 0`` on ``>=`` rows. In nonnegative columns an ``==`` row takes
+    two signed ones, and ``t = t+ - t-``. Every row is a ``<=`` with rhs 0
+    or 1, so the slack basis is feasible and there is no phase 1. By
+    Farkas's lemma the optimum is positive exactly when the rows have no
+    point, and it sits at a basis of ``num_vars + 1`` rows, so at most that
+    many multipliers are nonzero. They are scaled so that the smallest
+    nonzero one is 1.
+    """
+    cols = [(r, sign, coeffs, rhs) for r, (coeffs, rel, rhs) in enumerate(rows)
+            for sign in _DUAL_SIGNS[rel]]
+    dual_rows = [([sign * coeffs[i] for _, sign, coeffs, _ in cols] + [-1.0, 1.0],
+                  "<=", 0.0) for i in range(num_vars)]
+    dual_rows.append(([1.0] * len(cols) + [0.0, 0.0], "<=", 1.0))
+    objective = [sign * rhs for _, sign, _, rhs in cols] + [-1.0, 1.0]
+    status, u, _ = _simplex(len(cols) + 2, dual_rows, objective, False)
+    if status != "optimal" or \
+            sum(c * v for c, v in zip(objective, u)) <= FEASIBILITY_TOL:
+        return None
+    y = [0.0] * (len(rows) + 1)
+    for (r, sign, _, _), v in zip(cols, u):
+        y[r] += sign * v
+    small = min((abs(v) for v in y if v), default=0.0)
+    return [v / small for v in y] if small else None
 
 
 def _int_rows(lp: LinearProgram) -> list:

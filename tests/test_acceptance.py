@@ -229,18 +229,18 @@ LADDER_ANSWERS = [
     (Fraction(1, 2), (0, 1, 2), 0, 0, 12),
     (Fraction(1, 2), (0, 1, 2), 0, 0, 9),
     (Fraction(1, 2), (0, 1, 2), 0, 0, 9),
-    (Fraction(1, 3), (0, 1, 2, 3), 0, 0, 30),
-    (Fraction(1, 3), (0, 1, 2, 3), 0, 0, 30),
+    (Fraction(1, 3), (0, 1, 2, 3), 0, 0, 18),
+    (Fraction(1, 3), (0, 1, 2, 3), 0, 0, 18),
     (0, (0, 1, 2, 7, 8), 0, 7, 16),
     (0, (0, 1, 2, 8), 0, 8, 13),
-    (0, (0, 1, 3, 9), 0, 9, 16),
-    (0, (0, 1, 2, 9), 0, 9, 39),
-    (Fraction(1, 4), (0, 1, 2, 3, 4), 0, 1, 60),
+    (0, (0, 1, 3, 9), 0, 9, 17),
+    (0, (0, 1, 2, 9), 0, 9, 34),
+    (Fraction(1, 4), (0, 1, 2, 3, 4), 0, 1, 64),
     (0, (0, 1, 2, 4, 6), 0, 4, 16),
     (0, (0, 1, 2, 5, 6), 0, 5, 16),
     (0, (0, 1, 2, 3), 0, 3, 13),
-    (0, (0, 1, 2, 3, 12), 0, 12, 42),
-    (0, (0, 1, 2, 4, 10), 0, 10, 162),
+    (0, (0, 1, 2, 3, 12), 0, 12, 30),
+    (0, (0, 1, 2, 4, 10), 0, 10, 90),
 ]
 
 

@@ -10,8 +10,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+import fraction_simplex
 import region_sweep
 import static_filters_reference
 from rsekit import exact, lab, lp
@@ -436,9 +437,9 @@ def _seed0_x3c_pass():
 # (value, lp_count) of each solve of the seed-0 x3c pass.
 SEED0_X3C = [(1, 2), (1, 3), (Fraction(1, 2), 7), (Fraction(1, 2), 9),
              (Fraction(1, 2), 7), (Fraction(1, 2), 12), (Fraction(1, 2), 9),
-             (Fraction(1, 2), 9), (Fraction(1, 3), 30), (0, 16), (0, 13),
-             (0, 16), (0, 39), (Fraction(1, 4), 60), (0, 16), (0, 16), (0, 13),
-             (0, 42)]
+             (Fraction(1, 2), 9), (Fraction(1, 3), 18), (0, 16), (0, 13),
+             (0, 17), (0, 34), (Fraction(1, 4), 64), (0, 16), (0, 16), (0, 13),
+             (0, 30)]
 
 
 # Integer-tableau runs of each solve of the seed-0 x3c pass: a winner whose
@@ -458,6 +459,85 @@ def test_seed0_x3c_pass_reads_one_point_per_solve(fallbacks):
         got.append((sol.value, sol.lp_count))
     assert got == SEED0_X3C
     assert runs == SEED0_X3C_RUNS and sum(runs) == 8
+
+
+def _search_gate(m, rows, S, jt):
+    """The feasibility gate ``solve_exact`` solves for ``(S, jt)``: the
+    optimality and member rows of S without jt, then the exclusion rows of
+    the actions outside S."""
+    opt, member, exclude, _ = rows
+    inside = [k for k in S if k != jt]
+    cons = (tuple(opt.rows[jt][k] for k in inside)
+            + tuple(member[jt][k] for k in inside)
+            + tuple(exclude[jt][k] for k in range(len(member)) if k not in S))
+    return lp.feasibility(m, cons, simplex=True)
+
+
+def _reference_status(prog):
+    """The status the ``Fraction`` simplex of ``fraction_simplex`` gives."""
+    rows, objective = lp._canonical(prog, Fraction)
+    return fraction_simplex.simplex(prog.num_vars, rows, objective, True)[0]
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(m=st.integers(1, 4), n=st.integers(2, 8), seed=st.integers(0, 10 ** 6),
+       grid=st.sampled_from([2, 4, 8, 16, 64]),
+       delta=st.sampled_from([Fraction(1, 10), Fraction(1, 4), Fraction(1, 2)]),
+       data=st.data())
+def test_gates_are_decided_on_sparse_farkas_duals(m, n, seed, grid, delta,
+                                                  data, dual_route, fallbacks):
+    """Each infeasible gate is decided on its normalized Farkas dual, and
+    no feasible one: the certificate names at most ``m + 1`` rows, which
+    with the simplex row are infeasible under the ``Fraction`` simplex, and
+    no integer tableau runs."""
+    game = lab.gen_random(m, n, seed, rational_grid=grid)
+    rows = exact.region_rows(*game.columns(True), delta)
+    S = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=2)))
+    jt = data.draw(st.sampled_from(S))
+    prog = _search_gate(m, rows, S, jt)
+    decided, runs = dual_route[0], fallbacks[0]
+    out = lp.feasible(prog, exact=True)
+    assert out.status == _reference_status(prog)
+    assert dual_route[0] - decided == (out.status == "infeasible")
+    assert fallbacks[0] == runs
+    if out.status == "infeasible":
+        assert 0 < len(out.support) <= m + 1
+        core = lp.feasibility(m, [prog.constraints[r] for r in out.support],
+                              simplex=True)
+        assert _reference_status(core) == "infeasible"
+
+
+# (n, value, S, j_tilde, j, lp_count, gates decided on their dual) of
+# gen_random(3, n, 1, rational_grid=64) at delta 1/10.
+GRID64_GAMES = [
+    (18, Fraction(8607, 16000), (5, 13, 17), 17, 5, 204, 89),
+    (20, Fraction(5183, 7360), (7, 16), 16, 16, 236, 123),
+]
+
+
+@pytest.mark.parametrize("n, value, S, jt, j, lps, decided", GRID64_GAMES)
+def test_sparse_nogoods_cut_most_gates_of_grid64_games(
+        n, value, S, jt, j, lps, decided, dual_route, fallbacks, monkeypatch):
+    """The 3x18 and 3x20 grid-64 games, which took 4,348 and 11,097 LPs
+    when gate certificates came from the phase-1 duals of the full
+    tableau. Every infeasible gate is decided on its dual, and the
+    winner's point is proven unique from its vertex."""
+    statuses, feasible = [], lp.feasible
+
+    def recording(prog, *, exact=False):
+        out = feasible(prog, exact=exact)
+        statuses.append(out.status)
+        return out
+
+    monkeypatch.setattr(lp, "feasible", recording)
+    game = lab.gen_random(3, n, 1, rational_grid=64)
+    sol = solve_exact(game, Fraction(1, 10), exact=True, cap=24)
+    tup = sol.chosen_tuple
+    assert (sol.value, tup.S.actions, tup.j_tilde, tup.j, sol.lp_count) == \
+        (value, S, jt, j, lps)
+    assert dual_route[0] == statuses.count("infeasible") == decided
+    assert fallbacks[0] == 0
 
 
 def test_region_rows_are_built_only_for_the_lps_that_hold_them(monkeypatch):

@@ -116,7 +116,8 @@ def test_random_grid_lps_match_fraction_simplex(seed, fallbacks):
         prog = random_lp(rng)
         out = assert_same(prog)
         statuses.add(out.status)
-        # Rounded phase-1 duals prove every one of these infeasible LPs.
+        # Rounded float duals (phase 1's, or the Farkas dual's of a
+        # feasibility LP over the simplex) prove every infeasible LP here.
         assert out.status != "infeasible" or fallbacks[0] == before
         assert (out.support is not None) == (out.status == "infeasible")
         assert lp.solve(prog).support is None  # float mode proves nothing
