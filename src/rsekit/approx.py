@@ -29,9 +29,10 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import lp
-from .baseline import induce_strategy, inducibility_gap, solve_sse
+from .baseline import (induce_strategy, inducibility_gap, region_rows,
+                       solve_sse)
 from .errors import EnumerationCapExceeded, GameFormatError, GapTooSmall
-from .exact import RseSolution, region_rows
+from .exact import RseSolution
 from .game import (BimatrixGame, MixedStrategy, evaluate, leader_payoffs,
                    scalar, strategy_from, tolerance)
 
@@ -172,7 +173,7 @@ def _scan(m, cell, opt, exclude, anchor_payoffs, mu, exact):
     """The scan of :func:`utility_verification` on prebuilt rows, as a
     generator: it yields each LP, is sent its outcome, and returns the
     witness's outcome, or ``None``. ``cell`` is the region's rows;
-    ``opt[j]`` and ``exclude[j][q]``, from :func:`exact.region_rows`, are
+    ``opt[j]`` and ``exclude[j][q]``, from :func:`baseline.region_rows`, are
     j's best-response rows and its delta-margin row against q."""
     floor = scalar(mu, exact) - tolerance(exact)
     below = [t < floor for t in anchor_payoffs]

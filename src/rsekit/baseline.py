@@ -3,6 +3,8 @@
 These bound and seed the robust-equilibrium computations: the robust value
 always lies between the maximin and SSE values, and the inducibility gap
 controls how cheaply the leader can pin any single follower response.
+Every payoff-difference row, here and in the region LPs of
+:mod:`rsekit.exact` and :mod:`rsekit.approx`, comes from :func:`region_rows`.
 """
 
 from __future__ import annotations
@@ -10,13 +12,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
+from functools import partial
+from itertools import chain
 
 from . import lp
 from .errors import GapTooSmall, SolverFailure
 from .game import (OPTIMISTIC, PESSIMISTIC, BimatrixGame, GameValueReport,
                    MixedStrategy, ResponseSet, br_delta, leader_payoffs,
-                   strategy_from)
+                   scalar, strategy_from)
 
 
 @dataclass(frozen=True)
@@ -38,15 +41,6 @@ class InducibilityReport:
     per_action: tuple[ActionInducibility, ...]
 
 
-def response_rows(cols, j, margin=0, among=None, relation=">="):
-    """Follower-advantage rows ``u_f(x, j) - u_f(x, k) <relation> margin``
-    over columns ``cols``, one per k in ``among`` (default: every k != j)."""
-    if among is None:
-        among = (k for k in range(len(cols)) if k != j)
-    return [lp.Constraint(tuple(a - b for a, b in zip(cols[j], cols[k])),
-                          relation, margin) for k in among]
-
-
 def solve_sse(game: BimatrixGame, *, exact: bool = False) -> GameValueReport:
     """Optimal commitment under optimistic follower tie-breaking.
 
@@ -55,10 +49,11 @@ def solve_sse(game: BimatrixGame, *, exact: bool = False) -> GameValueReport:
     columns resolve to the smallest index.
     """
     col_l, col_f = game.columns(exact)
+    opt = region_rows(col_l, col_f, scalar(0, exact))[0]
     best = None
     for j in range(game.n):
-        out = lp.solve(lp.maximize(col_l[j], response_rows(col_f, j),
-                                   simplex=True), exact=exact)
+        out = lp.solve(lp.maximize(col_l[j], opt[j], simplex=True),
+                       exact=exact)
         if out.status != "optimal":
             continue
         if best is None or out.objective_value > best[0]:
@@ -97,15 +92,16 @@ def inducibility_gap(game: BimatrixGame, *, exact: bool = False) -> Inducibility
     ``u_f(x, j) >= u_f(x, k) + t`` for all k != j over the simplex; the gap
     is the minimum over columns. t is free (split into t+ - t-).
     """
-    _, col_f = game.columns(exact)
     m, n = game.m, game.n
     if n == 1:
         uniform = strategy_from([Fraction(1, m)] * m, exact)
         return InducibilityReport(math.inf, (ActionInducibility(uniform, math.inf),))
+    opt = region_rows(*game.columns(exact), scalar(0, exact))[0]
     per = []
     for j in range(n):
-        cons = [lp.Constraint(row.coeffs + (-1, 1), ">=", 0)
-                for row in response_rows(col_f, j)]
+        # t+ and t- enter a row of ints over its scale s as -s and s.
+        cons = [lp.Constraint(row.coeffs + (-row.scale, row.scale), ">=", 0,
+                              row.scale) for row in opt[j]]
         cons.append(lp.Constraint((1,) * m + (0, 0), "==", 1))
         out = lp.solve(lp.LinearProgram(m + 2, (0,) * m + (1, -1), "max",
                                         tuple(cons), False), exact=exact)
@@ -126,9 +122,89 @@ def induce_strategy(game: BimatrixGame, j: int, margin, *,
     what the column can support.
     """
     col_l, col_f = game.columns(exact)
-    out = lp.solve(lp.maximize(col_l[j], response_rows(col_f, j, margin),
-                               simplex=True), exact=exact)
+    exclude = region_rows(col_l, col_f, scalar(margin, exact))[2][j]
+    cons = [exclude[k] for k in range(game.n) if k != j]
+    out = lp.solve(lp.maximize(col_l[j], cons, simplex=True), exact=exact)
     if out.status != "optimal":
         raise GapTooSmall(
             f"margin {margin} is not attainable for follower action {j}")
     return strategy_from(out.solution, exact)
+
+
+class _Lazy(dict):
+    """A mapping that builds a missing entry as ``build(key)`` when it is
+    first read, and keeps it."""
+
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
+        return value
+
+
+def region_rows(col_l, col_f, d):
+    """The constraints a region LP can hold, each built on first read.
+
+    Returns ``(opt, member, exclude, leader)``: ``opt.rows[jt][k]`` is the
+    j_tilde-optimality row ``u_f(jt) - u_f(k) >= 0``, and ``opt[jt]`` the
+    tuple of those rows over k != jt;
+    ``member[jt][k]`` and ``exclude[jt][k]`` bound ``u_f(jt) - u_f(k)`` by
+    ``<= d`` and ``>= d``; ``leader[j][k]`` is ``u_l(j) - u_l(k) <= 0``.
+    Each difference of two columns is computed once, and the first read of
+    a row builds the object every later read returns, so a search builds
+    only the rows its LPs hold.
+
+    Rational columns and ``d`` are scaled to ints once, the follower's with
+    ``d`` and the leader's on their own (:func:`_integral_columns`), so each
+    difference is a subtraction of ints and each row a
+    :class:`~rsekit.lp.Constraint` over that common scale, whose integer
+    form takes one gcd and makes no ``Fraction``. Float columns with a
+    float ``d`` (float mode) give rows of doubles, as the columns stand.
+    """
+    n = len(col_f)
+    if isinstance(d, float):
+        f_cols, l_cols, f_scale, l_scale = col_f, col_l, 1, 1
+    else:
+        f_cols, (d,), f_scale = _integral_columns(col_f, d)
+        l_cols, _, l_scale = _integral_columns(col_l)
+    diff = [_Lazy(partial(_minus, f_cols, jt)) for jt in range(n)]
+    leader = [_Lazy(partial(_minus, l_cols, j)) for j in range(n)]
+    return (_Optimal(_rows(diff, ">=", 0, f_scale)),
+            _rows(diff, "<=", d, f_scale), _rows(diff, ">=", d, f_scale),
+            _rows(leader, "<=", 0, l_scale))
+
+
+class _Optimal(_Lazy):
+    """The j_tilde-optimality rows: ``opt.rows[jt][k]`` is the row of one
+    k, and ``opt[jt]`` the tuple of those rows over k != jt. Each is built
+    on first read, so a gate that holds the rows of a few k builds only
+    those."""
+
+    def __init__(self, rows):
+        n = len(rows)
+        super().__init__(lambda jt: tuple(rows[jt][k] for k in range(n)
+                                          if k != jt))
+        self.rows = rows
+
+
+def _integral_columns(cols, *extra):
+    """``(int_cols, int_extra, s)``: the rational columns ``cols`` and the
+    numbers ``extra`` times ``s``, the LCM of all their denominators."""
+    ints, s = lp._integral([*chain.from_iterable(cols), *extra])
+    m = len(cols[0])
+    return ([ints[k * m:(k + 1) * m] for k in range(len(cols))],
+            ints[len(cols) * m:], s)
+
+
+def _minus(cols, j, k):
+    return tuple(a - b for a, b in zip(cols[j], cols[k]))
+
+
+def _rows(diff, relation, rhs, scale):
+    """Per j, the lazy rows ``diff[j][k] / scale <relation> rhs / scale``
+    keyed by k."""
+    return [_Lazy(lambda k, row=row: lp.Constraint(row[k], relation, rhs,
+                                                   scale))
+            for row in diff]

@@ -329,11 +329,12 @@ def cmd_verify(args) -> int:
             exact = False
             x = strategy_from(sol["strategy"]["probs"], False)
             delta = float(sol["delta"])
+        stated = (Fraction(sol["value_exact"]) if exact and "value_exact" in sol
+                  else float(sol["value"]))
     except (KeyError, TypeError) as e:
-        raise GameFormatError(f"verify: malformed strategy or delta: {e!r}") from e
+        raise GameFormatError(
+            f"verify: malformed strategy, delta or value: {e!r}") from e
     rep = evaluate(game, x, delta, exact=exact)
-    stated = (Fraction(sol["value_exact"]) if exact and "value_exact" in sol
-              else float(sol["value"]))
     value_ok = (rep.leader_value == stated if exact
                 else abs(rep.leader_value - stated) <= args.tolerance)
     response_ok = rep.response == sol["response"]

@@ -14,10 +14,11 @@ The search is rational in both modes: float mode solves the game's
 Enumeration visits tuples ordered by (|S|, sorted S, j_tilde, j) and keeps
 the first maximizer, which doubles as the deterministic tie-break. Each
 row is built when the first LP that holds it is, and kept for the rest of
-the solve (:func:`region_rows`), so rows of tuples the cuts skip are never
-built. Rows are built in integers: the columns and delta are scaled once
-per solve by their common denominator, and each row is a difference of
-ints over that scale, whose exact LPs make no ``Fraction`` row. Only the
+the solve (:func:`rsekit.baseline.region_rows`, which the SSE and qptas
+LPs read too), so rows of tuples the cuts skip are never built. Rows are
+built in integers: the columns and delta are scaled once per solve by
+their common denominator, and each row is a difference of ints over that
+scale, whose exact LPs make no ``Fraction`` row. Only the
 winner's point is read, after the search; when its optimum is proven
 unique from its vertex, no exact simplex runs in the whole solve. Three
 cuts prune tuples without changing that order or the answer:
@@ -54,12 +55,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from itertools import chain, combinations, dropwhile
+from itertools import combinations, dropwhile
 from typing import Sequence
 
 from . import lp
-from .baseline import inducibility_gap, solve_maximin, solve_sse
+from .baseline import (_integral_columns, inducibility_gap, region_rows,
+                       solve_maximin, solve_sse)
 from .errors import EnumerationCapExceeded, SolverFailure
 from .game import (BimatrixGame, GameValueReport, MixedStrategy, ResponseSet,
                    decimal_fraction, evaluate, rational_reading, strategy_from,
@@ -221,86 +222,6 @@ def solve_exact(game: BimatrixGame, delta, *, exact: bool = False,
     rset = outcome.response_set
     tup = RegionTuple(rset if rset.actions == S else ResponseSet(S), jt, j)
     return RseSolution(outcome, tup, lp.solve_count() - first, "exact")
-
-
-class _Lazy(dict):
-    """A mapping that builds a missing entry as ``build(key)`` when it is
-    first read, and keeps it."""
-
-    def __init__(self, build):
-        super().__init__()
-        self.build = build
-
-    def __missing__(self, key):
-        value = self[key] = self.build(key)
-        return value
-
-
-def region_rows(col_l, col_f, d):
-    """The constraints a region LP can hold, each built on first read.
-
-    Returns ``(opt, member, exclude, leader)``: ``opt.rows[jt][k]`` is the
-    j_tilde-optimality row ``u_f(jt) - u_f(k) >= 0``, and ``opt[jt]`` the
-    tuple of those rows over k != jt;
-    ``member[jt][k]`` and ``exclude[jt][k]`` bound ``u_f(jt) - u_f(k)`` by
-    ``<= d`` and ``>= d``; ``leader[j][k]`` is ``u_l(j) - u_l(k) <= 0``.
-    Each difference of two columns is computed once, and the first read of
-    a row builds the object every later read returns, so a search builds
-    only the rows its LPs hold.
-
-    Rational columns and ``d`` are scaled to ints once, the follower's with
-    ``d`` and the leader's on their own (:func:`_integral_columns`), so each
-    difference is a subtraction of ints and each row a
-    :class:`~rsekit.lp.Constraint` over that common scale: no ``Fraction``
-    is made until a row's :attr:`~rsekit.lp.Constraint.exact_row` is read.
-    Float columns with a float ``d`` (float-mode qptas) give rows of
-    doubles, as the columns stand.
-    """
-    n = len(col_f)
-    if isinstance(d, float):
-        f_cols, l_cols, f_scale, l_scale = col_f, col_l, 1, 1
-    else:
-        f_cols, (d,), f_scale = _integral_columns(col_f, d)
-        l_cols, _, l_scale = _integral_columns(col_l)
-    diff = [_Lazy(partial(_minus, f_cols, jt)) for jt in range(n)]
-    leader = [_Lazy(partial(_minus, l_cols, j)) for j in range(n)]
-    return (_Optimal(_rows(diff, ">=", 0, f_scale)),
-            _rows(diff, "<=", d, f_scale), _rows(diff, ">=", d, f_scale),
-            _rows(leader, "<=", 0, l_scale))
-
-
-class _Optimal(_Lazy):
-    """The j_tilde-optimality rows: ``opt.rows[jt][k]`` is the row of one
-    k, and ``opt[jt]`` the tuple of those rows over k != jt. Each is built
-    on first read, so a gate that holds the rows of a few k builds only
-    those."""
-
-    def __init__(self, rows):
-        n = len(rows)
-        super().__init__(lambda jt: tuple(rows[jt][k] for k in range(n)
-                                          if k != jt))
-        self.rows = rows
-
-
-def _integral_columns(cols, *extra):
-    """``(int_cols, int_extra, s)``: the rational columns ``cols`` and the
-    numbers ``extra`` times ``s``, the LCM of all their denominators."""
-    ints, s = lp._integral([*chain.from_iterable(cols), *extra])
-    m = len(cols[0])
-    return ([ints[k * m:(k + 1) * m] for k in range(len(cols))],
-            ints[len(cols) * m:], s)
-
-
-def _minus(cols, j, k):
-    return tuple(a - b for a, b in zip(cols[j], cols[k]))
-
-
-def _rows(diff, relation, rhs, scale):
-    """Per j, the lazy rows ``diff[j][k] / scale <relation> rhs / scale``
-    keyed by k."""
-    return [_Lazy(lambda k, row=row: lp.Constraint(row[k], relation, rhs,
-                                                   scale))
-            for row in diff]
 
 
 def _static_filters(col_f, d):

@@ -130,11 +130,14 @@ def catalog(name: str, parameters: Mapping | None = None) -> CatalogEntry:
     Known names: ``table1`` .. ``table5``, ``table6_g1``, ``table6_g2``,
     ``table7_g1``, ``table7_g2``. Raw forms whose entries leave [0, 1] pass
     through :func:`normalize`; the applicable delta rescale factor is then
-    recorded under ``expected["delta_scale"]``.
+    recorded under ``expected["delta_scale"]``. A parameter the entry does
+    not take is a :class:`GameFormatError`.
     """
     params = {k: _frac(v) for k, v in (parameters or {}).items()}
+    given, takes = list(params), []
 
     def take(key, default):
+        takes.append(key)
         return params.setdefault(key, _frac(default))
 
     if name == "table1":
@@ -240,6 +243,11 @@ def catalog(name: str, parameters: Mapping | None = None) -> CatalogEntry:
         }
     else:
         raise GameFormatError(f"unknown catalog name {name!r}")
+    unknown = [k for k in given if k not in takes]
+    if unknown:
+        raise GameFormatError(
+            f"{name} takes no parameter {unknown[0]!r} (it takes: "
+            f"{', '.join(takes) or 'none'})")
     return CatalogEntry(name, params, game, expected)
 
 

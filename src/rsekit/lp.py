@@ -55,15 +55,15 @@ deterministic and cycling-free:
   names the rows that certificate uses, ``LpOutcome.support``, so a caller
   can rule out any later LP that holds the same rows.
 
-  Each constraint builds its integer form (the row times the LCM of its
-  denominators), its float twin, read off the integer form, and its
-  ``Fraction`` row once, on first use (:attr:`Constraint.int_row`,
-  :attr:`Constraint.float_row`, :attr:`Constraint.exact_row`), so a row
-  that a caller builds once and puts in many exact LPs is converted once.
-  The float pass reads the float twin; the vertex proof, the Farkas check
-  and the integer tableau read the integer form, so an exact solve makes
-  no ``Fraction`` row. A row given as ints over a common ``scale`` gets
-  its integer form with one gcd and no ``Fraction`` at all. The Farkas
+  A row has two forms, each built once, on first use: its integer form
+  (the row times the LCM of its denominators, from the entries' numerators
+  and denominators and one gcd) and its float twin, read off the integer
+  form (:attr:`Constraint.int_row`, :attr:`Constraint.float_row`), so a
+  row that a caller builds once and puts in many exact LPs is converted
+  once. The float pass reads the float twin; the vertex proof, the Farkas
+  check and the integer tableau read the integer form, so an exact solve
+  makes no ``Fraction`` row. A row given as ints over a common ``scale``
+  gets its integer form with no ``Fraction`` at all. The Farkas
   check skips a float dual whose sign clips it to zero before rounding it:
   rounding to the nearest rational keeps the sign or gives zero, so that
   dual would be clipped after rounding too, and the support and the
@@ -141,10 +141,9 @@ class Constraint:
     reads. Exact mode solves the row divided by ``scale``, as it would the
     row built from ``Fraction`` numbers.
 
-    :attr:`exact_row`, :attr:`int_row` and :attr:`float_row` are the row in
-    each arithmetic, built on first use and kept, so a constraint that serves
-    many exact LPs is converted once. All are tuples, and none takes part in
-    equality.
+    :attr:`int_row` and :attr:`float_row` are the row in each arithmetic,
+    built on first use and kept, so a constraint that serves many exact LPs
+    is converted once. Both are tuples, and neither takes part in equality.
     """
 
     coeffs: tuple
@@ -161,29 +160,20 @@ class Constraint:
         object.__setattr__(self, "coeffs", tuple(self.coeffs))
 
     @cached_property
-    def exact_row(self) -> tuple:
-        """``(coeffs, relation, rhs)`` with ``Fraction`` numbers."""
-        s = self.scale
-        if s == 1:
-            return (tuple(_fraction(v) for v in self.coeffs), self.relation,
-                    _fraction(self.rhs))
-        return (tuple(Fraction(v, s) for v in self.coeffs), self.relation,
-                Fraction(self.rhs, s))
-
-    @cached_property
     def int_row(self) -> tuple:
         """``(coeffs, relation, rhs, s)``: the row times ``s``, the LCM of
-        the denominators of its coefficients and rhs, in Python ints. A row
-        of ints over ``scale`` gets it with one gcd and no ``Fraction``:
-        the LCM is ``scale`` over the gcd of ``scale`` and every entry."""
-        coeffs, rhs = self.coeffs, self.rhs
-        if type(rhs) is int and all(type(v) is int for v in coeffs):
-            g = gcd(self.scale, rhs, *coeffs)
-            return (tuple(v // g for v in coeffs), self.relation, rhs // g,
-                    self.scale // g)
-        coeffs, rel, rhs = self.exact_row
-        ints, s = _integral((*coeffs, rhs))
-        return tuple(ints[:-1]), rel, ints[-1], s
+        the denominators of its coefficients and rhs, in Python ints, from
+        the entries' numerators and denominators (a float's through
+        ``Fraction``) and one gcd; a row of ints makes no ``Fraction``."""
+        ints, s = (*self.coeffs, self.rhs), self.scale
+        if set(map(type, ints)) != {int}:
+            vals = [v if type(v) is Fraction else Fraction(v) for v in ints]
+            den = lcm(*(v.denominator for v in vals))
+            ints = [v.numerator * (den // v.denominator) for v in vals]
+            s *= den
+        g = gcd(s, *ints)
+        return (tuple(v // g for v in ints[:-1]), self.relation, ints[-1] // g,
+                s // g)
 
     @cached_property
     def float_row(self) -> tuple:
@@ -310,7 +300,7 @@ def solve(lp: LinearProgram, *, exact: bool = False) -> LpOutcome:
         if proven is not None:
             return proven
     else:
-        rows, objective = _canonical(lp, float)
+        rows, objective = _canonical(lp)
     status, x, evidence = _simplex(lp.num_vars, rows, objective, exact)
     if status != "optimal":
         support = None
@@ -326,21 +316,17 @@ def solve(lp: LinearProgram, *, exact: bool = False) -> LpOutcome:
     return LpOutcome("optimal", tuple(x), obj_val)
 
 
-def _canonical(lp: LinearProgram, conv):
-    """``(rows, objective)`` in ``conv`` arithmetic, the objective in max form.
+def _canonical(lp: LinearProgram):
+    """``(rows, objective)`` in float arithmetic, the objective in max form.
 
-    Rows are ``(coeffs, relation, rhs)``; the simplex row comes last. The
-    ``Fraction`` rows are the constraints' own :attr:`Constraint.exact_row`;
-    float rows read ``coeffs`` and ``rhs`` as they stand.
+    Rows are ``(coeffs, relation, rhs)``, read off ``coeffs`` and ``rhs`` as
+    they stand; the simplex row comes last.
     """
-    if conv is Fraction:
-        rows = [con.exact_row for con in lp.constraints]
-    else:
-        rows = [([conv(v) for v in con.coeffs], con.relation, conv(con.rhs))
-                for con in lp.constraints]
+    rows = [([float(v) for v in con.coeffs], con.relation, float(con.rhs))
+            for con in lp.constraints]
     if lp.simplex_constraint:
-        rows.append(((conv(1),) * lp.num_vars, "==", conv(1)))
-    return rows, _objective(lp, conv)
+        rows.append(((1.0,) * lp.num_vars, "==", 1.0))
+    return rows, _objective(lp, float)
 
 
 def _objective(lp: LinearProgram, conv) -> list:

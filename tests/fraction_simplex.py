@@ -3,14 +3,40 @@ ran it before exact mode moved to an integer-preserving tableau.
 
 It stays here, unchanged, as an independent reference: the exact kernel
 must make the same pivot decisions and so return the same status, point,
-tight set and phase-1 duals. ``simplex(num_vars, rows, objective, True)``
-takes the rows of ``rsekit.lp._canonical(prog, Fraction)``.
+tight set and phase-1 duals. ``simplex(prog.num_vars, rows(prog),
+objective(prog), True)`` solves an LP; :func:`rows` and :func:`objective`
+build its ``Fraction`` rows from each constraint's ``coeffs``,
+``relation``, ``rhs`` and ``scale``, with no ``rsekit.lp`` conversion.
 """
 
 from fractions import Fraction
 
 from rsekit.errors import SolverFailure
 from rsekit.lp import FEASIBILITY_TOL, PIVOT_TOL
+
+
+def row(con):
+    """``(coeffs, relation, rhs)`` of the constraint ``con`` in ``Fraction``
+    arithmetic: each entry over ``con.scale``, a float read exactly."""
+    return (tuple(Fraction(v) / con.scale for v in con.coeffs), con.relation,
+            Fraction(con.rhs) / con.scale)
+
+
+def rows(prog):
+    """The ``Fraction`` rows of ``prog``'s constraints, then its simplex
+    row if it has one."""
+    out = [row(con) for con in prog.constraints]
+    if prog.simplex_constraint:
+        out.append(((Fraction(1),) * prog.num_vars, "==", Fraction(1)))
+    return out
+
+
+def objective(prog):
+    """``prog``'s objective in ``Fraction`` arithmetic, in max form."""
+    if prog.sense == "feasibility":
+        return [Fraction(0)] * prog.num_vars
+    sign = -1 if prog.sense == "min" else 1
+    return [sign * Fraction(v) for v in prog.objective]
 
 
 def simplex(num_vars: int, rows, objective, exact: bool):

@@ -13,15 +13,16 @@ import math
 from rsekit import lp
 from rsekit.approx import (ANCHOR_BUDGET, KUniformStrategy, _region_constraints,
                            build_k, compositions, make_region)
+from rsekit.baseline import region_rows
 from rsekit.errors import EnumerationCapExceeded, GameFormatError
-from rsekit.exact import RseSolution, region_rows
+from rsekit.exact import RseSolution
 from rsekit.game import (BimatrixGame, evaluate, scalar, strategy_from,
                          tolerance)
 
 
 def _verify(m, cell, opt, exclude, anchor_payoffs, mu, exact):
     """:func:`utility_verification` on prebuilt rows: the region's ``cell``
-    rows, and ``opt`` and ``exclude`` from :func:`exact.region_rows`, whose
+    rows, and ``opt`` and ``exclude`` from :func:`baseline.region_rows`, whose
     ``opt[j]`` and ``exclude[j][q]`` are j's best-response rows and its
     delta-margin row against q."""
     floor = scalar(mu, exact) - tolerance(exact)

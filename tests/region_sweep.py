@@ -14,7 +14,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from rsekit import lp
-from rsekit.exact import RegionTuple, RseSolution, region_rows
+from rsekit.baseline import region_rows
+from rsekit.exact import RegionTuple, RseSolution
 from rsekit.game import ResponseSet, evaluate, exact_strategy
 
 

@@ -3,23 +3,24 @@
 
 It stays here, unchanged, as the reference: the integer routine must give
 the same ``(no_member, must_member)`` masks for any follower columns and
-delta. ``member_rows(col_f, d)`` builds the rows this routine reads, as
-the solver built them then; ``static_filters(member, d)`` takes them.
+delta. ``member_rows(col_f, d)`` builds the rows this routine reads, by
+``Fraction`` subtraction as the solver built them then;
+``static_filters(member, d)`` takes them.
 """
 
-from rsekit.baseline import response_rows
+from rsekit.lp import Constraint
 
 
 def member_rows(col_f, d):
     """Per j_tilde, the rows ``u_f(jt) - u_f(k) <= d`` for every k."""
-    n = len(col_f)
-    return [response_rows(col_f, jt, d, range(n), "<=") for jt in range(n)]
+    return [[Constraint(tuple(a - b for a, b in zip(top, col)), "<=", d)
+             for col in col_f] for top in col_f]
 
 
 def static_filters(member, d):
     """Single-row necessary conditions as bitmasks over follower actions.
 
-    Reads the membership rows of :func:`_row_cache`. For each j_tilde,
+    Reads the membership rows of :func:`member_rows`. For each j_tilde,
     ``no_member[jt]`` marks the k whose membership row alone has no point
     in the simplex and ``must_member[jt]`` the k whose exclusion row alone
     has none; a j_tilde that can never be optimal gets every bit of

@@ -107,6 +107,12 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith("rsekit: ") and "Traceback" not in err
+    # A catalog parameter the entry does not take is named, not ignored.
+    code, out, err = run_cli(capsys, "gen", "--catalog", "table4", "--params",
+                             "epz=3/4")
+    assert (code, out) == (2, "")
+    assert err == ("rsekit: table4 takes no parameter 'epz' "
+                   "(it takes: eps)\n")
     # A solution file that lacks a field is malformed (2), not a mismatch (1).
     _, sol_text, _ = run_cli(capsys, "solve", "--method", "exact", "--delta",
                              "0.25", str(game_path))
@@ -119,6 +125,19 @@ def test_usage_errors_exit_two(tmp_path, capsys):
                                  str(sol_path))
         assert code == 2 and out == ""
         assert err.startswith("rsekit: ") and key in err
+    # So is a value of the wrong JSON type.
+    _, exact_text, _ = run_cli(capsys, "solve", "--method", "exact", "--delta",
+                               "1/4", "--mode", "exact", str(game_path))
+    for text, key, bad in ((sol_text, "value", None), (sol_text, "value", [1]),
+                           (exact_text, "value_exact", [1])):
+        sol = json.loads(text)
+        sol[key] = bad
+        bad_path = tmp_path / "bad_value.json"
+        bad_path.write_text(json.dumps(sol))
+        code, out, err = run_cli(capsys, "verify", str(game_path),
+                                 str(bad_path))
+        assert code == 2 and out == ""
+        assert err.startswith("rsekit: ") and "value" in err
     # A game whose meta.exact lacks its matrices is malformed, not a mismatch.
     bad_game = tmp_path / "no_exact_matrices.json"
     bad_game.write_text(json.dumps({"m": 1, "n": 2, "u_l": [[0, 1]],

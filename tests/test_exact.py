@@ -5,6 +5,7 @@ import importlib.util
 import pickle
 import sys
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 from unittest import mock
 
@@ -16,8 +17,7 @@ import fraction_simplex
 import region_sweep
 import static_filters_reference
 from rsekit import exact, lab, lp
-from rsekit.baseline import (inducibility_gap, response_rows, solve_maximin,
-                             solve_sse)
+from rsekit.baseline import inducibility_gap, solve_maximin, solve_sse
 from rsekit.errors import EnumerationCapExceeded, RejectionCapExceeded
 from rsekit.exact import rse_curve, solve_exact
 from rsekit.game import (BimatrixGame, br_delta, decimal_fraction, evaluate,
@@ -475,8 +475,8 @@ def _search_gate(m, rows, S, jt):
 
 def _reference_status(prog):
     """The status the ``Fraction`` simplex of ``fraction_simplex`` gives."""
-    rows, objective = lp._canonical(prog, Fraction)
-    return fraction_simplex.simplex(prog.num_vars, rows, objective, True)[0]
+    return fraction_simplex.simplex(prog.num_vars, fraction_simplex.rows(prog),
+                                    fraction_simplex.objective(prog), True)[0]
 
 
 @settings(max_examples=200, deadline=None,
@@ -572,10 +572,10 @@ def test_region_rows_are_built_only_for_the_lps_that_hold_them(monkeypatch):
 
 
 def _row_pairs(col_l, col_f, d, rows):
-    """Each row ``region_rows`` has built, paired with the same row built by
-    ``Fraction`` subtraction (``baseline.response_rows``). Optimality rows
-    are built one (jt, k) at a time; a built ``opt[jt]`` holds the very
-    rows ``opt.rows[jt][k]`` over k != jt."""
+    """Each row ``region_rows`` has built, paired with the same row as
+    ``(coeffs, relation, rhs)``, built here by ``Fraction`` subtraction.
+    Optimality rows are built one (jt, k) at a time; a built ``opt[jt]``
+    holds the very rows ``opt.rows[jt][k]`` over k != jt."""
     opt, member, exclude, leader = rows
     for jt, full in opt.items():
         others = [opt.rows[jt][k] for k in range(len(col_f)) if k != jt]
@@ -586,18 +586,25 @@ def _row_pairs(col_l, col_f, d, rows):
                                     (member, col_f, d, "<="),
                                     (exclude, col_f, d, ">="),
                                     (leader, col_l, 0, "<=")):
-        pairs += [(row, response_rows(cols, j, margin, [k], rel)[0])
+        pairs += [(row, (tuple(Fraction(a) - Fraction(b)
+                               for a, b in zip(cols[j], cols[k])),
+                         rel, Fraction(margin)))
                   for j, rows in enumerate(kind) for k, row in rows.items()]
     return pairs
 
 
 def _assert_same_rows(pairs):
-    """The two rows of each pair are equal in all three arithmetics, the
-    float twins to the last bit."""
-    for row, want in pairs:
-        assert row.exact_row == want.exact_row
-        assert row.int_row == want.int_row
-        assert repr(row.float_row) == repr(want.float_row)
+    """Each row equals its ``Fraction`` twin: read over its scale, as its
+    integer form, which is in lowest terms, and as its float twin, to the
+    last bit."""
+    for row, (coeffs, rel, rhs) in pairs:
+        assert fraction_simplex.row(row) == (coeffs, rel, rhs)
+        ints, int_rel, int_rhs, s = row.int_row
+        assert (tuple(Fraction(v, s) for v in ints), int_rel,
+                Fraction(int_rhs, s)) == (coeffs, rel, rhs)
+        assert gcd(s, int_rhs, *ints) == 1
+        assert repr(row.float_row) == repr(
+            (tuple(map(float, coeffs)), rel, float(rhs)))
 
 
 def _read_every_row(col_l, col_f, d):
@@ -622,7 +629,7 @@ def test_region_rows_in_integers_are_the_fraction_rows(shape, seed, grid,
                                                        delta):
     """In exact mode, in float mode (the game's rational reading) and in
     exact qptas, rows built in integers equal rows built by ``Fraction``
-    subtraction: ``exact_row``, ``int_row`` and ``float_row``."""
+    subtraction: over their scale, as integer forms and as float twins."""
     m, n = shape
     on_grid = lab.gen_random(m, n, seed, rational_grid=grid)
     off_grid = lab.gen_random(m, n, seed)
@@ -636,8 +643,7 @@ def test_region_rows_in_integers_are_the_fraction_rows(shape, seed, grid,
         _assert_same_rows(pairs)
 
 
-def test_region_rows_make_no_fraction_until_the_exact_row_is_read(
-        monkeypatch):
+def test_region_rows_make_no_fraction(monkeypatch):
     game = lab.gen_random(3, 5, 2, rational_grid=7)
     col_l, col_f = game.columns(True)
     delta = Fraction(1, 10)
@@ -657,8 +663,7 @@ def test_region_rows_make_no_fraction_until_the_exact_row_is_read(
     for row in rows:
         row.int_row, row.float_row
     assert made == []
-    for row in rows:
-        assert all(type(v) is Fraction for v in row.exact_row[0])
+    fraction_simplex.row(rows[0])  # the count sees the Fractions it makes
     assert made
 
 

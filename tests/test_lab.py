@@ -32,6 +32,20 @@ def test_catalog_unknown_name_and_bad_params():
         lab.catalog("table5", {"gap": Fraction(3, 5)})
 
 
+def test_catalog_rejects_parameters_the_entry_does_not_take():
+    with pytest.raises(GameFormatError,
+                       match=r"table4 takes no parameter 'epz' \(it takes: eps\)"):
+        lab.catalog("table4", {"epz": Fraction(3, 4)})
+    with pytest.raises(GameFormatError, match="it takes: gap, c"):
+        lab.catalog("table5", {"gap": Fraction(2, 5), "eps": Fraction(1, 2)})
+    with pytest.raises(GameFormatError, match="it takes: none"):
+        lab.catalog("table2", {"eps": Fraction(1, 2)})
+    for name in lab.CATALOG_NAMES:  # each key an entry takes is accepted
+        entry = lab.catalog(name)
+        assert lab.catalog(name, entry.parameters).parameters == \
+            entry.parameters
+
+
 def test_catalog_self_consistency_exact_mode():
     t2 = lab.catalog("table2")
     assert solve_sse(t2.game, exact=True).leader_value == t2.expected["sse_value"]

@@ -258,7 +258,7 @@ def test_zero_skipping_pivots_match_dense_pivots(monkeypatch, exact):
     statuses = {}
     for _ in range(600):
         prog = _sparse_lp(rng, exact)
-        rows, objective = lp._canonical(prog, float)
+        rows, objective = lp._canonical(prog)
         got = lp.solve(prog, exact=exact)
         got_raw = lp._simplex(prog.num_vars, rows, objective, False)
         with monkeypatch.context() as mp:
@@ -312,7 +312,7 @@ def test_feasible_many_matches_feasible(monkeypatch):
     with monkeypatch.context() as mp:
         mp.setattr(lp, "_FloatTableau", CensusTableau)
         for p in lps:
-            rows, objective = lp._canonical(p, float)
+            rows, objective = lp._canonical(p)
             status, _, tight = lp._simplex(p.num_vars, rows, objective, False)
             census["zero >="] += sum(rel == ">=" and b == 0 for _, rel, b in rows)
             census["negative rhs"] += sum(b < 0 for _, _, b in rows)

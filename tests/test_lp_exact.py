@@ -35,9 +35,9 @@ def kernel_outcome(prog: LinearProgram, simplex):
     infeasible outcome carries the support of its own duals' certificate.
     The integer tableau reads the integer rows, the reference the
     ``Fraction`` rows."""
-    rows, objective = lp._canonical(prog, Fraction)
-    if simplex is lp._simplex:
-        rows = lp._int_rows(prog)
+    objective = fraction_simplex.objective(prog)
+    rows = (lp._int_rows(prog) if simplex is lp._simplex
+            else fraction_simplex.rows(prog))
     status, x, evidence = simplex(prog.num_vars, rows, objective, True)
     if status != "optimal":
         support = None
@@ -629,7 +629,7 @@ def test_rows_beyond_the_double_range_go_to_the_fraction_simplex(fallbacks):
 
 
 # ---------------------------------------------------------------------------
-# Each constraint's exact and float rows, built once.
+# Each constraint's integer and float rows, built once.
 # ---------------------------------------------------------------------------
 
 def test_scaled_row_is_its_ints_over_the_scale():
@@ -637,7 +637,7 @@ def test_scaled_row_is_its_ints_over_the_scale():
     # form takes the LCM 10, not 30, as the row built from Fractions does.
     con = Constraint((12, -6), "<=", 9, 30)
     want = Constraint((Fraction(2, 5), Fraction(-1, 5)), "<=", Fraction(3, 10))
-    assert con.exact_row == want.exact_row
+    assert fraction_simplex.row(con) == fraction_simplex.row(want)
     assert con.int_row == want.int_row == ((4, -2), "<=", 3, 10)
     assert repr(con.float_row) == repr(want.float_row)
     assert Constraint((0, 0), ">=", 0, 7).int_row == ((0, 0), ">=", 0, 1)
@@ -647,7 +647,7 @@ def test_scaled_row_is_its_ints_over_the_scale():
                                 simplex=True)):
         assert_same(prog)
         twin = LinearProgram(prog.num_vars, prog.objective, prog.sense,
-                             tuple(Constraint(*c.exact_row)
+                             tuple(Constraint(*fraction_simplex.row(c))
                                    for c in prog.constraints), True)
         assert lp.solve(prog, exact=True) == lp.solve(twin, exact=True)
 
@@ -659,19 +659,14 @@ def test_cached_rows_are_the_entries_in_each_arithmetic():
     assert coeffs == tuple(float(v) for v in con.coeffs)
     assert all(type(v) is float for v in coeffs)
     assert (rel, rhs) == (">=", float(Fraction(1, 7)))
-    coeffs, rel, rhs = con.exact_row
-    assert coeffs == (1, Fraction(-2, 3), Fraction(0.1), 0, Fraction(10) ** 30)
-    assert all(type(v) is Fraction for v in coeffs + (rhs,))
-    assert (rel, rhs) == (">=", Fraction(1, 7))
+    coeffs = (1, Fraction(-2, 3), Fraction(0.1), 0, Fraction(10) ** 30)
     ints, rel, rhs, s = con.int_row
     assert s == lcm(*(v.denominator for v in coeffs + (Fraction(1, 7),)))
     assert tuple(Fraction(v, s) for v in ints) == coeffs
     assert (rel, Fraction(rhs, s)) == (">=", Fraction(1, 7))
     assert all(type(v) is int for v in ints + (rhs, s))
-    assert con.exact_row is con.exact_row and con.float_row is con.float_row
-    assert con.int_row is con.int_row
-    assert type(con.exact_row[0]) is tuple and type(con.float_row[0]) is tuple
-    assert type(con.int_row[0]) is tuple
+    assert con.float_row is con.float_row and con.int_row is con.int_row
+    assert type(con.float_row[0]) is tuple and type(con.int_row[0]) is tuple
     # The float twin is read off the integer form: the same double as
     # float() of each entry, to the last bit, over a shared scale.
     rng = random.Random(3)
@@ -754,7 +749,8 @@ def test_farkas_matches_the_rounding_reference():
     found = dict.fromkeys(("support", "none"), 0)
     for _ in range(600):
         prog = random_lp(rng, num_rows=(1, 7))
-        rows, objective = lp._canonical(prog, Fraction)
+        rows = fraction_simplex.rows(prog)
+        objective = fraction_simplex.objective(prog)
         duals = []
         status, _, evidence = lp._float_pass(prog, objective)
         if status == "infeasible":

@@ -3,7 +3,8 @@
 The every-tuple sweep of ``region_sweep.py`` is the reference for small
 games only; here HiGHS's branch and bound checks the robust value of random
 grid games from 3x12 to 4x16 and of the k = 4 and k = 5 exact-cover rungs,
-in both modes. HiGHS works in doubles, so the values must agree within
+in both modes, and of off-grid random games, which have no exact matrices,
+in float mode. HiGHS works in doubles, so the values must agree within
 ``TOL``; on these games they agree within 2e-13.
 """
 
@@ -59,3 +60,14 @@ def test_x3c_rungs_agree_with_the_milp(k, yes):
     sol = _agree(x3c_rung(k, yes))
     if yes:
         assert sol.value == Fraction(1, k)
+
+
+@pytest.mark.parametrize("m, n", [(3, 12), (3, 16), (3, 18), (4, 16)])
+def test_off_grid_float_games_agree_with_the_milp(m, n):
+    """Float mode searches the rational reading of the doubles (each one's
+    shortest decimal), whose denominators are large."""
+    game = lab.gen_random(m, n, 1)
+    assert not game.has_exact
+    want = milp_oracle.milp_value(game, DELTA)
+    got = solve_exact(game, float(DELTA), cap=24).value
+    assert abs(got - want) <= TOL, (got, want)
