@@ -173,15 +173,16 @@ def _scan(m, cell, opt, exclude, anchor_payoffs, mu, exact):
     """The scan of :func:`utility_verification` on prebuilt rows, as a
     generator: it yields each LP, is sent its outcome, and returns the
     witness's outcome, or ``None``. ``cell`` is the region's rows;
-    ``opt[j]`` and ``exclude[j][q]``, from :func:`baseline.region_rows`, are
-    j's best-response rows and its delta-margin row against q."""
+    ``opt.others(j)`` and ``exclude[j][q]``, from
+    :func:`baseline.region_rows`, are j's best-response rows and its
+    delta-margin row against q."""
     floor = scalar(mu, exact) - tolerance(exact)
     below = [t < floor for t in anchor_payoffs]
     Q = [j for j, b in enumerate(below) if b]
     for j, b in enumerate(below):
         if b:
             continue
-        cons = cell + opt[j] + tuple(exclude[j][q] for q in Q)
+        cons = cell + opt.others(j) + tuple(exclude[j][q] for q in Q)
         out = yield lp.feasibility(m, cons, simplex=True)
         if out.status == "optimal":
             return out

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from itertools import chain
 
 from . import lp
@@ -52,7 +51,7 @@ def solve_sse(game: BimatrixGame, *, exact: bool = False) -> GameValueReport:
     opt = region_rows(col_l, col_f, scalar(0, exact))[0]
     best = None
     for j in range(game.n):
-        out = lp.solve(lp.maximize(col_l[j], opt[j], simplex=True),
+        out = lp.solve(lp.maximize(col_l[j], opt.others(j), simplex=True),
                        exact=exact)
         if out.status != "optimal":
             continue
@@ -101,7 +100,7 @@ def inducibility_gap(game: BimatrixGame, *, exact: bool = False) -> Inducibility
     for j in range(n):
         # t+ and t- enter a row of ints over its scale s as -s and s.
         cons = [lp.Constraint(row.coeffs + (-row.scale, row.scale), ">=", 0,
-                              row.scale) for row in opt[j]]
+                              row.scale) for row in opt.others(j)]
         cons.append(lp.Constraint((1,) * m + (0, 0), "==", 1))
         out = lp.solve(lp.LinearProgram(m + 2, (0,) * m + (1, -1), "max",
                                         tuple(cons), False), exact=exact)
@@ -122,9 +121,9 @@ def induce_strategy(game: BimatrixGame, j: int, margin, *,
     what the column can support.
     """
     col_l, col_f = game.columns(exact)
-    exclude = region_rows(col_l, col_f, scalar(margin, exact))[2][j]
-    cons = [exclude[k] for k in range(game.n) if k != j]
-    out = lp.solve(lp.maximize(col_l[j], cons, simplex=True), exact=exact)
+    exclude = region_rows(col_l, col_f, scalar(margin, exact))[2]
+    out = lp.solve(lp.maximize(col_l[j], exclude.others(j), simplex=True),
+                   exact=exact)
     if out.status != "optimal":
         raise GapTooSmall(
             f"margin {margin} is not attainable for follower action {j}")
@@ -145,16 +144,14 @@ class _Lazy(dict):
 
 
 def region_rows(col_l, col_f, d):
-    """The constraints a region LP can hold, each built on first read.
+    """The constraints a region LP can hold, as four :class:`_Rows` tables.
 
-    Returns ``(opt, member, exclude, leader)``: ``opt.rows[jt][k]`` is the
-    j_tilde-optimality row ``u_f(jt) - u_f(k) >= 0``, and ``opt[jt]`` the
-    tuple of those rows over k != jt;
-    ``member[jt][k]`` and ``exclude[jt][k]`` bound ``u_f(jt) - u_f(k)`` by
-    ``<= d`` and ``>= d``; ``leader[j][k]`` is ``u_l(j) - u_l(k) <= 0``.
-    Each difference of two columns is computed once, and the first read of
-    a row builds the object every later read returns, so a search builds
-    only the rows its LPs hold.
+    Returns ``(opt, member, exclude, leader)``: ``opt[jt][k]`` is the
+    j_tilde-optimality row ``u_f(jt) - u_f(k) >= 0``, ``member[jt][k]`` and
+    ``exclude[jt][k]`` bound ``u_f(jt) - u_f(k)`` by ``<= d`` and ``>= d``,
+    and ``leader[j][k]`` is ``u_l(j) - u_l(k) <= 0``. Each row is built on
+    first read, and every later read returns that object, so a search
+    builds only the rows its LPs hold.
 
     Rational columns and ``d`` are scaled to ints once, the follower's with
     ``d`` and the leader's on their own (:func:`_integral_columns`), so each
@@ -163,30 +160,35 @@ def region_rows(col_l, col_f, d):
     form takes one gcd and makes no ``Fraction``. Float columns with a
     float ``d`` (float mode) give rows of doubles, as the columns stand.
     """
-    n = len(col_f)
     if isinstance(d, float):
         f_cols, l_cols, f_scale, l_scale = col_f, col_l, 1, 1
     else:
         f_cols, (d,), f_scale = _integral_columns(col_f, d)
         l_cols, _, l_scale = _integral_columns(col_l)
-    diff = [_Lazy(partial(_minus, f_cols, jt)) for jt in range(n)]
-    leader = [_Lazy(partial(_minus, l_cols, j)) for j in range(n)]
-    return (_Optimal(_rows(diff, ">=", 0, f_scale)),
-            _rows(diff, "<=", d, f_scale), _rows(diff, ">=", d, f_scale),
-            _rows(leader, "<=", 0, l_scale))
+    return (_Rows(f_cols, ">=", 0, f_scale), _Rows(f_cols, "<=", d, f_scale),
+            _Rows(f_cols, ">=", d, f_scale), _Rows(l_cols, "<=", 0, l_scale))
 
 
-class _Optimal(_Lazy):
-    """The j_tilde-optimality rows: ``opt.rows[jt][k]`` is the row of one
-    k, and ``opt[jt]`` the tuple of those rows over k != jt. Each is built
-    on first read, so a gate that holds the rows of a few k builds only
-    those."""
+class _Rows(_Lazy):
+    """The rows ``(cols[j] - cols[k]) / scale <relation> rhs / scale``.
 
-    def __init__(self, rows):
-        n = len(rows)
-        super().__init__(lambda jt: tuple(rows[jt][k] for k in range(n)
-                                          if k != jt))
-        self.rows = rows
+    ``table[j][k]`` is built on first read and kept, and so is
+    ``table.others(j)``, the tuple of ``table[j][k]`` over k != j. ``cols``
+    and ``rhs`` are the columns and margin before the division by ``scale``.
+    """
+
+    def __init__(self, cols, relation, rhs, scale):
+        super().__init__(lambda j: _Lazy(lambda k: lp.Constraint(
+            tuple(a - b for a, b in zip(cols[j], cols[k])), relation, rhs,
+            scale)))
+        self.cols, self.rhs, self._others = cols, rhs, {}
+
+    def others(self, j):
+        got = self._others.get(j)
+        if got is None:
+            got = self._others[j] = tuple(
+                self[j][k] for k in range(len(self.cols)) if k != j)
+        return got
 
 
 def _integral_columns(cols, *extra):
@@ -197,14 +199,3 @@ def _integral_columns(cols, *extra):
     return ([ints[k * m:(k + 1) * m] for k in range(len(cols))],
             ints[len(cols) * m:], s)
 
-
-def _minus(cols, j, k):
-    return tuple(a - b for a, b in zip(cols[j], cols[k]))
-
-
-def _rows(diff, relation, rhs, scale):
-    """Per j, the lazy rows ``diff[j][k] / scale <relation> rhs / scale``
-    keyed by k."""
-    return [_Lazy(lambda k, row=row: lp.Constraint(row[k], relation, rhs,
-                                                   scale))
-            for row in diff]

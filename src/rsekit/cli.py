@@ -319,6 +319,12 @@ def cmd_verify(args) -> int:
     if missing:
         raise GameFormatError(
             f"verify: the solution file lacks {', '.join(missing)}")
+    # type(v) is int: a JSON true or 1.0 would compare equal to 1.
+    rset = sol["response_set"]
+    if type(sol["response"]) is not int or not (
+            type(rset) is list and all(type(k) is int for k in rset)):
+        raise GameFormatError("verify: response must be an integer and "
+                              "response_set a list of integers")
     exact = sol.get("mode") == "exact"
     game = _load_game(args.game, exact)
     try:

@@ -25,9 +25,9 @@ cuts prune tuples without changing that order or the answer:
 
 * static filters: per j_tilde, two bitmasks over follower actions mark the
   k whose membership row, or whose exclusion row, has no point in the
-  simplex on its own; they are computed in integers, from the follower
-  columns and delta scaled once by their common denominator, and a set S
-  is tested against them with two integer ANDs;
+  simplex on its own; they are computed in integers, from the scaled
+  follower columns and delta the membership rows are built from, and a
+  set S is tested against them with two integer ANDs;
 * the bound cut: a tuple is skipped once the best value so far reaches
   the smallest column maximum of the leader over S. The actions whose
   column maximum is at most that value are capped, and the enumeration
@@ -59,8 +59,8 @@ from itertools import combinations, dropwhile
 from typing import Sequence
 
 from . import lp
-from .baseline import (_integral_columns, inducibility_gap, region_rows,
-                       solve_maximin, solve_sse)
+from .baseline import (inducibility_gap, region_rows, solve_maximin,
+                       solve_sse)
 from .errors import EnumerationCapExceeded, SolverFailure
 from .game import (BimatrixGame, GameValueReport, MixedStrategy, ResponseSet,
                    decimal_fraction, evaluate, rational_reading, strategy_from,
@@ -148,7 +148,7 @@ def solve_exact(game: BimatrixGame, delta, *, exact: bool = False,
     d = Fraction(delta) if exact else decimal_fraction(delta)
     m, n = game.m, game.n
     opt, member, exclude, leader = region_rows(col_l, col_f, d)
-    no_member, must_member = _static_filters(col_f, d)
+    no_member, must_member = _static_filters(member)
     nogoods = [[] for _ in range(n)]  # per j_tilde: (in_mask, out_mask)
     col_max_l = [max(c) for c in col_l]
     capped = 0  # the actions whose leader column maximum is <= best value
@@ -184,14 +184,14 @@ def solve_exact(game: BimatrixGame, delta, *, exact: bool = False,
                     # holds the optimality rows of S only: the exclusion
                     # row of each k outside S implies that k's.
                     gate = lp.feasible(lp.feasibility(
-                        m, tuple(opt.rows[jt][k] for k in inside) + rows,
+                        m, tuple(opt[jt][k] for k in inside) + rows,
                         simplex=True), exact=True)
                     if gate.status != "optimal":
                         if gate.support is not None:
                             nogoods[jt].append(_nogood(
                                 gate.support, inside, outside))
                         continue
-                region = opt[jt] + rows
+                region = opt.others(jt) + rows
                 for j in S:
                     if mask & capped:
                         break
@@ -224,7 +224,7 @@ def solve_exact(game: BimatrixGame, delta, *, exact: bool = False,
     return RseSolution(outcome, tup, lp.solve_count() - first, "exact")
 
 
-def _static_filters(col_f, d):
+def _static_filters(member):
     """Single-row necessary conditions as bitmasks over follower actions.
 
     For each j_tilde, ``no_member[jt]`` marks the k whose membership row
@@ -234,11 +234,11 @@ def _static_filters(col_f, d):
     ``no_member``. A set mask passes when it meets no bit of the first and
     holds every bit of the second. A row has a point in the simplex when
     one of its coefficients meets its relation, so each test reads the
-    least and greatest entry of ``u_f(jt) - u_f(k)``, in integers: the
-    columns and ``d`` are scaled once by their common denominator.
+    least and greatest entry of ``u_f(jt) - u_f(k)``, in the ints
+    ``member.cols`` and ``member.rhs`` (:func:`~rsekit.baseline.region_rows`).
     """
-    n = len(col_f)
-    cols, (d,), _ = _integral_columns(col_f, d)
+    cols, d = member.cols, member.rhs
+    n = len(cols)
     no_member, must_member = [0] * n, [0] * n
     for jt, top in enumerate(cols):
         spans = [(min(v), max(v)) for v in

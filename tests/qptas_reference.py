@@ -23,7 +23,7 @@ from rsekit.game import (BimatrixGame, evaluate, scalar, strategy_from,
 def _verify(m, cell, opt, exclude, anchor_payoffs, mu, exact):
     """:func:`utility_verification` on prebuilt rows: the region's ``cell``
     rows, and ``opt`` and ``exclude`` from :func:`baseline.region_rows`, whose
-    ``opt[j]`` and ``exclude[j][q]`` are j's best-response rows and its
+    ``opt.others(j)`` and ``exclude[j][q]`` are j's best-response rows and its
     delta-margin row against q."""
     floor = scalar(mu, exact) - tolerance(exact)
     below = [t < floor for t in anchor_payoffs]
@@ -31,7 +31,7 @@ def _verify(m, cell, opt, exclude, anchor_payoffs, mu, exact):
     for j, b in enumerate(below):
         if b:
             continue
-        cons = cell + opt[j] + tuple(exclude[j][q] for q in Q)
+        cons = cell + opt.others(j) + tuple(exclude[j][q] for q in Q)
         out = lp.feasible(lp.feasibility(m, cons, simplex=True), exact=exact)
         if out.status == "optimal":
             return True, strategy_from(out.solution, exact)

@@ -30,7 +30,7 @@ def sweep(game, delta) -> RseSolution:
         for S in combinations(range(n), size):
             outside = [k for k in range(n) if k not in S]
             for jt in S:
-                region = (opt[jt]
+                region = (opt.others(jt)
                           + tuple(member[jt][k] for k in S if k != jt)
                           + tuple(exclude[jt][k] for k in outside))
                 for j in S:

@@ -138,6 +138,23 @@ def test_usage_errors_exit_two(tmp_path, capsys):
                                  str(bad_path))
         assert code == 2 and out == ""
         assert err.startswith("rsekit: ") and "value" in err
+    # A response of the wrong JSON type is malformed, whether it would read
+    # as a mismatch (5, ["1"], [0], "1") or as a match (false, 0.0 and
+    # [false, true] or [0.0, 1.0] equal table2's response 0 and set (0, 1)).
+    for key, bad in (("response_set", 5), ("response_set", ["1"]),
+                     ("response", [0]), ("response", "1"),
+                     ("response", False), ("response", 0.0),
+                     ("response_set", [False, True]),
+                     ("response_set", [0.0, 1.0])):
+        sol = json.loads(exact_text)
+        sol[key] = bad
+        bad_path = tmp_path / "bad_response.json"
+        bad_path.write_text(json.dumps(sol))
+        code, out, err = run_cli(capsys, "verify", str(game_path),
+                                 str(bad_path))
+        assert code == 2 and out == "", (key, bad)
+        assert err.startswith("rsekit: ") and "response" in err
+        assert "Traceback" not in err
     # A game whose meta.exact lacks its matrices is malformed, not a mismatch.
     bad_game = tmp_path / "no_exact_matrices.json"
     bad_game.write_text(json.dumps({"m": 1, "n": 2, "u_l": [[0, 1]],

@@ -242,14 +242,14 @@ def _full_gate(m, rows, S, jt):
     """The feasibility gate of ``(S, jt)`` over ``region_rows`` output
     ``rows``, holding every optimality row of jt, solved exactly."""
     opt, member, exclude, _ = rows
-    n = len(member)
-    cons = (opt[jt] + tuple(member[jt][k] for k in S if k != jt)
+    n = len(member.cols)
+    cons = (opt.others(jt) + tuple(member[jt][k] for k in S if k != jt)
             + tuple(exclude[jt][k] for k in range(n) if k not in S))
     return lp.feasible(lp.feasibility(m, cons, simplex=True), exact=True)
 
 
 def test_gates_hold_the_optimality_rows_of_S_only(monkeypatch):
-    """A gate for (S, jt) holds ``opt.rows[jt][k]`` for k in S only: the
+    """A gate for (S, jt) holds ``opt[jt][k]`` for k in S only: the
     exclusion row of each k outside S implies the optimality row of k, so
     each gate has the status of the gate that holds every row."""
     built, gates = [], []
@@ -273,17 +273,17 @@ def test_gates_hold_the_optimality_rows_of_S_only(monkeypatch):
     for rows, prog, status in gates:
         opt, member, exclude, _ = rows
         names = {}
-        for kind, by_jt in (("opt", opt.rows), ("member", member),
+        for kind, by_jt in (("opt", opt), ("member", member),
                             ("exclude", exclude)):
             names.update({id(row): (kind, jt, k) for jt, by_k in
-                          enumerate(by_jt) for k, row in by_k.items()})
+                          by_jt.items() for k, row in by_k.items()})
         held = [names[id(con)] for con in prog.constraints]
         (jt,) = {jt for _, jt, _ in held}
         inside = [k for kind, _, k in held if kind == "member"]
         outside = [k for kind, _, k in held if kind == "exclude"]
         assert [k for kind, _, k in held if kind == "opt"] == inside
         S = sorted([jt, *inside])
-        assert sorted(S + outside) == list(range(len(member)))
+        assert sorted(S + outside) == list(range(len(member.cols)))
         assert _full_gate(prog.num_vars, rows, S, jt).status == status
         dropped += len(outside)
     assert len(gates) > 500 and dropped > 1000, (len(gates), dropped)
@@ -356,10 +356,10 @@ def test_pruned_search_is_the_sweep_on_random_grid_games(m, n, seed, grid,
 
 
 def _search_inputs(game, delta, exact_mode):
-    """The follower columns and delta ``solve_exact`` searches with."""
+    """The columns and delta ``solve_exact`` searches with."""
     rational = game if exact_mode else rational_reading(game)
     d = Fraction(delta) if exact_mode else decimal_fraction(delta)
-    return rational.columns(True)[1], d
+    return rational.columns(True), d
 
 
 def _follower_game(u_f):
@@ -407,8 +407,9 @@ def test_static_filters_match_the_row_reference():
     for game, d in _filter_games():
         floats = BimatrixGame(game.u_l, game.u_f)
         for g, delta, exact_mode in ((game, d, True), (floats, float(d), False)):
-            col_f, dd = _search_inputs(g, delta, exact_mode)
-            got = exact._static_filters(col_f, dd)
+            (col_l, col_f), dd = _search_inputs(g, delta, exact_mode)
+            got = exact._static_filters(
+                exact.region_rows(col_l, col_f, dd)[1])
             want = static_filters_reference.static_filters(
                 static_filters_reference.member_rows(col_f, dd), dd)
             assert got == want, (game.exact_u_f, delta, exact_mode)
@@ -467,9 +468,10 @@ def _search_gate(m, rows, S, jt):
     the actions outside S."""
     opt, member, exclude, _ = rows
     inside = [k for k in S if k != jt]
-    cons = (tuple(opt.rows[jt][k] for k in inside)
+    cons = (tuple(opt[jt][k] for k in inside)
             + tuple(member[jt][k] for k in inside)
-            + tuple(exclude[jt][k] for k in range(len(member)) if k not in S))
+            + tuple(exclude[jt][k] for k in range(len(member.cols))
+                    if k not in S))
     return lp.feasibility(m, cons, simplex=True)
 
 
@@ -574,22 +576,22 @@ def test_region_rows_are_built_only_for_the_lps_that_hold_them(monkeypatch):
 def _row_pairs(col_l, col_f, d, rows):
     """Each row ``region_rows`` has built, paired with the same row as
     ``(coeffs, relation, rhs)``, built here by ``Fraction`` subtraction.
-    Optimality rows are built one (jt, k) at a time; a built ``opt[jt]``
-    holds the very rows ``opt.rows[jt][k]`` over k != jt."""
+    Optimality rows are built one (jt, k) at a time; a built
+    ``opt.others(jt)`` holds the very rows ``opt[jt][k]`` over k != jt."""
     opt, member, exclude, leader = rows
-    for jt, full in opt.items():
-        others = [opt.rows[jt][k] for k in range(len(col_f)) if k != jt]
+    for jt, full in opt._others.items():
+        others = [opt[jt][k] for k in range(len(col_f)) if k != jt]
         assert len(full) == len(others)
         assert all(a is b for a, b in zip(full, others))
     pairs = []
-    for kind, cols, margin, rel in ((opt.rows, col_f, 0, ">="),
+    for kind, cols, margin, rel in ((opt, col_f, 0, ">="),
                                     (member, col_f, d, "<="),
                                     (exclude, col_f, d, ">="),
                                     (leader, col_l, 0, "<=")):
         pairs += [(row, (tuple(Fraction(a) - Fraction(b)
                                for a, b in zip(cols[j], cols[k])),
                          rel, Fraction(margin)))
-                  for j, rows in enumerate(kind) for k, row in rows.items()]
+                  for j, rows in kind.items() for k, row in rows.items()]
     return pairs
 
 
@@ -614,10 +616,10 @@ def _read_every_row(col_l, col_f, d):
     for jt in range(len(col_f)):
         for k in range(len(col_f)):
             if k != jt:
-                opt.rows[jt][k]
+                opt[jt][k]
             for kind in (member, exclude, leader):
                 kind[jt][k]
-        opt[jt]
+        opt.others(jt)
     return rows
 
 
@@ -656,9 +658,8 @@ def test_region_rows_make_no_fraction(monkeypatch):
 
     monkeypatch.setattr(Fraction, "__new__", counting)
     opt, member, exclude, leader = _read_every_row(col_l, col_f, delta)
-    rows = [row for kind in (member, exclude, leader) for by_k in kind
-            for row in by_k.values()]
-    rows += [row for by_k in opt.rows for row in by_k.values()]
+    rows = [row for kind in (opt, member, exclude, leader)
+            for by_k in kind.values() for row in by_k.values()]
     assert len(rows) == 5 * 4 + 3 * 5 * 5
     for row in rows:
         row.int_row, row.float_row

@@ -1,17 +1,22 @@
-"""Static checks on the imports of ``src/rsekit``, read from the source.
+"""Static checks on the imports and definitions of ``src/rsekit``, read
+from the source.
 
 Each module other than ``__init__`` uses every name it imports, and imports
 only the package modules in layers below its own in ``LAYERS``, so no
-module reaches up or sideways. The checks parse each module's AST and
-import nothing from the package.
+module reaches up or sideways. Each name a module defines for others to
+call is read somewhere in ``src``, ``tests`` or ``perfbench``, so no dead
+definition is left behind. The checks parse the ASTs and import nothing
+from the package.
 """
 
 import ast
+from functools import cache
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "rsekit"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "rsekit"
 # Lowest layer first; the modules of one layer import none of each other.
 LAYERS = (("errors",), ("lp", "game"), ("baseline",), ("exact",), ("approx",),
           ("lab",), ("learning",), ("cli",))
@@ -55,3 +60,46 @@ def test_modules_import_only_lower_layers(name):
     _, found = _imports(name)
     assert sorted({module for module, _ in found if module is not None
                    and RANK[module] >= RANK[name]}) == []
+
+
+def _definitions(tree):
+    """The names a module defines for code to read: its top-level
+    functions, classes and upper-case constants, and each method of its
+    classes whose name does not start with ``__``."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            names += [f.name for f in node.body
+                      if isinstance(f, ast.FunctionDef)
+                      and not f.name.startswith("__")]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            names += [t.id for target in targets for t in ast.walk(target)
+                      if isinstance(t, ast.Name) and t.id.isupper()]
+    return names
+
+
+@cache
+def _read_names():
+    """Every name ``src``, ``tests`` and ``perfbench`` read: as a ``Name``
+    or an attribute that is not assigned to, or in an import."""
+    names = set()
+    for path in sorted(p for top in ("src", "tests", "perfbench")
+                       for p in (ROOT / top).rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.Name, ast.Attribute)) and not isinstance(
+                    node.ctx, ast.Store):
+                names.add(getattr(node, "id", None) or node.attr)
+            elif isinstance(node, ast.alias):
+                names.update(node.name.split("."))
+                names.add(node.asname)
+    return names
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in SRC.glob("*.py")))
+def test_every_definition_is_read(name):
+    tree = ast.parse((SRC / f"{name}.py").read_text(), f"{name}.py")
+    assert [d for d in _definitions(tree) if d not in _read_names()] == []

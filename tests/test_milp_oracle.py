@@ -2,10 +2,11 @@
 
 The every-tuple sweep of ``region_sweep.py`` is the reference for small
 games only; here HiGHS's branch and bound checks the robust value of random
-grid games from 3x12 to 4x16 and of the k = 4 and k = 5 exact-cover rungs,
-in both modes, and of off-grid random games, which have no exact matrices,
-in float mode. HiGHS works in doubles, so the values must agree within
-``TOL``; on these games they agree within 2e-13.
+grid games from 3x12 to 4x16, of the k = 4 and k = 5 exact-cover rungs and
+of catalog games whose optimum sits on a delta tie, in both modes, and of
+off-grid random games, which have no exact matrices, in float mode. HiGHS
+works in doubles, so the values must agree within ``TOL``; on these games
+they agree within 2e-13.
 """
 
 import random
@@ -15,6 +16,7 @@ import pytest
 
 from rsekit import lab
 from rsekit.exact import solve_exact
+from rsekit.game import follower_payoffs
 
 pytest.importorskip("scipy.optimize")
 import milp_oracle  # noqa: E402  (after the scipy check)
@@ -37,10 +39,10 @@ def x3c_rung(k, yes):
     return lab.gen_x3c_game(inst, DELTA, DELTA)
 
 
-def _agree(game):
-    want = milp_oracle.milp_value(game, DELTA)
-    exact = solve_exact(game, DELTA, exact=True, cap=24)
-    floats = solve_exact(game, float(DELTA), cap=24)
+def _agree(game, delta=DELTA):
+    want = milp_oracle.milp_value(game, delta)
+    exact = solve_exact(game, delta, exact=True, cap=24)
+    floats = solve_exact(game, float(delta), cap=24)
     assert type(exact.value) is Fraction
     assert abs(float(exact.value) - want) <= TOL, (exact.value, want)
     assert abs(floats.value - want) <= TOL, (floats.value, want)
@@ -62,7 +64,26 @@ def test_x3c_rungs_agree_with_the_milp(k, yes):
         assert sol.value == Fraction(1, k)
 
 
-@pytest.mark.parametrize("m, n", [(3, 12), (3, 16), (3, 18), (4, 16)])
+# (catalog game, delta, the follower action exactly delta below the best at
+# the exact optimum)
+DELTA_TIES = [("table3", Fraction(1, 10), 1), ("table5", Fraction(1, 4), 0),
+              ("table2", Fraction(1, 2), 2), ("table4", Fraction(1, 2), 1)]
+
+
+@pytest.mark.parametrize("name, delta, k", DELTA_TIES)
+def test_optima_on_a_delta_tie_agree_with_the_milp(name, delta, k):
+    """The strict rule leaves action k out of the response set, while the
+    MILP's z_k = 0 row allows the tie, ``u_f(k).x <= v - delta``: both
+    give the same value."""
+    game = lab.catalog(name).game
+    sol = _agree(game, delta)
+    payoffs = follower_payoffs(game, sol.strategy, exact=True)
+    assert max(payoffs) - payoffs[k] == delta
+    assert k not in sol.outcome.response_set
+
+
+@pytest.mark.parametrize("m, n", [(3, 12), (3, 16), (3, 18), (3, 20),
+                                  (4, 16)])
 def test_off_grid_float_games_agree_with_the_milp(m, n):
     """Float mode searches the rational reading of the doubles (each one's
     shortest decimal), whose denominators are large."""
