@@ -10,14 +10,22 @@ Two routes:
   anchor's surrogate neighborhood (strategies whose leader payoffs stay
   within epsilon of the anchor's, column by column) with a feasibility LP
   per candidate response and a binary search over the anchor's payoff
-  levels. Quasi-polynomial in the action counts. The follower rows of
-  those LPs are built once per solve, and an anchor's cell rows once per
-  anchor. The anchors do not depend on each other, so up to
-  :data:`SEARCH_WINDOW` of them search side by side, in enumeration order:
-  each round solves the next LP of every one in one
-  :func:`lp.feasible_many` batch, and finished anchors are scored in
-  enumeration order, so ties still keep the earliest. Each anchor solves
-  the very LPs it would solve alone, and gets the same answers.
+  levels. Quasi-polynomial in the action counts. Each of those LPs is
+  described by what varies between them: the anchor's cell (its payoffs
+  t, so the cell rows' right-hand sides t +- epsilon), the candidate j
+  and the set Q of actions it must beat by delta. In float mode the rows
+  are blocks built once per solve (the leader columns, ``u_f(j) - u_f(k)``
+  for every pair, the simplex row), a round's LPs are stacked from them
+  straight into :func:`lp.feasible_stacked`, and each anchor's strategy is
+  built once, as counts / k in doubles, for its cell and its score; exact
+  mode builds each LP from :func:`baseline.region_rows` and the anchor's
+  cell rows, made once per anchor, for :func:`lp.feasible_many`. The
+  anchors do not depend on each other, so as many of them as one kernel
+  chunk has room for (:func:`_window`) search side by side, in
+  enumeration order: each round solves the next LP of every one in one
+  batch, and finished anchors are scored in enumeration order, so ties
+  still keep the earliest. Each anchor solves the very LPs it would solve
+  alone, and gets the same answers.
 """
 
 from __future__ import annotations
@@ -28,6 +36,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
+
 from . import lp
 from .baseline import (induce_strategy, inducibility_gap, region_rows,
                        solve_sse)
@@ -37,9 +47,6 @@ from .game import (BimatrixGame, MixedStrategy, evaluate, leader_payoffs,
                    scalar, strategy_from, tolerance)
 
 ANCHOR_BUDGET = 2_000_000
-# Anchor searches qptas_solve keeps in flight; each round solves one LP of
-# each in a single lp.feasible_many batch.
-SEARCH_WINDOW = 64
 
 
 def compositions(total: int, parts: int):
@@ -72,7 +79,12 @@ class KUniformStrategy:
         object.__setattr__(self, "counts", counts)
 
     def to_strategy(self, *, exact: bool = False) -> MixedStrategy:
-        return strategy_from([Fraction(c, self.k) for c in self.counts], exact)
+        """The strategy counts / k; in float mode each double is
+        ``float(Fraction(c, k))``, the correctly rounded quotient."""
+        if exact:
+            return strategy_from([Fraction(c, self.k) for c in self.counts],
+                                 True)
+        return MixedStrategy(np.array(self.counts, dtype=float) / float(self.k))
 
 
 @dataclass(frozen=True)
@@ -159,47 +171,122 @@ def utility_verification(
     the strict response rule suffices to exclude Q). Returns the first
     witness.
     """
-    col_l, col_f = game.columns(exact)
-    opt, _, exclude, _ = region_rows(col_l, col_f, scalar(delta, exact))
-    scan = _scan(game.m, _region_constraints(col_l, region, exact), opt,
-                 exclude, region.anchor_payoffs, mu, exact)
-    witness = next(_lockstep([scan], exact))
+    lps = (_ExactLps if exact else _FloatLps)(game, delta)
+    scan = _scan(lps.cell(region), region.anchor_payoffs, mu, exact)
+    witness = next(_lockstep([scan], lps.solve, 1))
     if witness is None:
         return False, None
     return True, strategy_from(witness.solution, exact)
 
 
-def _scan(m, cell, opt, exclude, anchor_payoffs, mu, exact):
-    """The scan of :func:`utility_verification` on prebuilt rows, as a
-    generator: it yields each LP, is sent its outcome, and returns the
-    witness's outcome, or ``None``. ``cell`` is the region's rows;
-    ``opt.others(j)`` and ``exclude[j][q]``, from
-    :func:`baseline.region_rows`, are j's best-response rows and its
-    delta-margin row against q."""
+def _scan(cell, anchor_payoffs, mu, exact):
+    """The scan of :func:`utility_verification` as a generator: it yields
+    each LP as ``(cell, j, Q)``, is sent its outcome, and returns the
+    witness's outcome, or ``None``. ``cell`` is the region's rows, from
+    the ``cell`` of :class:`_FloatLps` or :class:`_ExactLps`; the LP adds
+    j's best-response rows and its delta-margin rows against each q in
+    ``Q``."""
     floor = scalar(mu, exact) - tolerance(exact)
     below = [t < floor for t in anchor_payoffs]
-    Q = [j for j, b in enumerate(below) if b]
+    Q = tuple(j for j, b in enumerate(below) if b)
     for j, b in enumerate(below):
         if b:
             continue
-        cons = cell + opt.others(j) + tuple(exclude[j][q] for q in Q)
-        out = yield lp.feasibility(m, cons, simplex=True)
+        out = yield cell, j, Q
         if out.status == "optimal":
             return out
     return None
 
 
-def _anchor_search(game, col_l, opt, exclude, anchor, epsilon, exact):
+class _FloatLps:
+    """The float LPs of :func:`_scan` for one game and delta, from rows
+    built once: the leader columns of the 2n cell rows, ``u_f(j) - u_f(k)``
+    for every pair (j, k), which is an optimality row with rhs 0 and an
+    exclusion row with rhs delta, and the simplex row. Each LP's rows are
+    those :func:`_region_constraints`, ``region_rows(...)[0].others(j)``,
+    ``region_rows(...)[2][j][q]`` for q in Q and the simplex row would
+    give, in that order, and :meth:`solve` stacks them for
+    :func:`lp.feasible_stacked`, with no :class:`lp.LinearProgram` and no
+    :class:`lp.Constraint`."""
+
+    exact = False
+
+    def __init__(self, game, delta):
+        m, n = game.m, game.n
+        u_f = game.u_f.T
+        self.m, self.n = m, n
+        # rows[2n + j n + k] is u_f(j) - u_f(k); the simplex row comes last
+        self.rows = np.vstack([np.repeat(game.u_l.T, 2, axis=0),
+                               (u_f[:, None] - u_f[None]).reshape(n * n, m),
+                               np.ones((1, m))])
+        self.heads = [np.array([*range(2 * n), *(2 * n + j * n + k
+                                                 for k in range(n) if k != j)])
+                      for j in range(n)]
+        le, ge, eq = map(lp.RELATIONS.index, ("<=", ">=", "=="))
+        self.head_rel = np.array([le, ge] * n + [ge] * (n - 1))
+        # the rows after the head of an LP with q exclusion rows
+        d = scalar(delta, False)
+        self.tail_rel = [np.array([ge] * q + [eq]) for q in range(n)]
+        self.tail_rhs = [np.array([d] * q + [1.0]) for q in range(n)]
+
+    def cell(self, region):
+        """The right-hand sides of the region's cell rows, then the zero
+        right-hand sides of the optimality rows."""
+        t = np.array(region.anchor_payoffs, dtype=float)
+        eps = scalar(region.epsilon, False)
+        rhs = np.zeros(3 * self.n - 1)
+        rhs[0:2 * self.n:2], rhs[1:2 * self.n:2] = t + eps, t - eps
+        return rhs
+
+    def solve(self, lps):
+        """The outcomes of the LPs ``(cell, j, Q)``, in order."""
+        at, rel, rhs, counts = [], [], [], []
+        simplex = 2 * self.n + self.n * self.n
+        for cell, j, Q in lps:
+            at += (self.heads[j], [2 * self.n + j * self.n + q for q in Q]
+                   + [simplex])
+            rel += (self.head_rel, self.tail_rel[len(Q)])
+            rhs += (cell, self.tail_rhs[len(Q)])
+            counts.append(3 * self.n + len(Q))
+        return lp.feasible_stacked(self.rows[np.concatenate(at)],
+                                   np.concatenate(rel), np.concatenate(rhs),
+                                   counts, self.m)
+
+
+class _ExactLps:
+    """The exact LPs of :func:`_scan`: rows from :func:`_region_constraints`
+    and :func:`baseline.region_rows`, each LP an :class:`lp.LinearProgram`
+    for :func:`lp.feasible_many`."""
+
+    exact = True
+
+    def __init__(self, game, delta):
+        self.m = game.m
+        self.col_l, col_f = game.columns(True)
+        self.opt, _, self.exclude, _ = region_rows(self.col_l, col_f,
+                                                   scalar(delta, True))
+
+    def cell(self, region):
+        return _region_constraints(self.col_l, region, True)
+
+    def solve(self, lps):
+        return lp.feasible_many([lp.feasibility(
+            self.m, cell + self.opt.others(j)
+            + tuple(self.exclude[j][q] for q in Q), simplex=True)
+            for cell, j, Q in lps], exact=True)
+
+
+def _anchor_search(game, lps, anchor, epsilon):
     """qptas's search of one anchor, an LP-yielding generator like
     :func:`_scan`. It binary-searches the largest verifiable level mu over
-    the anchor's payoff values and returns ``(anchor, witness, mu)``, the
-    witness an LP outcome as :func:`_scan` returns it, or ``None`` when even
-    the smallest level fails. Only the returned witness's point is read, so
-    an exact LP whose point is found on first read finds it once per
-    anchor."""
-    region = make_region(game, anchor, epsilon, exact=exact)
-    cell = _region_constraints(col_l, region, exact)
-    payoffs = region.anchor_payoffs
+    the anchor's payoff values and returns ``(anchor, x, witness, mu)``:
+    x the anchor's strategy, the witness an LP outcome as :func:`_scan`
+    returns it, or ``None`` when even the smallest level fails. Only the
+    returned witness's point is read, so an exact LP whose point is found
+    on first read finds it once per anchor."""
+    x = anchor.to_strategy(exact=lps.exact)
+    payoffs = tuple(leader_payoffs(game, x, exact=lps.exact))
+    cell = lps.cell(SurrogateRegion(anchor, epsilon, payoffs))
     levels = sorted(set(payoffs))
     # Largest verifiable mu; the smallest level always verifies with the
     # anchor's own best response as witness.
@@ -207,17 +294,15 @@ def _anchor_search(game, col_l, opt, exclude, anchor, epsilon, exact):
     witness = None
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        found = yield from _scan(game.m, cell, opt, exclude, payoffs,
-                                 levels[mid], exact)
+        found = yield from _scan(cell, payoffs, levels[mid], lps.exact)
         if found is not None:
             lo = mid
             witness = found
         else:
             hi = mid - 1
     if witness is None:
-        witness = yield from _scan(game.m, cell, opt, exclude, payoffs,
-                                   levels[lo], exact)
-    return anchor, witness, levels[lo]
+        witness = yield from _scan(cell, payoffs, levels[lo], lps.exact)
+    return anchor, x, witness, levels[lo]
 
 
 class _Search:
@@ -237,22 +322,22 @@ class _Search:
             self.lp, self.result = None, stop.value
 
 
-def _lockstep(searches, exact):
+def _lockstep(searches, solve, window):
     """Run the LP-yielding generators ``searches`` side by side and yield
     their return values in the order given.
 
-    Up to :data:`SEARCH_WINDOW` searches are in flight, taken from
-    ``searches`` in order. Each round sends the pending LP of every one to
-    one :func:`lp.feasible_many` call and each its own outcome back. A
-    search never waits on another, so each solves the LPs it would solve
-    alone.
+    Up to ``window`` searches are in flight, taken from ``searches`` in
+    order. Each round sends the pending LP of every one to one ``solve``
+    call, which returns their outcomes in order, and each its own outcome
+    back. A search never waits on another, so each solves the LPs it would
+    solve alone.
     """
     searches = iter(searches)
     queue = deque()  # in order: the searches not yet reported
     live = []
     more = True
     while True:
-        while more and len(live) < SEARCH_WINDOW:
+        while more and len(live) < window:
             gen = next(searches, None)
             if gen is None:
                 more = False
@@ -264,10 +349,22 @@ def _lockstep(searches, exact):
             yield queue.popleft().result
         if not live:
             return
-        outcomes = lp.feasible_many([s.lp for s in live], exact=exact)
+        outcomes = solve([s.lp for s in live])
         for s, out in zip(live, outcomes):
             s.send(out)
         live = [s for s in live if s.lp is not None]
+
+
+def _window(m, n):
+    """Anchor searches :func:`qptas_solve` keeps in flight: as many LPs as
+    one kernel chunk of :func:`lp.feasible_stacked` holds at the widest a
+    round of them can be. Such a chunk has at most 4n - 1 rows, as an LP
+    has 2n cell rows, n - 1 optimality rows, up to n - 1 exclusion rows and
+    the simplex row, and m + 6n - 2 columns: m variables, 4n - 2 slacks
+    (every row position but the last, which only a simplex row holds), n
+    artificials for the ``>=`` cell rows and n for the row positions an
+    exclusion row or a simplex row can hold."""
+    return max(1, lp.BATCH_DOUBLES // (4 * n * (m + 6 * n - 1)))
 
 
 def _region_constraints(col_l, region: SurrogateRegion, exact):
@@ -298,18 +395,17 @@ def qptas_solve(game: BimatrixGame, delta, epsilon, *,
         raise EnumerationCapExceeded(
             f"{total} k-uniform anchors exceed the budget {ANCHOR_BUDGET} "
             f"(k={k}, m={game.m})")
-    col_l, col_f = game.columns(exact)
-    opt, _, exclude, _ = region_rows(col_l, col_f, scalar(delta, exact))
+    lps = (_ExactLps if exact else _FloatLps)(game, delta)
+    eps = scalar(epsilon, exact)
     best = None  # (report, anchor, mu)
     anchors = (KUniformStrategy(counts, k) for counts in compositions(k, game.m))
-    for anchor, witness, mu in _lockstep(
-            (_anchor_search(game, col_l, opt, exclude, anchor, epsilon, exact)
-             for anchor in anchors), exact):
+    for anchor, x, witness, mu in _lockstep(
+            (_anchor_search(game, lps, anchor, eps) for anchor in anchors),
+            lps.solve, _window(game.m, game.n)):
         if witness is None:
             continue
-        for x in (strategy_from(witness.solution, exact),
-                  anchor.to_strategy(exact=exact)):
-            rep = evaluate(game, x, delta, exact=exact)
+        for y in (strategy_from(witness.solution, exact), x):
+            rep = evaluate(game, y, delta, exact=exact)
             if best is None or rep.leader_value > best[0].leader_value:
                 best = (rep, anchor, mu)
     if best is None:

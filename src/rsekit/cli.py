@@ -138,7 +138,8 @@ def positive_int(text: str) -> int:
 
 
 def finite_level(text: str) -> float:
-    """argparse type of ``learn --delta``: a finite number >= 0."""
+    """argparse type of ``learn --delta`` and ``verify --tolerance``: a
+    finite number >= 0."""
     v = float(text)
     if not 0 <= v < math.inf:
         raise argparse.ArgumentTypeError(
@@ -408,7 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
     vp = sub.add_parser("verify", help="recheck an emitted solution")
     vp.add_argument("game")
     vp.add_argument("solution")
-    vp.add_argument("--tolerance", type=float, default=tolerance(False))
+    vp.add_argument("--tolerance", type=finite_level,
+                    default=tolerance(False))
     vp.set_defaults(func=cmd_verify)
     return p
 

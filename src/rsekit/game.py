@@ -194,13 +194,18 @@ def exact_strategy(coords: Sequence) -> MixedStrategy:
 
 
 def scalar(v, exact: bool):
-    """``v`` as a number of the mode: a ``Fraction`` if ``exact``, else a float."""
+    """``v`` as a number of the mode: a ``Fraction`` if ``exact``, else a
+    float. A number whose double overflows, or rounds a nonzero ``v`` to
+    zero, is a ``ValueError`` in float mode."""
     if exact:
         return Fraction(v)
     try:
-        return float(v)
+        f = float(v)
     except OverflowError:
         raise ValueError("number too large for float mode") from None
+    if f == 0 and Fraction(v) != 0:
+        raise ValueError("number too small for float mode")
+    return f
 
 
 def tolerance(exact: bool):

@@ -372,6 +372,7 @@ def gen_x3c_game(instance: X3CInstance, delta, epsilon) -> BimatrixGame:
 # ---------------------------------------------------------------------------
 
 MAX_DRAWS = 64  # draws gen_random makes for ensure_gap before giving up
+MAX_ENTRIES = 10 ** 7  # most entries m * n a gen_random matrix may have
 
 
 def gen_random(m: int, n: int, seed: int, *, rational_grid: int | None = None,
@@ -380,13 +381,18 @@ def gen_random(m: int, n: int, seed: int, *, rational_grid: int | None = None,
 
     ``rational_grid=q`` snaps entries to multiples of 1/q and attaches exact
     matrices. ``ensure_gap`` rejection-samples until the inducibility gap
-    exceeds the threshold (at most ``MAX_DRAWS`` draws).
+    exceeds the threshold (at most ``MAX_DRAWS`` draws). A game of more
+    than ``MAX_ENTRIES`` entries per matrix raises :class:`BudgetExceeded`
+    before any draw.
     """
     if m < 1 or n < 1:
         raise GameFormatError("need m, n >= 1")
     if rational_grid is not None and rational_grid < 1:
         raise GameFormatError(
             f"rational_grid must be at least 1, got {rational_grid}")
+    if m * n > MAX_ENTRIES:
+        raise BudgetExceeded(f"a {m}x{n} game has {m * n} entries per "
+                             f"matrix, above the cap of {MAX_ENTRIES}")
     rng = np.random.default_rng(seed)
     for _ in range(MAX_DRAWS):
         if rational_grid is not None:

@@ -75,22 +75,23 @@ deterministic and cycling-free:
 
 ``feasible_many(lps)`` returns ``[feasible(p) for p in lps]``: the same
 statuses and the same points, to the last bit. In exact mode it is that
-list. In float mode it runs phase 1, the drive-out and the read-out of the
-float simplex for the whole batch at once, on one ``(B, R + 1, C + 1)``
-array of doubles, in chunks of at most :data:`BATCH_DOUBLES`. Each LP takes
-its own Bland entering column and leaving row, and each pivot is the
-elementwise ``row / piv`` and ``other - f * row``, so each double is the one
-the one-LP tableau computes, but for the sign of a zero. With M the largest
-``num_vars`` and R the most rows in the chunk, row r owns slack column
-``M + r`` and artificial column ``M + R + r``, which keeps every LP's
-columns in their Bland order. An LP with fewer rows is padded with zero
-rows that have no slack or artificial and a basis key past every column, so
-they never enter a ratio test or a price-out.
+list. In float mode it stacks the LPs' rows for :func:`feasible_stacked`,
+which runs phase 1, the drive-out and the read-out of the float simplex
+for the whole batch at once, on one ``(B, R + 1, C + 1)`` array of
+doubles, in chunks of at most :data:`BATCH_DOUBLES`. Each LP takes its own
+Bland entering column and leaving row, and each pivot is the elementwise
+``row / piv`` and ``other - f * row``, so each double is the one the
+one-LP tableau computes, but for the sign of a zero. A chunk holds a slack
+column for each row position at which one of its LPs has a slack, and an
+artificial column for each at which one has an artificial, each kind in
+row order, so every LP's columns keep their Bland order. An LP with fewer
+rows is padded with zero rows that have no slack or artificial and a basis
+key past every column, so they never enter a ratio test or a price-out.
 
 :func:`solve_count` counts the LPs solved: each :func:`solve` call, those
 made through :func:`feasible` included, and each LP of
-:func:`feasible_many`. A solver reports the change in :func:`solve_count`
-across its run as its LP count.
+:func:`feasible_many` and :func:`feasible_stacked`. A solver reports the
+change in :func:`solve_count` across its run as its LP count.
 """
 
 from __future__ import annotations
@@ -114,7 +115,7 @@ PIVOT_TOL = 1e-9
 # duals whose true values are simple rationals; any rounding is safe, since
 # the check itself is exact.
 DUAL_DENOMINATOR = 10 ** 9
-# Tableau doubles in one lockstep kernel call of feasible_many, which
+# Tableau doubles in one lockstep kernel call of feasible_stacked, which
 # splits a longer batch into chunks: a call holds two arrays of this size at
 # most, the tableau and its elimination buffer. An LP too large for it
 # alone is a chunk of its own.
@@ -127,7 +128,8 @@ _solves = 0
 
 def solve_count() -> int:
     """Number of LPs solved so far in this process: :func:`solve` calls,
-    and the LPs of :func:`feasible_many` calls."""
+    and the LPs of :func:`feasible_many` and :func:`feasible_stacked`
+    calls."""
     return _solves
 
 
@@ -356,8 +358,8 @@ def feasible_many(lps: Sequence[LinearProgram], *,
 
     Equal outcomes (status, and points equal to the last bit), and
     :func:`solve_count` advanced by ``len(lps)``. Exact mode is that very
-    list; float mode runs :func:`_feasible_batch` on chunks of at most
-    :data:`BATCH_DOUBLES` tableau doubles.
+    list; float mode stacks the LPs' rows, zero-padded to the most
+    variables and each simplex row last, for :func:`feasible_stacked`.
     """
     lps = list(lps)
     for p in lps:
@@ -366,47 +368,7 @@ def feasible_many(lps: Sequence[LinearProgram], *,
                 f"feasible_many() takes feasibility LPs, not {p.sense!r}")
     if exact:
         return [feasible(p, exact=True) for p in lps]
-    global _solves
-    _solves += len(lps)
-    outcomes = []
-    chunk, rows, nv = [], 0, 0
-    for p in lps:
-        p_rows = len(p.constraints) + p.simplex_constraint
-        r, m = max(rows, p_rows), max(nv, p.num_vars)
-        if chunk and (len(chunk) + 1) * (r + 1) * (m + 2 * r + 1) > BATCH_DOUBLES:
-            outcomes += _feasible_batch(chunk)
-            chunk, r, m = [], p_rows, p.num_vars
-        chunk.append(p)
-        rows, nv = r, m
-    if chunk:
-        outcomes += _feasible_batch(chunk)
-    return outcomes
-
-
-# ---------------------------------------------------------------------------
-# Float feasibility LPs in lockstep.
-# ---------------------------------------------------------------------------
-
-_LE, _GE, _EQ = 0, 1, 2
-_REL_CODE = {"<=": _LE, ">=": _GE, "==": _EQ}
-
-
-def _batch_tableau(lps):
-    """``(T, basis, M, R)``: the phase-1 tableaux of the feasibility LPs
-    ``lps``, stacked, each holding the rows :func:`_simplex` would build.
-
-    With M the largest ``num_vars`` and R the most rows, ``T[b]`` is LP b's
-    tableau: columns ``0..M-1`` are the variables (zero past the LP's own),
-    row r owns slack column ``M + r`` and artificial column ``M + R + r``,
-    column ``C = M + 2R`` is the rhs, and row R is the phase-1 cost row,
-    priced out. ``basis[b, r]`` is the column basic in row r. Unused
-    columns stay zero, so they never enter. Pad rows, past an LP's own, are
-    zero rows with basis key C (the module docstring gives the reasons).
-    """
-    B = len(lps)
-    M = max(p.num_vars for p in lps)
-    R = max(len(p.constraints) + p.simplex_constraint for p in lps)
-    C = M + 2 * R
+    M = max((p.num_vars for p in lps), default=0)
     coeffs, rels, rhs, counts = [], [], [], []
     for p in lps:
         pad = (0,) * (M - p.num_vars)
@@ -419,47 +381,135 @@ def _batch_tableau(lps):
             rels.append(_EQ)
             rhs.append(1)
         counts.append(len(cons) + p.simplex_constraint)
-    A = np.array(coeffs, dtype=float).reshape(len(coeffs), M)
+    return feasible_stacked(
+        np.array(coeffs, dtype=float).reshape(len(coeffs), M), rels, rhs,
+        counts, [p.num_vars for p in lps])
+
+
+# ---------------------------------------------------------------------------
+# Float feasibility LPs in lockstep.
+# ---------------------------------------------------------------------------
+
+_LE, _GE, _EQ = range(3)
+_REL_CODE = {rel: code for code, rel in enumerate(RELATIONS)}
+
+
+def feasible_stacked(A, relation, rhs, counts, num_vars) -> list[LpOutcome]:
+    """The float :func:`feasible` outcomes, to the last bit, of LPs given
+    as stacked rows; :func:`solve_count` advances by ``len(counts)``.
+
+    LP b is over x >= 0 in its first ``num_vars[b]`` variables (or
+    ``num_vars``, one int for all), and its rows, a simplex row included,
+    are the next ``counts[b]`` rows of ``A`` (zero past the LP's own
+    variables), ``relation`` (each an index in :data:`RELATIONS`) and
+    ``rhs``. The LPs are cut, in order, into chunks of at most
+    :data:`BATCH_DOUBLES` doubles at the width :func:`_batch_tableau`
+    gives; an LP too large for it alone is a chunk of its own.
+    """
+    global _solves
+    counts = np.asarray(counts, dtype=np.int64)
+    B = len(counts)
+    _solves += B
+    nv = np.broadcast_to(np.asarray(num_vars, dtype=np.int64), (B,))
+    A = np.array(A, dtype=float)
     rhs = np.array(rhs, dtype=float)
-    rel = np.array(rels, dtype=np.int64)
-    # (at_lp[i], at_row[i]): the LP and row of stacked row i
-    at_lp = np.repeat(np.arange(B), counts)
-    at_row = np.arange(len(rels)) - np.repeat(np.cumsum(counts) - counts, counts)
+    rel = np.asarray(relation, dtype=np.int64)
     # rhs >= 0, and ">=" rows with rhs 0 become slack-basic "<=" rows
     flip = (rhs < 0) | ((rel == _GE) & (rhs == 0))
     A[flip] = -A[flip]
     rhs[flip] = -rhs[flip]
     rel = np.where(flip & (rel != _EQ), _LE + _GE - rel, rel)
+    # slack[b, r], art[b, r]: row r of LP b has a slack, an artificial
+    at_lp, at_row = _row_owners(counts)
+    slack = np.zeros((B, counts.max(initial=0)), dtype=bool)
+    art = np.zeros_like(slack)
+    slack[at_lp, at_row] = rel != _EQ
+    art[at_lp, at_row] = rel != _LE
+    ends = np.cumsum(counts)
+    outcomes = []
+    b0 = 0
+    while b0 < B:
+        # Each LP of a chunk from b0 takes at least this many doubles.
+        least = (counts[b0] + 1) * (nv[b0] + 1)
+        most = min(B, b0 + max(1, BATCH_DOUBLES // int(least)))
+        # size[i]: the tableau doubles of a chunk of LPs b0..b0 + i
+        width = (np.maximum.accumulate(nv[b0:most])
+                 + np.logical_or.accumulate(slack[b0:most]).sum(axis=1)
+                 + np.logical_or.accumulate(art[b0:most]).sum(axis=1))
+        size = (np.arange(1, most - b0 + 1)
+                * (np.maximum.accumulate(counts[b0:most]) + 1) * (width + 1))
+        b1 = b0 + max(1, int(np.searchsorted(size, BATCH_DOUBLES, "right")))
+        r0, r1 = ends[b0] - counts[b0], ends[b1 - 1]
+        outcomes += _feasible_batch(A[r0:r1, :nv[b0:b1].max()], rel[r0:r1],
+                                    rhs[r0:r1], counts[b0:b1], nv[b0:b1])
+        b0 = b1
+    return outcomes
+
+
+def _row_owners(counts):
+    """``(at_lp, at_row)``: the LP of each stacked row, and its index in
+    that LP, when LP b owns the next ``counts[b]`` rows."""
+    at_lp = np.repeat(np.arange(len(counts)), counts)
+    at_row = np.arange(len(at_lp)) - np.repeat(np.cumsum(counts) - counts,
+                                               counts)
+    return at_lp, at_row
+
+
+def _batch_tableau(A, rel, rhs, counts):
+    """``(T, basis, M, F)``: the phase-1 tableaux :func:`_simplex` would
+    build for the feasibility LPs whose rows, normalized to rhs >= 0 and
+    no ``>=`` row with rhs 0, are stacked in ``A``, ``rel`` and ``rhs``, LP
+    b owning the next ``counts[b]``.
+
+    ``T[b]`` is LP b's tableau. Columns ``0..M-1`` are the variables; from
+    column M come slack columns, one for each row position at which some LP
+    has a ``<=`` or ``>=`` row, and from column F artificial columns, one
+    for each at which some LP has a ``>=`` or ``==`` row, each kind in row
+    order. The last column, C, is the rhs, and the last row, R, the
+    phase-1 cost row, priced out. ``basis[b, r]`` is the column basic in
+    row r. A column an LP does not use stays zero, so it never enters; pad
+    rows are zero rows with basis key C.
+    """
+    B, M = len(counts), A.shape[1]
+    R = int(counts.max(initial=0))
+    at_lp, at_row = _row_owners(counts)
+    s, a = rel != _EQ, rel != _LE
+    # col_s[r], col_a[r]: the slack and artificial columns of row position r
+    used_s, used_a = np.zeros(R, dtype=bool), np.zeros(R, dtype=bool)
+    used_s[at_row[s]] = True
+    used_a[at_row[a]] = True
+    F = M + int(used_s.sum())
+    C = F + int(used_a.sum())
+    col_s, col_a = M - 1 + np.cumsum(used_s), F - 1 + np.cumsum(used_a)
 
     T = np.zeros((B, R + 1, C + 1))
     T[at_lp, at_row, :M] = A
     T[at_lp, at_row, C] = rhs
-    s = rel != _EQ
-    T[at_lp[s], at_row[s], M + at_row[s]] = np.where(rel[s] == _LE, 1.0, -1.0)
-    a = rel != _LE
-    T[at_lp[a], at_row[a], M + R + at_row[a]] = 1.0
-    T[at_lp[a], R, M + R + at_row[a]] = 1.0  # minimize the artificials
+    T[at_lp[s], at_row[s], col_s[at_row[s]]] = np.where(rel[s] == _LE, 1.0,
+                                                        -1.0)
+    T[at_lp[a], at_row[a], col_a[at_row[a]]] = 1.0
+    T[at_lp[a], R, col_a[at_row[a]]] = 1.0  # minimize the artificials
     basis = np.full((B, R), C, dtype=np.int64)
-    basis[at_lp, at_row] = np.where(a, M + R + at_row, M + at_row)
+    basis[at_lp, at_row] = np.where(a, col_a[at_row], col_s[at_row])
     # Price out the basic artificials, row by row as set_cost does.
     for r in range(R):
-        cb = (basis[:, r] >= M + R) & (basis[:, r] < C)
+        cb = (basis[:, r] >= F) & (basis[:, r] < C)
         if cb.any():
             T[:, R] -= cb[:, None] * T[:, r]
-    return T, basis, M, R
+    return T, basis, M, F
 
 
-def _feasible_batch(lps):
-    """Float outcomes of the feasibility LPs ``lps``: :func:`_simplex`'s
-    phase 1, drive-out and read-out, run for every LP at once on the
-    tableaux of :func:`_batch_tableau`. Phase 2 has nothing to do, since a
-    zero objective prices out to a zero cost row. Each LP takes its own
-    Bland entering column and leaving row, and pivots are elementwise, so
-    each double is the one :class:`_FloatTableau` computes, but for the
-    sign of a zero.
+def _feasible_batch(A, rel, rhs, counts, num_vars):
+    """Float outcomes of the feasibility LPs of :func:`_batch_tableau`,
+    LP b over its first ``num_vars[b]`` variables: :func:`_simplex`'s
+    phase 1, drive-out and read-out, run for every LP at once. Phase 2 has
+    nothing to do, since a zero objective prices out to a zero cost row.
+    Each LP takes its own Bland entering column and leaving row, and pivots
+    are elementwise, so each double is the one :class:`_FloatTableau`
+    computes, but for the sign of a zero.
     """
-    T, basis, M, R = _batch_tableau(lps)
-    B, C = len(lps), M + 2 * R
+    T, basis, M, F = _batch_tableau(A, rel, rhs, counts)
+    B, R, C = T.shape[0], T.shape[1] - 1, T.shape[2] - 1
     buf = np.empty_like(T)
     pos = np.arange(B)  # pos[i]: the index in lps of the tableau T[i]
     n = B  # T[:n] are the LPs still pivoting in phase 1
@@ -491,10 +541,10 @@ def _feasible_batch(lps):
     found = np.abs(T[:, R, C]) <= FEASIBILITY_TOL
     # Drive the artificials still basic out of the basis, row by row; a row
     # with no other nonzero entry is redundant and read no further.
-    art = (basis >= M + R) & (basis < C) & found[:, None]
+    art = (basis >= F) & (basis < C) & found[:, None]
     for r in np.flatnonzero(art.any(axis=0)):
         idx = np.flatnonzero(art[:, r])
-        big = np.abs(T[idx, r, :M + R]) > PIVOT_TOL
+        big = np.abs(T[idx, r, :F]) > PIVOT_TOL
         has = big.any(axis=1)
         idx, enter = idx[has], big[has].argmax(axis=1)
         if idx.size:
@@ -509,7 +559,7 @@ def _feasible_batch(lps):
     x[(x > -PIVOT_TOL) & (x < PIVOT_TOL)] = 0.0
     outcomes = [None] * B
     for i, b in enumerate(pos.tolist()):
-        outcomes[b] = (LpOutcome("optimal", tuple(x[i, :lps[b].num_vars].tolist()),
+        outcomes[b] = (LpOutcome("optimal", tuple(x[i, :num_vars[b]].tolist()),
                                  None) if found[i]
                        else LpOutcome("infeasible", None, None))
     return outcomes

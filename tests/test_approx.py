@@ -10,7 +10,7 @@ import qptas_reference
 from rsekit import approx, lab, lp
 from rsekit.approx import (KUniformStrategy, build_k, gap_approx, make_region,
                            qptas_solve, utility_verification)
-from rsekit.baseline import inducibility_gap, solve_sse
+from rsekit.baseline import inducibility_gap, region_rows, solve_sse
 from rsekit.errors import (EnumerationCapExceeded, GameFormatError, GapTooSmall,
                            RejectionCapExceeded)
 from rsekit.exact import solve_exact
@@ -207,10 +207,12 @@ def test_qptas_deterministic():
 ])
 def test_lp_count_is_the_number_of_lps_solved(monkeypatch, name, game):
     # LPs are solved one at a time by lp.solve, or a batch at a time by
-    # lp.feasible_many, whose exact mode calls lp.solve per LP.
+    # lp.feasible_many, whose exact mode calls lp.solve per LP and whose
+    # float mode calls lp.feasible_stacked, or by lp.feasible_stacked alone.
     solved = 0
     in_batch = False
     real_solve, real_many = lp.solve, lp.feasible_many
+    real_stacked = lp.feasible_stacked
 
     def counting_solve(*args, **kwargs):
         nonlocal solved
@@ -226,8 +228,14 @@ def test_lp_count_is_the_number_of_lps_solved(monkeypatch, name, game):
         finally:
             in_batch = False
 
+    def counting_stacked(A, relation, rhs, counts, num_vars):
+        nonlocal solved
+        solved += 0 if in_batch else len(counts)
+        return real_stacked(A, relation, rhs, counts, num_vars)
+
     monkeypatch.setattr(lp, "solve", counting_solve)
     monkeypatch.setattr(lp, "feasible_many", counting_many)
+    monkeypatch.setattr(lp, "feasible_stacked", counting_stacked)
     delta = Fraction(1, 20)
     for exact in (False, True):
         for run in (lambda: solve_exact(game, delta, exact=exact),
@@ -307,3 +315,74 @@ def test_qptas_matches_the_one_anchor_at_a_time_loop(make, epsilon, exact):
                 repr(sol.guarantee["verified_mu"]), sol.lp_count)
 
     assert key(got) == key(want)
+
+
+def test_float_lps_match_the_linear_program_path():
+    # Each float LP, stacked with every other LP of its game into one
+    # lp.feasible_stacked call, gets the outcome lp.feasible gives the
+    # LinearProgram built from the constraint rows it stands for.
+    seen = dict.fromkeys(("flipped >= cell row", "|Q| = 0", "|Q| = n - 1"), 0)
+    delta, epsilon, k = 0.1, 0.3, 3
+    for m in range(1, 5):
+        for n in range(1, 7):
+            game = lab.gen_random(m, n, 10 * m + n)
+            col_l, col_f = game.columns(False)
+            opt, _, exclude, _ = region_rows(col_l, col_f, delta)
+            lps = approx._FloatLps(game, delta)
+            got, want = [], []
+            for counts in approx.compositions(k, m):
+                region = make_region(game, KUniformStrategy(counts, k), epsilon)
+                cell = approx._region_constraints(col_l, region, False)
+                t = region.anchor_payoffs
+                seen["flipped >= cell row"] += any(v - epsilon < 0 for v in t)
+                for mu in sorted(set(t)):
+                    _, _, Q = next(approx._scan(lps.cell(region), t, mu,
+                                                False))
+                    seen["|Q| = 0"] += not Q
+                    seen["|Q| = n - 1"] += len(Q) == n - 1
+                    for j in sorted(set(range(n)) - set(Q)):
+                        got.append((lps.cell(region), j, Q))
+                        want.append(lp.feasible(lp.feasibility(
+                            m, cell + opt.others(j)
+                            + tuple(exclude[j][q] for q in Q), simplex=True)))
+            first = lp.solve_count()
+            outcomes = lps.solve(got)
+            assert lp.solve_count() - first == len(got)
+            assert [repr(o) for o in outcomes] == [repr(o) for o in want], \
+                (m, n)
+    assert min(seen.values()) >= 20, seen
+
+
+def test_float_qptas_builds_no_lp_object_and_no_fraction(monkeypatch):
+    built = []
+    for cls in (lp.LinearProgram, lp.Constraint):
+        def spy(self, real=cls.__post_init__):
+            built.append(type(self).__name__)
+            real(self)
+        monkeypatch.setattr(cls, "__post_init__", spy)
+    real_new = Fraction.__new__
+
+    def fraction_spy(cls, *args, **kwargs):
+        built.append("Fraction")
+        return real_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", fraction_spy)
+    sol = qptas_solve(lab.gen_random(3, 6, 0), 0.1, 0.2)
+    assert sol.lp_count > 0 and built == []
+
+
+@pytest.mark.parametrize("m, n", [(3, 6), (4, 4)])
+def test_float_qptas_chunks_stay_within_batch_doubles(monkeypatch, m, n):
+    # The kernel holds two arrays of the tableau's size: the tableau and
+    # its elimination buffer.
+    sizes = []
+    real = lp._batch_tableau
+
+    def spy(*args):
+        out = real(*args)
+        sizes.append(out[0].size)
+        return out
+
+    monkeypatch.setattr(lp, "_batch_tableau", spy)
+    qptas_solve(lab.gen_random(m, n, 0), 0.1, 0.2)
+    assert sizes and max(sizes) <= lp.BATCH_DOUBLES, max(sizes)

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import rsekit
+from rsekit import lab
 from rsekit.cli import GRID_CAP, _grid_values, main
 from rsekit.exact import parallel_map
 from rsekit.game import loads_game
@@ -82,6 +83,11 @@ def test_guard_errors_exit_three(tmp_path, capsys):
                                      "--mode", mode, str(game_path))
             assert (code, err) == (3, "")
             assert json.loads(out)["error"]["type"] == "EnumerationCapExceeded"
+    # A random game one entry past the cap is refused before any draw.
+    code, out, err = run_cli(capsys, "gen", "--random",
+                             f"1,{lab.MAX_ENTRIES + 1},1")
+    assert (code, err) == (3, "")
+    assert json.loads(out)["error"]["type"] == "BudgetExceeded"
 
 
 def test_usage_errors_exit_two(tmp_path, capsys):
@@ -218,6 +224,13 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         code, out, err = run_cli(capsys, *argv, str(game_path))
         assert code == 2 and out == ""
         assert err.startswith("rsekit: ") and "too large for float" in err
+    # So is a positive level that rounds to 0.0 in float mode.
+    for argv in (("solve", "--method", "gap-approx", "--delta", "1e-400"),
+                 ("solve", "--method", "qptas", "--delta", "0.1",
+                  "--epsilon", "1e-400")):
+        code, out, err = run_cli(capsys, *argv, str(game_path))
+        assert code == 2 and out == ""
+        assert err.startswith("rsekit: ") and "too small for float" in err
     # An infinite learning epsilon would ask for zero samples per pair.
     code, out, err = run_cli(capsys, "learn", "--game", str(game_path),
                              "--delta", "0.1", "--epsilon", "1e400",
@@ -234,6 +247,21 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "argument --delta: must be finite and at least 0" in err
     assert run_cli(capsys, *learn, "--delta", "0")[0] == 0
+    # verify --tolerance takes the same type: nan and -1 would fail a
+    # correct solution, and inf would pass any stated value.
+    _, sol_text, _ = run_cli(capsys, "solve", "--method", "exact", "--delta",
+                             "1/4", str(game_path))
+    sol_path = tmp_path / "tolerance.json"
+    sol_path.write_text(sol_text)
+    verify = ("verify", str(game_path), str(sol_path))
+    for tol in ("nan", "-1", "inf"):
+        with pytest.raises(SystemExit) as exc:
+            main([*verify, "--tolerance", tol])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --tolerance: must be finite and at least 0" in err
+        assert "Traceback" not in err
+    assert run_cli(capsys, *verify, "--tolerance", "0")[0] == 0
     # So tiny an iota would ask for infinitely many samples per pair.
     code, out, err = run_cli(capsys, *learn, "--delta", "0.1", "--iota",
                              "1e-320")

@@ -326,20 +326,27 @@ def test_feasible_many_matches_feasible(monkeypatch):
     chunks = []
     real_batch = lp._feasible_batch
 
-    def spy(chunk):
-        # The pad layout: row r's slack and artificial columns are its own,
-        # and a pad row is a zero row keyed past every column.
-        T, basis, M, R = lp._batch_tableau(chunk)
-        C = M + 2 * R
-        for b, p in enumerate(chunk):
-            own = len(p.constraints) + p.simplex_constraint
+    def spy(A, rel, rhs, counts, num_vars):
+        # The compact layout: a slack column for each row position r at
+        # which some LP of the chunk has a slack, then an artificial column
+        # for each r at which one has an artificial, both in row order; row
+        # r's are its own, and a pad row is a zero row keyed past every
+        # column.
+        T, basis, M, F = lp._batch_tableau(A, rel, rhs, counts)
+        R, C = T.shape[1] - 1, T.shape[2] - 1
+        at_row = [r for own in counts for r in range(own)]
+        slacks = sorted({r for r, c in zip(at_row, rel) if c != lp._EQ})
+        arts = sorted({r for r, c in zip(at_row, rel) if c != lp._LE})
+        assert (F, C) == (M + len(slacks), M + len(slacks) + len(arts))
+        for b, own in enumerate(counts):
             assert not T[b, own:R].any() and (basis[b, own:] == C).all()
             for r in range(own):
                 extra = set(np.flatnonzero(T[b, r, M:C]) + M)
-                assert extra <= {M + r, M + R + r}
+                assert extra <= {M + slacks.index(r) if r in slacks else -1,
+                                 F + arts.index(r) if r in arts else -1}
                 assert basis[b, r] in extra
         chunks.append(T.size)
-        return real_batch(chunk)
+        return real_batch(A, rel, rhs, counts, num_vars)
 
     monkeypatch.setattr(lp, "_feasible_batch", spy)
     ones = [i for i, p in enumerate(lps) if p.num_vars == 1]
