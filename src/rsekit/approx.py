@@ -19,19 +19,19 @@ Two routes:
   straight into :func:`lp.feasible_stacked`, and each anchor's strategy is
   built once, as counts / k in doubles, for its cell and its score; exact
   mode builds each LP from :func:`baseline.region_rows` and the anchor's
-  cell rows, made once per anchor, for :func:`lp.feasible_many`. The
-  anchors do not depend on each other, so as many of them as one kernel
-  chunk has room for (:func:`_window`) search side by side, in
-  enumeration order: each round solves the next LP of every one in one
-  batch, and finished anchors are scored in enumeration order, so ties
-  still keep the earliest. Each anchor solves the very LPs it would solve
-  alone, and gets the same answers.
+  cell rows, made once per anchor, for :func:`lp.feasible`. The anchors
+  do not depend on each other, so as many of them as one kernel chunk has
+  room for (:func:`_window`) search side by side, taken in enumeration
+  order: each round solves the next LP of every one in one batch, and
+  each anchor is scored, and dropped, as soon as its search finishes.
+  Ties between equal scores keep the earliest anchor, its witness before
+  itself, whatever order they finish in. Each anchor solves the very LPs
+  it would solve alone, and gets the same answers.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -173,7 +173,7 @@ def utility_verification(
     """
     lps = (_ExactLps if exact else _FloatLps)(game, delta)
     scan = _scan(lps.cell(region), region.anchor_payoffs, mu, exact)
-    witness = next(_lockstep([scan], lps.solve, 1))
+    [(_, witness)] = _lockstep([scan], lps.solve, 1)
     if witness is None:
         return False, None
     return True, strategy_from(witness.solution, exact)
@@ -214,7 +214,7 @@ class _FloatLps:
     def __init__(self, game, delta):
         m, n = game.m, game.n
         u_f = game.u_f.T
-        self.m, self.n = m, n
+        self.n = n
         # rows[2n + j n + k] is u_f(j) - u_f(k); the simplex row comes last
         self.rows = np.vstack([np.repeat(game.u_l.T, 2, axis=0),
                                (u_f[:, None] - u_f[None]).reshape(n * n, m),
@@ -250,13 +250,13 @@ class _FloatLps:
             counts.append(3 * self.n + len(Q))
         return lp.feasible_stacked(self.rows[np.concatenate(at)],
                                    np.concatenate(rel), np.concatenate(rhs),
-                                   counts, self.m)
+                                   counts)
 
 
 class _ExactLps:
     """The exact LPs of :func:`_scan`: rows from :func:`_region_constraints`
     and :func:`baseline.region_rows`, each LP an :class:`lp.LinearProgram`
-    for :func:`lp.feasible_many`."""
+    for :func:`lp.feasible`."""
 
     exact = True
 
@@ -270,10 +270,10 @@ class _ExactLps:
         return _region_constraints(self.col_l, region, True)
 
     def solve(self, lps):
-        return lp.feasible_many([lp.feasibility(
+        return [lp.feasible(lp.feasibility(
             self.m, cell + self.opt.others(j)
-            + tuple(self.exclude[j][q] for q in Q), simplex=True)
-            for cell, j, Q in lps], exact=True)
+            + tuple(self.exclude[j][q] for q in Q), simplex=True), exact=True)
+            for cell, j, Q in lps]
 
 
 def _anchor_search(game, lps, anchor, epsilon):
@@ -305,54 +305,36 @@ def _anchor_search(game, lps, anchor, epsilon):
     return anchor, x, witness, levels[lo]
 
 
-class _Search:
-    """One generator run by :func:`_lockstep`: its pending LP, or ``None``
-    and its return value once it is done."""
-
-    __slots__ = ("gen", "lp", "result")
-
-    def __init__(self, gen):
-        self.gen, self.lp, self.result = gen, None, None
-        self.send(None)
-
-    def send(self, outcome):
-        try:
-            self.lp = self.gen.send(outcome)
-        except StopIteration as stop:
-            self.lp, self.result = None, stop.value
-
-
 def _lockstep(searches, solve, window):
-    """Run the LP-yielding generators ``searches`` side by side and yield
-    their return values in the order given.
+    """Run the LP-yielding generators ``searches`` side by side, and yield
+    ``(i, value)`` as soon as the i-th of them returns ``value``.
 
     Up to ``window`` searches are in flight, taken from ``searches`` in
     order. Each round sends the pending LP of every one to one ``solve``
     call, which returns their outcomes in order, and each its own outcome
     back. A search never waits on another, so each solves the LPs it would
-    solve alone.
+    solve alone, and one that returns is dropped at once.
     """
-    searches = iter(searches)
-    queue = deque()  # in order: the searches not yet reported
-    live = []
-    more = True
+    searches = enumerate(searches)
+    live, outcomes = [], []  # (i, search, its pending LP); their outcomes
     while True:
-        while more and len(live) < window:
-            gen = next(searches, None)
-            if gen is None:
-                more = False
+        resume = [(i, gen, out) for (i, gen, _), out in zip(live, outcomes)]
+        live = []
+        while resume or len(live) < window:
+            if resume:  # popped, so that no list keeps a finished search
+                i, gen, out = resume.pop(0)
             else:
-                queue.append(_Search(gen))
-                if queue[-1].lp is not None:
-                    live.append(queue[-1])
-        while queue and queue[0].lp is None:
-            yield queue.popleft().result
+                i, gen = next(searches, (None, None))
+                if gen is None:
+                    break
+                out = None
+            try:
+                live.append((i, gen, gen.send(out)))
+            except StopIteration as stop:
+                yield i, stop.value
         if not live:
             return
-        outcomes = solve([s.lp for s in live])
-        for s, out in zip(live, outcomes):
-            s.send(out)
-        live = [s for s in live if s.lp is not None]
+        outcomes = solve([pending for _, _, pending in live])
 
 
 def _window(m, n):
@@ -397,20 +379,23 @@ def qptas_solve(game: BimatrixGame, delta, epsilon, *,
             f"(k={k}, m={game.m})")
     lps = (_ExactLps if exact else _FloatLps)(game, delta)
     eps = scalar(epsilon, exact)
-    best = None  # (report, anchor, mu)
+    best = None  # (rank, report, anchor, mu)
     anchors = (KUniformStrategy(counts, k) for counts in compositions(k, game.m))
-    for anchor, x, witness, mu in _lockstep(
+    for i, (anchor, x, witness, mu) in _lockstep(
             (_anchor_search(game, lps, anchor, eps) for anchor in anchors),
             lps.solve, _window(game.m, game.n)):
         if witness is None:
             continue
-        for y in (strategy_from(witness.solution, exact), x):
+        for tie, y in enumerate((strategy_from(witness.solution, exact), x)):
             rep = evaluate(game, y, delta, exact=exact)
-            if best is None or rep.leader_value > best[0].leader_value:
-                best = (rep, anchor, mu)
+            # the best value; of equal ones, the earliest anchor, its
+            # witness first
+            rank = (rep.leader_value, -i, -tie)
+            if best is None or rank > best[0]:
+                best = (rank, rep, anchor, mu)
     if best is None:
         raise GameFormatError("verification failed on every anchor")
-    outcome, anchor, mu = best
+    _, outcome, anchor, mu = best
     guarantee = {
         "kind": "qptas",
         "k": k,

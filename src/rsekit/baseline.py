@@ -3,8 +3,10 @@
 These bound and seed the robust-equilibrium computations: the robust value
 always lies between the maximin and SSE values, and the inducibility gap
 controls how cheaply the leader can pin any single follower response.
-Every payoff-difference row, here and in the region LPs of
-:mod:`rsekit.exact` and :mod:`rsekit.approx`, comes from :func:`region_rows`.
+Every payoff-difference row, here, in the region LPs of :mod:`rsekit.exact`
+and in exact-mode qptas, comes from :func:`region_rows`; float-mode qptas
+builds its ``u_f(j) - u_f(k)`` block itself, once per solve, as doubles
+(``approx._FloatLps``).
 """
 
 from __future__ import annotations

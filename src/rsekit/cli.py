@@ -63,7 +63,8 @@ def _follower_scale(game: BimatrixGame, exact: bool):
         if exact and "exact" in norm:
             return Fraction(norm["exact"]["follower"]["scale"])
         return scalar(str(norm["follower"]["scale"]), exact)
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError,
+            OverflowError) as e:
         raise GameFormatError(
             f"bad game JSON: meta.normalization: {e!r}") from e
 
@@ -338,9 +339,12 @@ def cmd_verify(args) -> int:
             delta = float(sol["delta"])
         stated = (Fraction(sol["value_exact"]) if exact and "value_exact" in sol
                   else float(sol["value"]))
-    except (KeyError, TypeError) as e:
+    except (KeyError, TypeError, OverflowError) as e:
         raise GameFormatError(
             f"verify: malformed strategy, delta or value: {e!r}") from e
+    if any(type(v) is float and not math.isfinite(v) for v in (delta, stated)):
+        raise GameFormatError(
+            f"verify: delta {delta} and value {stated} must be finite")
     rep = evaluate(game, x, delta, exact=exact)
     value_ok = (rep.leader_value == stated if exact
                 else abs(rep.leader_value - stated) <= args.tolerance)

@@ -444,7 +444,7 @@ def game_from_dict(d: dict[str, Any]) -> BimatrixGame:
         m, n = int(d["m"]), int(d["n"])
         ul = np.array(d["u_l"], dtype=np.float64)
         uf = np.array(d["u_f"], dtype=np.float64)
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise GameFormatError(f"bad game JSON: {e}") from e
     if ul.shape != (m, n) or uf.shape != (m, n):
         raise GameFormatError(f"declared {m}x{n} but matrices are {ul.shape}/{uf.shape}")
@@ -455,7 +455,8 @@ def game_from_dict(d: dict[str, Any]) -> BimatrixGame:
         if exact is not None:
             exl = tuple(tuple(Fraction(v) for v in row) for row in exact["u_l"])
             exf = tuple(tuple(Fraction(v) for v in row) for row in exact["u_f"])
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError,
+            OverflowError) as e:
         raise GameFormatError(f"bad game JSON: meta: {e!r}") from e
     return BimatrixGame(ul, uf, meta, exl, exf)
 

@@ -271,9 +271,8 @@ class X3CInstance:
         if self.k < 1:
             raise GameFormatError("k must be >= 1")
         subs = tuple(frozenset(int(e) for e in s) for s in self.subsets)
-        ground = set(range(1, 3 * self.k + 1))
         for s in subs:
-            if len(s) != 3 or not s <= ground:
+            if len(s) != 3 or not all(1 <= e <= 3 * self.k for e in s):
                 raise GameFormatError(f"subset {sorted(s)} is not a 3-subset of "
                                       f"{{1..{3 * self.k}}}")
         if not subs:
@@ -320,15 +319,21 @@ def gen_x3c_game(instance: X3CInstance, delta, epsilon) -> BimatrixGame:
     Follower columns are ordered [a, b_1..b_m, c_1..c_3k]. The coupling
     constant lambda = eps / (6 m k^2) makes choosing a subset with
     probability above lambda expose its b-column while pinning element
-    coverage near 1/k. All entries are exact rationals.
+    coverage near 1/k. All entries are exact rationals. A game of more
+    than ``MAX_ENTRIES`` entries per matrix raises :class:`BudgetExceeded`
+    before any row is built.
     """
     d = _frac(delta)
     e = _frac(epsilon)
     if not (0 < d < 1 and 0 < e < 1):
         raise GameFormatError("delta and epsilon must lie in (0, 1)")
     k, m = instance.k, instance.m
-    lam = e / (6 * m * k * k)
     n = m + 3 * k + 1
+    if m * n > MAX_ENTRIES:
+        raise BudgetExceeded(f"the x3c game with m = {m} and k = {k} has "
+                             f"{m * n} entries per matrix, above the cap of "
+                             f"{MAX_ENTRIES}")
+    lam = e / (6 * m * k * k)
 
     b_off = max(1 - d / (1 - lam), Fraction(0))
     b_on = min(Fraction(1), (1 - d) / lam)
@@ -372,7 +377,8 @@ def gen_x3c_game(instance: X3CInstance, delta, epsilon) -> BimatrixGame:
 # ---------------------------------------------------------------------------
 
 MAX_DRAWS = 64  # draws gen_random makes for ensure_gap before giving up
-MAX_ENTRIES = 10 ** 7  # most entries m * n a gen_random matrix may have
+# most entries m * n a gen_random or gen_x3c_game matrix may have
+MAX_ENTRIES = 10 ** 7
 
 
 def gen_random(m: int, n: int, seed: int, *, rational_grid: int | None = None,

@@ -1,9 +1,9 @@
 """Uniform linear-program representation and a deterministic simplex solver.
 
 Every solver in the package funnels through :func:`solve` / :func:`feasible`,
-or :func:`feasible_many` for a batch of feasibility LPs. Both arithmetic
-modes share one two-phase tableau simplex with Bland's rule, so results are
-deterministic and cycling-free:
+or :func:`feasible_stacked` for a batch of float feasibility LPs. Both
+arithmetic modes share one two-phase tableau simplex with Bland's rule, so
+results are deterministic and cycling-free:
 
 * float mode (default): IEEE doubles with a feasibility tolerance of 1e-8
   and a pivot tolerance of 1e-9. Pivots and price-outs skip the zero
@@ -73,25 +73,25 @@ deterministic and cycling-free:
   denominator; a positive factor changes no comparison, so the verdict is
   that of the sums in ``Fraction`` arithmetic.
 
-``feasible_many(lps)`` returns ``[feasible(p) for p in lps]``: the same
-statuses and the same points, to the last bit. In exact mode it is that
-list. In float mode it stacks the LPs' rows for :func:`feasible_stacked`,
-which runs phase 1, the drive-out and the read-out of the float simplex
-for the whole batch at once, on one ``(B, R + 1, C + 1)`` array of
-doubles, in chunks of at most :data:`BATCH_DOUBLES`. Each LP takes its own
-Bland entering column and leaving row, and each pivot is the elementwise
-``row / piv`` and ``other - f * row``, so each double is the one the
-one-LP tableau computes, but for the sign of a zero. A chunk holds a slack
-column for each row position at which one of its LPs has a slack, and an
-artificial column for each at which one has an artificial, each kind in
-row order, so every LP's columns keep their Bland order. An LP with fewer
-rows is padded with zero rows that have no slack or artificial and a basis
-key past every column, so they never enter a ratio test or a price-out.
+:func:`feasible_stacked` takes float feasibility LPs as stacked rows and
+returns what :func:`feasible` returns for each: the same statuses and the
+same points, to the last bit. It runs phase 1, the drive-out and the
+read-out of the float simplex for the whole batch at once, on one
+``(B, R + 1, C + 1)`` array of doubles, in chunks of at most
+:data:`BATCH_DOUBLES`. Each LP takes its own Bland entering column and
+leaving row, and each pivot is the elementwise ``row / piv`` and
+``other - f * row``, so each double is the one the one-LP tableau
+computes, but for the sign of a zero. A chunk holds a slack column for
+each row position at which one of its LPs has a slack, and an artificial
+column for each at which one has an artificial, each kind in row order,
+so every LP's columns keep their Bland order. An LP with fewer rows is
+padded with zero rows that have no slack or artificial and a basis key
+past every column, so they never enter a ratio test or a price-out.
 
 :func:`solve_count` counts the LPs solved: each :func:`solve` call, those
 made through :func:`feasible` included, and each LP of
-:func:`feasible_many` and :func:`feasible_stacked`. A solver reports the
-change in :func:`solve_count` across its run as its LP count.
+:func:`feasible_stacked`. A solver reports the change in
+:func:`solve_count` across its run as its LP count.
 """
 
 from __future__ import annotations
@@ -128,8 +128,7 @@ _solves = 0
 
 def solve_count() -> int:
     """Number of LPs solved so far in this process: :func:`solve` calls,
-    and the LPs of :func:`feasible_many` and :func:`feasible_stacked`
-    calls."""
+    and the LPs of :func:`feasible_stacked` calls."""
     return _solves
 
 
@@ -351,67 +350,30 @@ def feasible(lp: LinearProgram, *, exact: bool = False) -> LpOutcome:
     return solve(lp, exact=exact)
 
 
-def feasible_many(lps: Sequence[LinearProgram], *,
-                  exact: bool = False) -> list[LpOutcome]:
-    """``[feasible(p, exact=exact) for p in lps]``, with float mode solved
-    in lockstep on one numpy tableau.
-
-    Equal outcomes (status, and points equal to the last bit), and
-    :func:`solve_count` advanced by ``len(lps)``. Exact mode is that very
-    list; float mode stacks the LPs' rows, zero-padded to the most
-    variables and each simplex row last, for :func:`feasible_stacked`.
-    """
-    lps = list(lps)
-    for p in lps:
-        if p.sense != "feasibility":
-            raise MalformedLpError(
-                f"feasible_many() takes feasibility LPs, not {p.sense!r}")
-    if exact:
-        return [feasible(p, exact=True) for p in lps]
-    M = max((p.num_vars for p in lps), default=0)
-    coeffs, rels, rhs, counts = [], [], [], []
-    for p in lps:
-        pad = (0,) * (M - p.num_vars)
-        cons = p.constraints
-        coeffs += [c.coeffs + pad for c in cons]
-        rels += [_REL_CODE[c.relation] for c in cons]
-        rhs += [c.rhs for c in cons]
-        if p.simplex_constraint:
-            coeffs.append((1,) * p.num_vars + pad)
-            rels.append(_EQ)
-            rhs.append(1)
-        counts.append(len(cons) + p.simplex_constraint)
-    return feasible_stacked(
-        np.array(coeffs, dtype=float).reshape(len(coeffs), M), rels, rhs,
-        counts, [p.num_vars for p in lps])
-
-
 # ---------------------------------------------------------------------------
 # Float feasibility LPs in lockstep.
 # ---------------------------------------------------------------------------
 
 _LE, _GE, _EQ = range(3)
-_REL_CODE = {rel: code for code, rel in enumerate(RELATIONS)}
 
 
-def feasible_stacked(A, relation, rhs, counts, num_vars) -> list[LpOutcome]:
+def feasible_stacked(A, relation, rhs, counts) -> list[LpOutcome]:
     """The float :func:`feasible` outcomes, to the last bit, of LPs given
     as stacked rows; :func:`solve_count` advances by ``len(counts)``.
 
-    LP b is over x >= 0 in its first ``num_vars[b]`` variables (or
-    ``num_vars``, one int for all), and its rows, a simplex row included,
-    are the next ``counts[b]`` rows of ``A`` (zero past the LP's own
-    variables), ``relation`` (each an index in :data:`RELATIONS`) and
-    ``rhs``. The LPs are cut, in order, into chunks of at most
-    :data:`BATCH_DOUBLES` doubles at the width :func:`_batch_tableau`
-    gives; an LP too large for it alone is a chunk of its own.
+    Every LP is over x >= 0 in the columns of ``A``, and LP b's rows, a
+    simplex row included, are the next ``counts[b]`` rows of ``A``,
+    ``relation`` (each an index in :data:`RELATIONS`) and ``rhs``. The LPs
+    are cut, in order, into chunks of at most :data:`BATCH_DOUBLES`
+    doubles at the width :func:`_batch_tableau` gives; an LP too large for
+    it alone is a chunk of its own.
     """
     global _solves
     counts = np.asarray(counts, dtype=np.int64)
     B = len(counts)
     _solves += B
-    nv = np.broadcast_to(np.asarray(num_vars, dtype=np.int64), (B,))
     A = np.array(A, dtype=float)
+    M = A.shape[1]
     rhs = np.array(rhs, dtype=float)
     rel = np.asarray(relation, dtype=np.int64)
     # rhs >= 0, and ">=" rows with rhs 0 become slack-basic "<=" rows
@@ -430,18 +392,17 @@ def feasible_stacked(A, relation, rhs, counts, num_vars) -> list[LpOutcome]:
     b0 = 0
     while b0 < B:
         # Each LP of a chunk from b0 takes at least this many doubles.
-        least = (counts[b0] + 1) * (nv[b0] + 1)
+        least = (counts[b0] + 1) * (M + 1)
         most = min(B, b0 + max(1, BATCH_DOUBLES // int(least)))
         # size[i]: the tableau doubles of a chunk of LPs b0..b0 + i
-        width = (np.maximum.accumulate(nv[b0:most])
-                 + np.logical_or.accumulate(slack[b0:most]).sum(axis=1)
+        width = (M + np.logical_or.accumulate(slack[b0:most]).sum(axis=1)
                  + np.logical_or.accumulate(art[b0:most]).sum(axis=1))
         size = (np.arange(1, most - b0 + 1)
                 * (np.maximum.accumulate(counts[b0:most]) + 1) * (width + 1))
         b1 = b0 + max(1, int(np.searchsorted(size, BATCH_DOUBLES, "right")))
         r0, r1 = ends[b0] - counts[b0], ends[b1 - 1]
-        outcomes += _feasible_batch(A[r0:r1, :nv[b0:b1].max()], rel[r0:r1],
-                                    rhs[r0:r1], counts[b0:b1], nv[b0:b1])
+        outcomes += _feasible_batch(A[r0:r1], rel[r0:r1], rhs[r0:r1],
+                                    counts[b0:b1])
         b0 = b1
     return outcomes
 
@@ -499,11 +460,11 @@ def _batch_tableau(A, rel, rhs, counts):
     return T, basis, M, F
 
 
-def _feasible_batch(A, rel, rhs, counts, num_vars):
+def _feasible_batch(A, rel, rhs, counts):
     """Float outcomes of the feasibility LPs of :func:`_batch_tableau`,
-    LP b over its first ``num_vars[b]`` variables: :func:`_simplex`'s
-    phase 1, drive-out and read-out, run for every LP at once. Phase 2 has
-    nothing to do, since a zero objective prices out to a zero cost row.
+    each over every column of ``A``: :func:`_simplex`'s phase 1, drive-out
+    and read-out, run for every LP at once. Phase 2 has nothing to do,
+    since a zero objective prices out to a zero cost row.
     Each LP takes its own Bland entering column and leaving row, and pivots
     are elementwise, so each double is the one :class:`_FloatTableau`
     computes, but for the sign of a zero.
@@ -559,9 +520,8 @@ def _feasible_batch(A, rel, rhs, counts, num_vars):
     x[(x > -PIVOT_TOL) & (x < PIVOT_TOL)] = 0.0
     outcomes = [None] * B
     for i, b in enumerate(pos.tolist()):
-        outcomes[b] = (LpOutcome("optimal", tuple(x[i, :num_vars[b]].tolist()),
-                                 None) if found[i]
-                       else LpOutcome("infeasible", None, None))
+        outcomes[b] = (LpOutcome("optimal", tuple(x[i].tolist()), None)
+                       if found[i] else LpOutcome("infeasible", None, None))
     return outcomes
 
 

@@ -1,5 +1,6 @@
 """Tests for the gap-combination strategy and the anchor-enumeration scheme."""
 
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -207,34 +208,21 @@ def test_qptas_deterministic():
 ])
 def test_lp_count_is_the_number_of_lps_solved(monkeypatch, name, game):
     # LPs are solved one at a time by lp.solve, or a batch at a time by
-    # lp.feasible_many, whose exact mode calls lp.solve per LP and whose
-    # float mode calls lp.feasible_stacked, or by lp.feasible_stacked alone.
+    # lp.feasible_stacked.
     solved = 0
-    in_batch = False
-    real_solve, real_many = lp.solve, lp.feasible_many
-    real_stacked = lp.feasible_stacked
+    real_solve, real_stacked = lp.solve, lp.feasible_stacked
 
     def counting_solve(*args, **kwargs):
         nonlocal solved
-        solved += not in_batch
+        solved += 1
         return real_solve(*args, **kwargs)
 
-    def counting_many(lps, **kwargs):
-        nonlocal solved, in_batch
-        solved += len(lps)
-        in_batch = True
-        try:
-            return real_many(lps, **kwargs)
-        finally:
-            in_batch = False
-
-    def counting_stacked(A, relation, rhs, counts, num_vars):
+    def counting_stacked(A, relation, rhs, counts):
         nonlocal solved
-        solved += 0 if in_batch else len(counts)
-        return real_stacked(A, relation, rhs, counts, num_vars)
+        solved += len(counts)
+        return real_stacked(A, relation, rhs, counts)
 
     monkeypatch.setattr(lp, "solve", counting_solve)
-    monkeypatch.setattr(lp, "feasible_many", counting_many)
     monkeypatch.setattr(lp, "feasible_stacked", counting_stacked)
     delta = Fraction(1, 20)
     for exact in (False, True):
@@ -301,7 +289,11 @@ def test_qptas_evaluates_each_candidate_once(monkeypatch, exact):
     (lambda: lab.gen_random(4, 1, 3), 0.2, False),  # n = 1: one level
     (lambda: lab.gen_random(3, 4, 1, rational_grid=8), Fraction(1, 4), True),
     (lambda: lab.gen_random(2, 5, 4, rational_grid=8), Fraction(1, 3), True),
-], ids=["3x6", "4x4", "m=1", "n=1", "3x4 grid-8 exact", "2x5 grid-8 exact"])
+    # 10 candidates tie for the best value, and a later tied anchor
+    # finishes its search before anchor 0 does
+    (lambda: lab.gen_random(2, 3, 6, rational_grid=2), Fraction(1, 2), False),
+], ids=["3x6", "4x4", "m=1", "n=1", "3x4 grid-8 exact", "2x5 grid-8 exact",
+        "2x3 grid-2 ties"])
 def test_qptas_matches_the_one_anchor_at_a_time_loop(make, epsilon, exact):
     game = make()
     delta = scalar(Fraction(1, 10), exact)
@@ -315,6 +307,37 @@ def test_qptas_matches_the_one_anchor_at_a_time_loop(make, epsilon, exact):
                 repr(sol.guarantee["verified_mu"]), sol.lp_count)
 
     assert key(got) == key(want)
+
+
+def test_lockstep_reports_and_drops_each_search_as_it_finishes():
+    # A slow first search and many fast ones behind it: each fast one is
+    # reported, with its index, as soon as it returns, and is not kept
+    # waiting on the slow one.
+    window, total = 4, 40
+    alive = weakref.WeakSet()
+    finished, most_alive = [], []
+
+    def search(i, steps):
+        for step in range(steps):
+            assert (yield i, step) == (i, step, "solved")
+        finished.append(i)
+        return f"search {i}"
+
+    def tracked(gen):
+        alive.add(gen)
+        return gen
+
+    def solve(lps):
+        most_alive.append(len(alive))
+        return [(*p, "solved") for p in lps]
+
+    searches = (tracked(search(i, 60 if i == 0 else 1 + i % 3))
+                for i in range(total))
+    got = list(approx._lockstep(searches, solve, window))
+    assert [i for i, _ in got] == finished
+    assert sorted(finished) == list(range(total)) and finished[-1] == 0
+    assert all(value == f"search {i}" for i, value in got)
+    assert most_alive and max(most_alive) <= window, most_alive
 
 
 def test_float_lps_match_the_linear_program_path():

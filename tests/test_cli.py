@@ -3,6 +3,7 @@
 import concurrent.futures
 import json
 import os
+import resource
 import subprocess
 import sys
 from fractions import Fraction
@@ -21,6 +22,23 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+ADDRESS_SPACE = 1 << 30  # bytes; python -m rsekit.cli runs in far less
+
+
+def run_cli_capped(*argv):
+    """``python -m rsekit.cli *argv`` in a child process whose address space
+    is capped at ``ADDRESS_SPACE``, so that a size guard which lets a huge
+    allocation through fails its test with a ``MemoryError`` instead of
+    exhausting the machine's memory."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(rsekit.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "rsekit.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60,
+                          preexec_fn=cap)
 
 
 def test_gen_catalog_and_exact_solve_round_trip(tmp_path, capsys):
@@ -83,11 +101,23 @@ def test_guard_errors_exit_three(tmp_path, capsys):
                                      "--mode", mode, str(game_path))
             assert (code, err) == (3, "")
             assert json.loads(out)["error"]["type"] == "EnumerationCapExceeded"
-    # A random game one entry past the cap is refused before any draw.
-    code, out, err = run_cli(capsys, "gen", "--random",
-                             f"1,{lab.MAX_ENTRIES + 1},1")
-    assert (code, err) == (3, "")
-    assert json.loads(out)["error"]["type"] == "BudgetExceeded"
+    # A random game one entry past the cap is refused before any draw, and
+    # an x3c game of 3 * 10^8 entries per matrix before any row is built:
+    # each in a child process that could not hold the game.
+    x3c_path = tmp_path / "huge_k.x3c"
+    x3c_path.write_text("100000000\n1 2 3\n")
+    for argv in (("gen", "--random", f"1,{lab.MAX_ENTRIES + 1},1"),
+                 ("gen", "--x3c", str(x3c_path), "--delta", "1/10", "--eps",
+                  "1/10")):
+        proc = run_cli_capped(*argv)
+        assert (proc.returncode, proc.stderr) == (3, ""), proc.stderr
+        assert json.loads(proc.stdout)["error"]["type"] == "BudgetExceeded"
+
+
+def test_the_address_space_cap_runs_an_ordinary_command():
+    proc = run_cli_capped("gen", "--random", "2,2,0")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert loads_game(proc.stdout) == lab.gen_random(2, 2, 0)
 
 
 def test_usage_errors_exit_two(tmp_path, capsys):
@@ -267,6 +297,46 @@ def test_usage_errors_exit_two(tmp_path, capsys):
                              "1e-320")
     assert code == 2 and out == ""
     assert err.startswith("rsekit: ") and "not finite" in err
+    # A float delta or value that is not finite is malformed: at NaN every
+    # check would pass, at infinity every one fail.
+    _, float_text, _ = run_cli(capsys, "solve", "--method", "exact",
+                               "--delta", "1/10", str(game_path))
+    for key, bad in (("delta", "NaN"), ("delta", "Infinity"),
+                     ("value", "NaN")):
+        text = float_text.replace(f'"{key}": {json.loads(float_text)[key]}',
+                                  f'"{key}": {bad}')
+        assert text != float_text
+        bad_path = tmp_path / f"{key}_{bad}.json"
+        bad_path.write_text(text)
+        code, out, err = run_cli(capsys, "verify", str(game_path),
+                                 str(bad_path))
+        assert code == 2 and out == "", (key, bad)
+        assert err.startswith("rsekit: ") and "must be finite" in err
+    # A JSON number beyond the double range reads as infinity, which has no
+    # Fraction: in a game's meta.exact matrices or an exact solution field.
+    huge = tmp_path / "huge_exact_entry.json"
+    huge.write_text(json.dumps({"m": 1, "n": 2, "u_l": [[0, 1]],
+                                "u_f": [[1, 0]],
+                                "meta": {"exact": {"u_l": [["0", "HUGE"]],
+                                                   "u_f": [["1", "0"]]}}})
+                    .replace('"HUGE"', "1e400"))
+    for mode in ("float", "exact"):
+        code, out, err = run_cli(capsys, "solve", "--method", "sse", "--mode",
+                                 mode, str(huge))
+        assert code == 2 and out == ""
+        assert err.startswith("rsekit: ") and "meta" in err
+    for key in ("strategy", "value_exact", "delta_exact"):
+        sol = json.loads(exact_text)
+        if key == "strategy":
+            sol["strategy"]["exact"][0] = "HUGE"
+        else:
+            sol[key] = "HUGE"
+        bad_path = tmp_path / f"huge_{key}.json"
+        bad_path.write_text(json.dumps(sol).replace('"HUGE"', "1e400"))
+        code, out, err = run_cli(capsys, "verify", str(game_path),
+                                 str(bad_path))
+        assert code == 2 and out == "", key
+        assert err.startswith("rsekit: ") and "OverflowError" in err
 
 
 def test_exact_mode_takes_a_level_beyond_the_double_range(tmp_path, capsys):
@@ -296,11 +366,9 @@ def test_curve_grid_is_counted_before_it_is_built(tmp_path, capsys):
     game_path = tmp_path / "t2.json"
     game_path.write_text(run_cli(capsys, "gen", "--catalog", "table2")[1])
     # 10^12 points: building them first would run for hours and fill memory.
-    # A child process, so that a hang fails the test instead of stalling it.
-    env = dict(os.environ, PYTHONPATH=str(Path(rsekit.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-m", "rsekit.cli", "curve",
-                           "--grid", "1e-12:1:1e-12", str(game_path)],
-                          capture_output=True, text=True, env=env, timeout=20)
+    # A capped child process, so that a hang or a huge allocation fails the
+    # test instead of stalling it.
+    proc = run_cli_capped("curve", "--grid", "1e-12:1:1e-12", str(game_path))
     assert proc.returncode == 3 and proc.stderr == ""
     error = json.loads(proc.stdout)["error"]
     assert error == {"type": "EnumerationCapExceeded",

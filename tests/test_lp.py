@@ -291,7 +291,22 @@ def _grid_feasibility_lp(rng):
     return lp.feasibility(nv, cons, simplex=bool(rng.random() < 0.7))
 
 
-def test_feasible_many_matches_feasible(monkeypatch):
+def _stacked(lps, num_vars):
+    """``lps``, each over ``num_vars`` variables, as the stacked rows of
+    :func:`lp.feasible_stacked`: each LP's rows, then its simplex row."""
+    rows, rel, rhs, counts = [], [], [], []
+    for p in lps:
+        cons = [(c.coeffs, c.relation, c.rhs) for c in p.constraints]
+        cons += [((1.0,) * num_vars, "==", 1.0)] * p.simplex_constraint
+        rows += [coeffs for coeffs, _, _ in cons]
+        rel += [lp.RELATIONS.index(r) for _, r, _ in cons]
+        rhs += [b for _, _, b in cons]
+        counts.append(len(cons))
+    return (np.array(rows, dtype=float).reshape(len(rows), num_vars), rel,
+            rhs, counts)
+
+
+def test_feasible_stacked_matches_feasible(monkeypatch):
     rng = np.random.default_rng(23)
     lps = [_grid_feasibility_lp(rng) for _ in range(600)]
     # the simplex row twice: phase 1 leaves an artificial basic at zero in a
@@ -326,7 +341,7 @@ def test_feasible_many_matches_feasible(monkeypatch):
     chunks = []
     real_batch = lp._feasible_batch
 
-    def spy(A, rel, rhs, counts, num_vars):
+    def spy(A, rel, rhs, counts):
         # The compact layout: a slack column for each row position r at
         # which some LP of the chunk has a slack, then an artificial column
         # for each r at which one has an artificial, both in row order; row
@@ -346,30 +361,20 @@ def test_feasible_many_matches_feasible(monkeypatch):
                                  F + arts.index(r) if r in arts else -1}
                 assert basis[b, r] in extra
         chunks.append(T.size)
-        return real_batch(A, rel, rhs, counts, num_vars)
+        return real_batch(A, rel, rhs, counts)
 
     monkeypatch.setattr(lp, "_feasible_batch", spy)
-    ones = [i for i, p in enumerate(lps) if p.num_vars == 1]
-    for picks in (range(len(lps)), [len(lps) - 1], [], ones):
+    # One batch per variable count, then the last LP alone and no LP.
+    batches = {}
+    for i, p in enumerate(lps):
+        batches.setdefault(p.num_vars, []).append(i)
+    assert sorted(batches) == [1, 2, 3, 4, 5]
+    for num_vars, picks in [*sorted(batches.items()), (2, [len(lps) - 1]),
+                            (2, [])]:
         first = lp.solve_count()
-        got = lp.feasible_many([lps[i] for i in picks])
+        got = lp.feasible_stacked(*_stacked([lps[i] for i in picks],
+                                            num_vars))
         assert lp.solve_count() - first == len(picks)
         assert [repr(o) for o in got] == [want[i] for i in picks]
-    # The whole batch is more than one kernel call holds.
+    # The batches are more than one kernel call holds.
     assert len(chunks) > 3 and max(chunks) <= lp.BATCH_DOUBLES, chunks
-
-
-def test_feasible_many_exact_mode_is_feasible():
-    rng = np.random.default_rng(5)
-    lps = [lp.feasibility(p.num_vars, [
-        Constraint(tuple(Fraction(v) for v in c.coeffs), c.relation,
-                   Fraction(c.rhs)) for c in p.constraints],
-        simplex=p.simplex_constraint)
-        for p in (_grid_feasibility_lp(rng) for _ in range(40))]
-    first = lp.solve_count()
-    got = lp.feasible_many(lps, exact=True)
-    assert lp.solve_count() - first == len(lps)
-    assert [repr(o) for o in got] == \
-        [repr(lp.feasible(p, exact=True)) for p in lps]
-    with pytest.raises(MalformedLpError, match="feasibility LPs"):
-        lp.feasible_many([lps[0], lp.maximize([1], [])])
