@@ -15,18 +15,27 @@ Two routes:
   t, so the cell rows' right-hand sides t +- epsilon), the candidate j
   and the set Q of actions it must beat by delta. In float mode the rows
   are blocks built once per solve (the leader columns, ``u_f(j) - u_f(k)``
-  for every pair, the simplex row), a round's LPs are stacked from them
-  straight into :func:`lp.feasible_stacked`, and each anchor's strategy is
-  built once, as counts / k in doubles, for its cell and its score; exact
-  mode builds each LP from :func:`baseline.region_rows` and the anchor's
-  cell rows, made once per anchor, for :func:`lp.feasible`. The anchors
-  do not depend on each other, so as many of them as one kernel chunk has
-  room for (:func:`_window`) search side by side, taken in enumeration
-  order: each round solves the next LP of every one in one batch, and
-  each anchor is scored, and dropped, as soon as its search finishes.
-  Ties between equal scores keep the earliest anchor, its witness before
-  itself, whatever order they finish in. Each anchor solves the very LPs
+  for every pair, the simplex row), each (j, Q) stacks its block indices
+  and relations once, and a round's LPs are stacked from them straight
+  into :func:`lp.feasible_stacked`; an anchor is carried as its counts,
+  its point being counts / k in doubles; exact mode builds each LP from
+  :func:`baseline.region_rows` and the anchor's cell rows, made once per
+  anchor, for :func:`lp.feasible`. The anchors do not depend on each
+  other, so as many of them as one kernel chunk has room for
+  (:func:`_window`) search side by side, taken in enumeration order: each
+  round solves the next LP of every one in one batch, and each anchor is
+  dropped as soon as its search finishes. Each anchor solves the very LPs
   it would solve alone, and gets the same answers.
+
+  Each anchor whose search verifies a level gives two candidates, its
+  witness and itself, scored by their true pessimistic value: the best
+  wins, ties keeping the earliest anchor, its witness first. Exact mode
+  evaluates every candidate. Float mode keeps the candidates as rows of
+  one array and bounds each value from above in one numpy pass: the least
+  leader payoff over the actions surely in the delta-response set, plus a
+  margin that covers a batched product's rounding. It evaluates the
+  candidates in order of falling bound and stops at the first bound below
+  the best value found, so usually only the winner is evaluated.
 """
 
 from __future__ import annotations
@@ -34,7 +43,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 
@@ -43,26 +51,16 @@ from .baseline import (induce_strategy, inducibility_gap, region_rows,
                        solve_sse)
 from .errors import EnumerationCapExceeded, GameFormatError, GapTooSmall
 from .exact import RseSolution
-from .game import (BimatrixGame, MixedStrategy, evaluate, leader_payoffs,
-                   scalar, strategy_from, tolerance)
+from .game import (ETA, BimatrixGame, MixedStrategy, compositions, evaluate,
+                   leader_payoffs, scalar, strategy_from, tolerance)
 
 ANCHOR_BUDGET = 2_000_000
-
-
-def compositions(total: int, parts: int):
-    """All nonnegative integer tuples of the given length summing to total.
-
-    Lexicographically ascending: (0, ..., 0, total) first, (total, 0, ..., 0)
-    last. Anchor enumeration and the lattice oracle share this order.
-    """
-    for bars in combinations(range(total + parts - 1), parts - 1):
-        prev = -1
-        out = []
-        for b in bars:
-            out.append(b - prev - 1)
-            prev = b
-        out.append(total + parts - 2 - prev)
-        yield tuple(out)
+# Least slack of float qptas's value bounds. A batched ``X @ u`` differs
+# from one strategy's ``x @ u`` by a few ulps (up to 2.2e-16 measured on
+# small games), far below this, which is far below ETA.
+BOUND_MARGIN = 1e-12
+# Most anchors whose candidates float qptas scores as one array.
+SCORE_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -171,8 +169,9 @@ def utility_verification(
     the strict response rule suffices to exclude Q). Returns the first
     witness.
     """
-    lps = (_ExactLps if exact else _FloatLps)(game, delta)
-    scan = _scan(lps.cell(region), region.anchor_payoffs, mu, exact)
+    lps = (_ExactLps if exact else _FloatLps)(game, delta, region.epsilon)
+    scan = _scan(lps.cell(region.anchor_payoffs), region.anchor_payoffs, mu,
+                 exact)
     [(_, witness)] = _lockstep([scan], lps.solve, 1)
     if witness is None:
         return False, None
@@ -199,75 +198,158 @@ def _scan(cell, anchor_payoffs, mu, exact):
 
 
 class _FloatLps:
-    """The float LPs of :func:`_scan` for one game and delta, from rows
-    built once: the leader columns of the 2n cell rows, ``u_f(j) - u_f(k)``
-    for every pair (j, k), which is an optimality row with rhs 0 and an
-    exclusion row with rhs delta, and the simplex row. Each LP's rows are
-    those :func:`_region_constraints`, ``region_rows(...)[0].others(j)``,
-    ``region_rows(...)[2][j][q]`` for q in Q and the simplex row would
-    give, in that order, and :meth:`solve` stacks them for
-    :func:`lp.feasible_stacked`, with no :class:`lp.LinearProgram` and no
-    :class:`lp.Constraint`."""
+    """The float LPs of :func:`_scan` for one game, delta and epsilon, from
+    rows built once: the leader columns of the 2n cell rows,
+    ``u_f(j) - u_f(k)`` for every pair (j, k), which is an optimality row
+    with rhs 0 and an exclusion row with rhs delta, and the simplex row.
+    Each LP's rows are those :func:`_region_constraints`,
+    ``region_rows(...)[0].others(j)``, ``region_rows(...)[2][j][q]`` for q
+    in Q and the simplex row would give, in that order, and :meth:`solve`
+    stacks them for :func:`lp.feasible_stacked`, with no
+    :class:`lp.LinearProgram` and no :class:`lp.Constraint`. Also the
+    anchors' points and qptas's bounded scoring (:meth:`best`)."""
 
     exact = False
 
-    def __init__(self, game, delta):
+    def __init__(self, game, delta, epsilon):
         m, n = game.m, game.n
         u_f = game.u_f.T
-        self.n = n
+        self.game, self.n = game, n
+        self.delta, self.eps = scalar(delta, False), scalar(epsilon, False)
+        # at least BOUND_MARGIN, and more than m products' rounding
+        self.margin = max(BOUND_MARGIN, 4 * m * np.finfo(float).eps)
         # rows[2n + j n + k] is u_f(j) - u_f(k); the simplex row comes last
         self.rows = np.vstack([np.repeat(game.u_l.T, 2, axis=0),
                                (u_f[:, None] - u_f[None]).reshape(n * n, m),
                                np.ones((1, m))])
-        self.heads = [np.array([*range(2 * n), *(2 * n + j * n + k
-                                                 for k in range(n) if k != j)])
-                      for j in range(n)]
-        le, ge, eq = map(lp.RELATIONS.index, ("<=", ">=", "=="))
-        self.head_rel = np.array([le, ge] * n + [ge] * (n - 1))
-        # the rows after the head of an LP with q exclusion rows
-        d = scalar(delta, False)
-        self.tail_rel = [np.array([ge] * q + [eq]) for q in range(n)]
-        self.tail_rhs = [np.array([d] * q + [1.0]) for q in range(n)]
+        self.stacks = {}  # (j, Q) -> its rows' indices, relations, tail rhs
 
-    def cell(self, region):
-        """The right-hand sides of the region's cell rows, then the zero
-        right-hand sides of the optimality rows."""
-        t = np.array(region.anchor_payoffs, dtype=float)
-        eps = scalar(region.epsilon, False)
+    def anchor(self, counts, k):
+        """The anchor's point, counts / k, and its leader payoffs."""
+        x = np.array(counts, dtype=float) / k
+        return x, (x @ self.game.u_l).tolist()
+
+    def cell(self, payoffs):
+        """The right-hand sides of the cell rows of the anchor with these
+        payoffs, then the zero right-hand sides of the optimality rows."""
+        t = np.array(payoffs, dtype=float)
         rhs = np.zeros(3 * self.n - 1)
-        rhs[0:2 * self.n:2], rhs[1:2 * self.n:2] = t + eps, t - eps
+        rhs[0:2 * self.n:2], rhs[1:2 * self.n:2] = t + self.eps, t - self.eps
         return rhs
+
+    def _stack(self, j, Q):
+        """The row indices, relations and tail right-hand sides of j's LPs
+        against Q: the cell rows, j's optimality rows, its exclusion rows
+        against each q in Q, and the simplex row."""
+        n = self.n
+        le, ge, eq = map(lp.RELATIONS.index, ("<=", ">=", "=="))
+        at = [*range(2 * n), *(2 * n + j * n + k for k in range(n) if k != j),
+              *(2 * n + j * n + q for q in Q), 2 * n + n * n]
+        rel = [le, ge] * n + [ge] * (n - 1 + len(Q)) + [eq]
+        return (np.array(at), np.array(rel),
+                np.array([self.delta] * len(Q) + [1.0]))
 
     def solve(self, lps):
         """The outcomes of the LPs ``(cell, j, Q)``, in order."""
         at, rel, rhs, counts = [], [], [], []
-        simplex = 2 * self.n + self.n * self.n
         for cell, j, Q in lps:
-            at += (self.heads[j], [2 * self.n + j * self.n + q for q in Q]
-                   + [simplex])
-            rel += (self.head_rel, self.tail_rel[len(Q)])
-            rhs += (cell, self.tail_rhs[len(Q)])
-            counts.append(3 * self.n + len(Q))
+            stack = self.stacks.get((j, Q))
+            if stack is None:
+                stack = self.stacks[j, Q] = self._stack(j, Q)
+            at.append(stack[0])
+            rel.append(stack[1])
+            rhs += (cell, stack[2])
+            counts.append(len(stack[0]))
         return lp.feasible_stacked(self.rows[np.concatenate(at)],
                                    np.concatenate(rel), np.concatenate(rhs),
                                    counts)
 
+    def best(self, finished, total, k):
+        """``(report, counts, mu)`` of the best candidate of the anchor
+        searches ``finished``, each ``(i, counts, x, witness, mu)`` as
+        :func:`qptas_solve` gives them, or ``None`` if there are none.
+
+        The candidates are scored in blocks of up to ``SCORE_BLOCK``
+        anchors, as rows of one array (:meth:`_score`), so the memory held
+        stays bounded however many anchors there are."""
+        size = min(total, SCORE_BLOCK)
+        rows = np.empty((size, 2, self.game.m))  # witness, anchor's counts
+        index, mus = np.empty(size, dtype=np.int64), np.empty(size)
+        best, filled = None, 0
+        for i, counts, _, witness, mu in finished:
+            rows[filled] = witness, counts
+            index[filled], mus[filled] = i, mu
+            filled += 1
+            if filled == size:
+                best = self._score(rows, index, mus, k, best)
+                filled = 0
+        if filled:
+            best = self._score(rows[:filled], index[:filled], mus[:filled],
+                               k, best)
+        return best and best[1:]
+
+    def _score(self, rows, index, mus, k, best):
+        """``best``, a ``(rank, report, counts, mu)`` or ``None``, updated
+        with the candidates of a block: row r of ``rows`` holds anchor
+        ``index[r]``'s witness and counts, and ``mus[r]`` its level.
+
+        Each candidate gets the checks of :class:`MixedStrategy` at once; a
+        row that fails them, or that sits within the margin of the sum
+        check, is decided by ``MixedStrategy`` itself. A candidate's value
+        is at most the least leader payoff over the actions whose batched
+        follower payoff clears the response rule by the margin, plus the
+        margin. The candidates are evaluated in order of falling bound
+        until a bound is below the best value."""
+        game = self.game
+        points = rows.copy()
+        points[:, 1] /= k
+        points = points.reshape(-1, game.m)
+        edge = ETA - self.margin
+        for r in np.flatnonzero(~np.isfinite(points).all(axis=1)
+                                | (points.min(axis=1) < -ETA)
+                                | (np.abs(points.sum(axis=1) - 1.0) > edge)):
+            MixedStrategy(points[r])  # raises InvalidStrategyError if bad
+        p = np.where(points < 0, 0.0, points)
+        u_f, u_l = p @ game.u_f, p @ game.u_l
+        top = u_f.max(axis=1, keepdims=True)
+        surely = ((u_f >= top - ETA + self.margin)
+                  | (u_f > top - self.delta + ETA + self.margin))
+        bound = np.where(surely, u_l, np.inf).min(axis=1) + self.margin
+        for r in np.argsort(-bound, kind="stable").tolist():
+            if best is not None and bound[r] < best[0][0]:
+                break
+            i = int(index[r // 2])
+            rep = evaluate(game, MixedStrategy(points[r]), self.delta)
+            # the best value; of equal ones, the earliest anchor, its
+            # witness first
+            rank = (rep.leader_value, -i, -(r % 2))
+            if best is None or rank > best[0]:
+                counts = tuple(int(c) for c in rows[r // 2, 1])
+                best = (rank, rep, counts, float(mus[r // 2]))
+        return best
+
 
 class _ExactLps:
-    """The exact LPs of :func:`_scan`: rows from :func:`_region_constraints`
-    and :func:`baseline.region_rows`, each LP an :class:`lp.LinearProgram`
-    for :func:`lp.feasible`."""
+    """The exact LPs of :func:`_scan`: rows from :func:`_cell_rows` and
+    :func:`baseline.region_rows`, each LP an :class:`lp.LinearProgram` for
+    :func:`lp.feasible`. Also the anchors' exact points, and qptas's
+    scoring, which evaluates every candidate (:meth:`best`)."""
 
     exact = True
 
-    def __init__(self, game, delta):
-        self.m = game.m
+    def __init__(self, game, delta, epsilon):
+        self.game, self.m = game, game.m
+        self.delta, self.eps = scalar(delta, True), scalar(epsilon, True)
         self.col_l, col_f = game.columns(True)
         self.opt, _, self.exclude, _ = region_rows(self.col_l, col_f,
-                                                   scalar(delta, True))
+                                                   self.delta)
 
-    def cell(self, region):
-        return _region_constraints(self.col_l, region, True)
+    def anchor(self, counts, k):
+        x = KUniformStrategy(counts, k).to_strategy(exact=True)
+        return x, leader_payoffs(self.game, x, exact=True)
+
+    def cell(self, payoffs):
+        return _cell_rows(self.col_l, payoffs, self.eps)
 
     def solve(self, lps):
         return [lp.feasible(lp.feasibility(
@@ -275,18 +357,28 @@ class _ExactLps:
             + tuple(self.exclude[j][q] for q in Q), simplex=True), exact=True)
             for cell, j, Q in lps]
 
+    def best(self, finished, total, k):
+        """:meth:`_FloatLps.best`, evaluating every candidate."""
+        best = None  # (rank, report, counts, mu)
+        for i, counts, x, witness, mu in finished:
+            for tie, y in enumerate((strategy_from(witness, True), x)):
+                rep = evaluate(self.game, y, self.delta, exact=True)
+                rank = (rep.leader_value, -i, -tie)
+                if best is None or rank > best[0]:
+                    best = (rank, rep, counts, mu)
+        return best and best[1:]
 
-def _anchor_search(game, lps, anchor, epsilon):
+
+def _anchor_search(lps, counts, k):
     """qptas's search of one anchor, an LP-yielding generator like
     :func:`_scan`. It binary-searches the largest verifiable level mu over
-    the anchor's payoff values and returns ``(anchor, x, witness, mu)``:
-    x the anchor's strategy, the witness an LP outcome as :func:`_scan`
-    returns it, or ``None`` when even the smallest level fails. Only the
-    returned witness's point is read, so an exact LP whose point is found
-    on first read finds it once per anchor."""
-    x = anchor.to_strategy(exact=lps.exact)
-    payoffs = tuple(leader_payoffs(game, x, exact=lps.exact))
-    cell = lps.cell(SurrogateRegion(anchor, epsilon, payoffs))
+    the anchor's payoff values and returns ``(counts, x, witness, mu)``:
+    x the anchor's point from ``lps.anchor``, the witness the point of an
+    LP outcome :func:`_scan` returns, or ``None`` when even the smallest
+    level fails. Only the returned witness's point is read, so an exact LP
+    whose point is found on first read finds it once per anchor."""
+    x, payoffs = lps.anchor(counts, k)
+    cell = lps.cell(payoffs)
     levels = sorted(set(payoffs))
     # Largest verifiable mu; the smallest level always verifies with the
     # anchor's own best response as witness.
@@ -302,7 +394,8 @@ def _anchor_search(game, lps, anchor, epsilon):
             hi = mid - 1
     if witness is None:
         witness = yield from _scan(cell, payoffs, levels[lo], lps.exact)
-    return anchor, x, witness, levels[lo]
+    return (counts, x, None if witness is None else witness.solution,
+            levels[lo])
 
 
 def _lockstep(searches, solve, window):
@@ -350,9 +443,14 @@ def _window(m, n):
 
 
 def _region_constraints(col_l, region: SurrogateRegion, exact):
-    eps = scalar(region.epsilon, exact)
+    return _cell_rows(col_l, region.anchor_payoffs,
+                      scalar(region.epsilon, exact))
+
+
+def _cell_rows(col_l, payoffs, eps):
+    """The 2n cell rows: each leader column within eps of its payoff."""
     rows = []
-    for col, t in zip(col_l, region.anchor_payoffs):
+    for col, t in zip(col_l, payoffs):
         rows.append(lp.Constraint(col, "<=", t + eps))
         rows.append(lp.Constraint(col, ">=", t - eps))
     return tuple(rows)
@@ -377,32 +475,22 @@ def qptas_solve(game: BimatrixGame, delta, epsilon, *,
         raise EnumerationCapExceeded(
             f"{total} k-uniform anchors exceed the budget {ANCHOR_BUDGET} "
             f"(k={k}, m={game.m})")
-    lps = (_ExactLps if exact else _FloatLps)(game, delta)
-    eps = scalar(epsilon, exact)
-    best = None  # (rank, report, anchor, mu)
-    anchors = (KUniformStrategy(counts, k) for counts in compositions(k, game.m))
-    for i, (anchor, x, witness, mu) in _lockstep(
-            (_anchor_search(game, lps, anchor, eps) for anchor in anchors),
-            lps.solve, _window(game.m, game.n)):
-        if witness is None:
-            continue
-        for tie, y in enumerate((strategy_from(witness.solution, exact), x)):
-            rep = evaluate(game, y, delta, exact=exact)
-            # the best value; of equal ones, the earliest anchor, its
-            # witness first
-            rank = (rep.leader_value, -i, -tie)
-            if best is None or rank > best[0]:
-                best = (rank, rep, anchor, mu)
+    lps = (_ExactLps if exact else _FloatLps)(game, delta, epsilon)
+    searches = (_anchor_search(lps, counts, k)
+                for counts in compositions(k, game.m))
+    finished = ((i, *found) for i, found in _lockstep(
+        searches, lps.solve, _window(game.m, game.n)) if found[2] is not None)
+    best = lps.best(finished, total, k)
     if best is None:
         raise GameFormatError("verification failed on every anchor")
-    _, outcome, anchor, mu = best
+    outcome, counts, mu = best
     guarantee = {
         "kind": "qptas",
         "k": k,
         "anchors": total,
         "epsilon": float(epsilon),
         "floor_formula": "value >= u_rse(delta) - epsilon",
-        "anchor_counts": anchor.counts,
+        "anchor_counts": counts,
         "verified_mu": mu,
     }
     return RseSolution(outcome, None, lp.solve_count() - first, "qptas",

@@ -5,6 +5,9 @@ command with the same flags and seed reproduces the output exactly, for any
 ``--jobs`` value. Guard errors (enumeration caps, a curve grid of more than
 ``GRID_CAP`` points, insufficient inducibility gap) exit with code 3 and a
 JSON error object; usage errors exit 2.
+
+Only ``errors`` and ``game`` are imported with this module; each command
+imports the solvers it runs, so ``verify`` and ``gen`` start without them.
 """
 
 from __future__ import annotations
@@ -18,13 +21,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import lab, learning
-from .approx import gap_approx, qptas_solve
-from .baseline import inducibility_gap, solve_maximin, solve_sse
 from .errors import (BudgetExceeded, EnumerationCapExceeded, GameFormatError,
                      GapTooSmall, RsekitError)
-from .exact import (ENUMERATION_CAP, RseSolution, parallel_map, rse_curve,
-                    solve_exact)
 from .game import (BimatrixGame, MixedStrategy, attach_exact, dumps_game,
                    evaluate, loads_game, scalar, strategy_from, tolerance)
 
@@ -105,7 +103,8 @@ def _report_json(rep, mode: str, method: str) -> dict:
     return out
 
 
-def _solution_json(sol: RseSolution, delta, mode: str) -> dict:
+def _solution_json(sol, delta, mode: str) -> dict:
+    """The JSON of an :class:`~rsekit.exact.RseSolution`."""
     out = _report_json(sol.outcome, mode, sol.method)
     out["lp_count"] = sol.lp_count
     _put(out, "delta", delta)
@@ -172,12 +171,14 @@ def cmd_solve(args) -> int:
         print("solve: --delta is required for this method", file=sys.stderr)
         return EXIT_USAGE
     if args.method in ("sse", "maximin"):
+        from .baseline import solve_maximin, solve_sse
         solver = solve_sse if args.method == "sse" else solve_maximin
         rep = solver(game, exact=exact)
         out = _report_json(rep, args.mode, args.method)
         out["tie_breaking"] = rep.tie_breaking
         _emit(out)
     elif args.method == "gap":
+        from .baseline import inducibility_gap
         rep = inducibility_gap(game, exact=exact)
         out = {
             "method": "gap",
@@ -191,16 +192,20 @@ def cmd_solve(args) -> int:
         _put(out, "gap", rep.gap)
         _emit(out)
     elif args.method == "exact":
-        sol = solve_exact(game, delta, exact=exact, cap=args.cap)
+        from .exact import ENUMERATION_CAP, solve_exact
+        cap = ENUMERATION_CAP if args.cap is None else args.cap
+        sol = solve_exact(game, delta, exact=exact, cap=cap)
         _emit(_solution_json(sol, delta, args.mode))
     elif args.method == "qptas":
         if args.epsilon is None:
             print("solve: --epsilon is required for qptas", file=sys.stderr)
             return EXIT_USAGE
+        from .approx import qptas_solve
         eps = _parse_level(args.epsilon, exact)
         sol = qptas_solve(game, delta, eps, exact=exact)
         _emit(_solution_json(sol, delta, args.mode))
     elif args.method == "gap-approx":
+        from .approx import gap_approx
         sol = gap_approx(game, delta, exact=exact)
         _emit(_solution_json(sol, delta, args.mode))
     else:  # pragma: no cover - argparse restricts choices
@@ -209,6 +214,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_curve(args) -> int:
+    from .exact import rse_curve
     exact = args.mode == "exact"
     game = _load_game(args.game, exact)
     grid = _grid_values(args.grid)
@@ -244,6 +250,7 @@ def _parse_params(text: str | None) -> dict:
 
 
 def cmd_gen(args) -> int:
+    from . import lab
     chosen = [bool(args.catalog), bool(args.x3c), bool(args.random)]
     if sum(chosen) != 1:
         print("gen: choose exactly one of --catalog/--x3c/--random",
@@ -278,12 +285,14 @@ def cmd_gen(args) -> int:
 
 
 def _one_learn_run(payload):
+    from . import learning
     truth, delta, epsilon, iota, noise, solver, run_seed = payload
     oracle = learning.NoisyGameOracle(truth, noise, run_seed)
     return learning.learn_rse(oracle, delta, epsilon, iota, solver)
 
 
 def cmd_learn(args) -> int:
+    from .exact import parallel_map
     if args.seed is None:
         print("learn: --seed is required", file=sys.stderr)
         return EXIT_USAGE
@@ -373,7 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--delta")
     sp.add_argument("--epsilon")
     sp.add_argument("--mode", choices=["float", "exact"], default="float")
-    sp.add_argument("--cap", type=positive_int, default=ENUMERATION_CAP)
+    # default: exact.ENUMERATION_CAP, read only when --method exact runs
+    sp.add_argument("--cap", type=positive_int)
     sp.add_argument("--raw-delta", action="store_true",
                     help="delta is stated against the raw (pre-normalization) "
                          "follower utilities")

@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 from typing import Any, Sequence
 
@@ -222,6 +223,24 @@ def strategy_from(coords: Sequence, exact: bool) -> MixedStrategy:
 
 def pure_strategy(i: int, m: int, *, exact: bool = False) -> MixedStrategy:
     return strategy_from([1 if k == i else 0 for k in range(m)], exact)
+
+
+def compositions(total: int, parts: int):
+    """All nonnegative integer tuples of the given length summing to total:
+    the counts of the points of the simplex whose coordinates are multiples
+    of 1 / total.
+
+    Lexicographically ascending: (0, ..., 0, total) first, (total, 0, ..., 0)
+    last. qptas's anchor enumeration and the lattice oracle share this order.
+    """
+    for bars in combinations(range(total + parts - 1), parts - 1):
+        prev = -1
+        out = []
+        for b in bars:
+            out.append(b - prev - 1)
+            prev = b
+        out.append(total + parts - 2 - prev)
+        yield tuple(out)
 
 
 @dataclass(frozen=True, slots=True)

@@ -17,11 +17,10 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .approx import compositions
-from .baseline import inducibility_gap
 from .errors import BudgetExceeded, GameFormatError, RejectionCapExceeded
-from .game import (BimatrixGame, GameValueReport, MixedStrategy, evaluate,
-                   exact_game, float_to_fraction, normalize, tolerance)
+from .game import (BimatrixGame, GameValueReport, MixedStrategy, compositions,
+                   evaluate, exact_game, float_to_fraction, normalize,
+                   tolerance)
 
 # ---------------------------------------------------------------------------
 # Catalog
@@ -305,12 +304,10 @@ def x3c_brute_check(instance: X3CInstance) -> bool:
     """Exhaustively test all size-k subset families for an exact cover."""
     if instance.m > 20:
         raise BudgetExceeded(f"brute-force check capped at 20 subsets, got {instance.m}")
-    ground = frozenset(range(1, 3 * instance.k + 1))
-    for family in combinations(instance.subsets, instance.k):
-        union = frozenset().union(*family)
-        if union == ground:
-            return True
-    return False
+    # k 3-subsets of {1, .., 3k} cover it exactly when their union has 3k
+    # elements, so no ground set is built; with k > m there is no family.
+    return any(len(frozenset().union(*family)) == 3 * instance.k
+               for family in combinations(instance.subsets, instance.k))
 
 
 def gen_x3c_game(instance: X3CInstance, delta, epsilon) -> BimatrixGame:
@@ -399,6 +396,8 @@ def gen_random(m: int, n: int, seed: int, *, rational_grid: int | None = None,
     if m * n > MAX_ENTRIES:
         raise BudgetExceeded(f"a {m}x{n} game has {m * n} entries per "
                              f"matrix, above the cap of {MAX_ENTRIES}")
+    if ensure_gap is not None:  # lab's one solver, loaded only for it
+        from .baseline import inducibility_gap
     rng = np.random.default_rng(seed)
     for _ in range(MAX_DRAWS):
         if rational_grid is not None:
@@ -435,7 +434,7 @@ def grid_oracle(game: BimatrixGame, delta, resolution: int) -> GameValueReport:
 
     Lattice points are scored in batches with the strict response rule of
     :func:`~rsekit.game.br_delta`; the first maximizer in the lexicographic
-    order of :func:`~rsekit.approx.compositions` wins.
+    order of :func:`~rsekit.game.compositions` wins.
     """
     if game.m > ORACLE_MAX_M:
         raise BudgetExceeded(f"oracle capped at m <= {ORACLE_MAX_M}, got {game.m}")

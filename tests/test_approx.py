@@ -1,5 +1,7 @@
 """Tests for the gap-combination strategy and the anchor-enumeration scheme."""
 
+import math
+import re
 import weakref
 from fractions import Fraction
 
@@ -13,10 +15,10 @@ from rsekit.approx import (KUniformStrategy, build_k, gap_approx, make_region,
                            qptas_solve, utility_verification)
 from rsekit.baseline import inducibility_gap, region_rows, solve_sse
 from rsekit.errors import (EnumerationCapExceeded, GameFormatError, GapTooSmall,
-                           RejectionCapExceeded)
+                           InvalidStrategyError, RejectionCapExceeded)
 from rsekit.exact import solve_exact
-from rsekit.game import (br_delta, evaluate, exact_game, leader_payoffs,
-                         scalar)
+from rsekit.game import (BimatrixGame, MixedStrategy, br_delta, evaluate,
+                         exact_game, leader_payoffs, scalar)
 
 
 def test_k_uniform_type_checks():
@@ -264,8 +266,10 @@ def test_solution_outcome_is_evaluate_at_its_strategy(solver, name, exact):
     assert sol.outcome == evaluate(game, sol.strategy, delta, exact=exact)
 
 
-@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+@pytest.mark.parametrize("exact", [True], ids=["exact"])
 def test_qptas_evaluates_each_candidate_once(monkeypatch, exact):
+    # Float mode evaluates only the candidates that can win; the tests
+    # below pin it to this loop.
     calls = []
 
     def counting_evaluate(*args, **kwargs):
@@ -279,6 +283,129 @@ def test_qptas_evaluates_each_candidate_once(monkeypatch, exact):
     # Each anchor scores its witness and itself; the winner is not rescored.
     assert len(calls) == 2 * sol.guarantee["anchors"]
     assert any(x is sol.strategy for x in calls)
+
+
+def _every_candidate(self, finished, total, k):
+    """Float qptas's scoring as it ran before it bounded the candidates:
+    evaluate each witness and each anchor, keep the best value, the
+    earliest anchor and its witness first."""
+    best = None
+    for i, counts, x, witness, mu in finished:
+        for tie, y in enumerate((MixedStrategy(np.array(witness)),
+                                 MixedStrategy(x))):
+            rep = evaluate(self.game, y, self.delta)
+            rank = (rep.leader_value, -i, -tie)
+            if best is None or rank > best[0]:
+                best = (rank, rep, counts, mu)
+    return best and best[1:]
+
+
+@pytest.mark.parametrize("make, epsilon", [
+    (lambda: lab.gen_random(3, 6, 0), 0.2),  # q1 of the CLI benchmark
+    (lambda: lab.gen_random(4, 4, 0), 0.2),  # q2
+    (lambda: lab.gen_random(3, 8, 2), 0.2),
+    (lambda: lab.gen_random(2, 3, 6, rational_grid=2), 0.5),  # 10 ties
+    (lambda: lab.catalog("table5").game, 0.2),
+    (lambda: lab.gen_random(5, 5, 3), 0.3),
+    (lambda: lab.gen_random(1, 5, 2), 0.2),  # m = 1: one anchor
+    (lambda: lab.gen_random(4, 1, 3), 0.2),  # n = 1: one level
+], ids=["q1", "q2", "3x8", "2x3 grid-2 ties", "table5", "5x5", "m=1", "n=1"])
+def test_float_qptas_equals_evaluating_every_candidate(monkeypatch, make,
+                                                       epsilon):
+    game = make()
+    got = qptas_solve(game, 0.1, epsilon)
+    monkeypatch.setattr(approx._FloatLps, "best", _every_candidate)
+    want = qptas_solve(game, 0.1, epsilon)
+
+    def key(sol):
+        return (repr(sol.value), sol.strategy.probs.tobytes(),
+                sol.outcome.response, sol.outcome.response_set,
+                sol.guarantee["anchor_counts"],
+                repr(sol.guarantee["verified_mu"]), sol.lp_count)
+
+    assert key(got) == key(want)
+
+
+@pytest.mark.parametrize("block", [1, 3])
+@pytest.mark.parametrize("make, epsilon", [
+    (lambda: lab.gen_random(2, 3, 6, rational_grid=2), 0.5),
+    (lambda: lab.gen_random(3, 8, 2), 0.3),
+], ids=["2x3 grid-2 ties", "3x8"])
+def test_float_qptas_scores_anchors_in_blocks(monkeypatch, make, epsilon,
+                                              block):
+    # The best of several blocks is the best of all candidates.
+    game = make()
+    monkeypatch.setattr(approx, "SCORE_BLOCK", block)
+    got = qptas_solve(game, 0.1, epsilon)
+    monkeypatch.setattr(approx._FloatLps, "best", _every_candidate)
+    want = qptas_solve(game, 0.1, epsilon)
+    assert got.guarantee["anchors"] > block  # two blocks or more
+    assert (got.outcome, got.guarantee) == (want.outcome, want.guarantee)
+
+
+def test_float_qptas_evaluates_a_candidate_whose_bound_is_the_best_value(
+        monkeypatch):
+    # One follower action, so a candidate's value is its leader payoff and
+    # its bound that plus the margin: anchor 1's bound is exactly anchor
+    # 0's value, and anchor 2's is below it.
+    b = 0.5
+    a = b + approx.BOUND_MARGIN
+    game = BimatrixGame(np.array([[a], [b], [0.25]]), np.full((3, 1), 0.5))
+    lps = approx._FloatLps(game, 0.1, 1.0)
+    assert lps.margin == approx.BOUND_MARGIN
+    calls = []
+
+    def counting_evaluate(game, x, delta):
+        calls.append(x.probs.tolist())
+        return evaluate(game, x, delta)
+
+    monkeypatch.setattr(approx, "evaluate", counting_evaluate)
+    pure = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    finished = [(i, c, np.array(c, dtype=float), c, 0.5)
+                for i, c in enumerate(pure)]
+    rep, counts, _ = lps.best(iter(finished), 3, 1)
+    assert (rep.leader_value, counts) == (a, (1, 0, 0))
+    # both candidates of anchors 0 and 1, none of anchor 2
+    assert calls == [[1.0, 0.0, 0.0]] * 2 + [[0.0, 1.0, 0.0]] * 2
+
+
+EDGE_ROWS = [
+    (0.5, 0.5), (float("nan"), 1.0), (float("inf"), 0.0), (-2e-9, 1.0),
+    (-1e-9, 1.0 + 1e-9), (-5e-10, 1.0 + 5e-10), (0.5, 0.5 + 1e-9),
+    (0.5, 0.5 - 1e-9), (0.5, 0.5 + 1.0000001e-9), (0.5, 0.5 + 9.999999e-10),
+    (0.5, 0.5 + 1e-9 - 1e-12), (0.25, 0.75 - 1.0000001e-9), (1.1, -0.1),
+]
+
+
+@pytest.mark.parametrize("row", EDGE_ROWS, ids=map(repr, EDGE_ROWS))
+def test_float_qptas_checks_every_candidate_as_mixed_strategy_does(row):
+    # A witness point passes the scoring exactly when MixedStrategy takes
+    # it, and an invalid one raises the same error.
+    game = BimatrixGame(np.array([[0.5, 0.25], [0.75, 1.0]]),
+                        np.array([[0.5, 0.0], [0.25, 1.0]]))
+    lps = approx._FloatLps(game, 0.1, 1.0)
+    finished = [(0, (1, 0), np.array([1.0, 0.0]), (1.0, 0.0), 0.5),
+                (1, (0, 1), np.array([0.0, 1.0]), row, 0.25)]
+    try:
+        MixedStrategy(np.array(row))
+    except InvalidStrategyError as e:
+        with pytest.raises(InvalidStrategyError, match=re.escape(str(e))):
+            lps.best(iter(finished), 2, 1)
+    else:
+        assert lps.best(iter(finished), 2, 1) is not None
+
+
+def test_float_qptas_raises_on_an_invalid_witness(monkeypatch):
+    real = lp.feasible_stacked
+
+    def bad_points(*args):
+        return [lp.LpOutcome(o.status, o.solution and (math.nan,)
+                             + o.solution[1:], o.objective_value)
+                for o in real(*args)]
+
+    monkeypatch.setattr(lp, "feasible_stacked", bad_points)
+    with pytest.raises(InvalidStrategyError, match="non-finite"):
+        qptas_solve(lab.gen_random(3, 4, 0), 0.1, 0.3)
 
 
 @pytest.mark.parametrize("make, epsilon, exact", [
@@ -351,7 +478,7 @@ def test_float_lps_match_the_linear_program_path():
             game = lab.gen_random(m, n, 10 * m + n)
             col_l, col_f = game.columns(False)
             opt, _, exclude, _ = region_rows(col_l, col_f, delta)
-            lps = approx._FloatLps(game, delta)
+            lps = approx._FloatLps(game, delta, epsilon)
             got, want = [], []
             for counts in approx.compositions(k, m):
                 region = make_region(game, KUniformStrategy(counts, k), epsilon)
@@ -359,12 +486,11 @@ def test_float_lps_match_the_linear_program_path():
                 t = region.anchor_payoffs
                 seen["flipped >= cell row"] += any(v - epsilon < 0 for v in t)
                 for mu in sorted(set(t)):
-                    _, _, Q = next(approx._scan(lps.cell(region), t, mu,
-                                                False))
+                    _, _, Q = next(approx._scan(lps.cell(t), t, mu, False))
                     seen["|Q| = 0"] += not Q
                     seen["|Q| = n - 1"] += len(Q) == n - 1
                     for j in sorted(set(range(n)) - set(Q)):
-                        got.append((lps.cell(region), j, Q))
+                        got.append((lps.cell(t), j, Q))
                         want.append(lp.feasible(lp.feasibility(
                             m, cell + opt.others(j)
                             + tuple(exclude[j][q] for q in Q), simplex=True)))

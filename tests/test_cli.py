@@ -27,18 +27,22 @@ def run_cli(capsys, *argv):
 ADDRESS_SPACE = 1 << 30  # bytes; python -m rsekit.cli runs in far less
 
 
-def run_cli_capped(*argv):
-    """``python -m rsekit.cli *argv`` in a child process whose address space
-    is capped at ``ADDRESS_SPACE``, so that a size guard which lets a huge
+def run_python_capped(*args):
+    """``python *args`` in a child process whose address space is capped
+    at ``ADDRESS_SPACE``, so that a size guard which lets a huge
     allocation through fails its test with a ``MemoryError`` instead of
     exhausting the machine's memory."""
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
 
     env = dict(os.environ, PYTHONPATH=str(Path(rsekit.__file__).parents[1]))
-    return subprocess.run([sys.executable, "-m", "rsekit.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=60,
-                          preexec_fn=cap)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=60, preexec_fn=cap)
+
+
+def run_cli_capped(*argv):
+    """``python -m rsekit.cli *argv`` under :func:`run_python_capped`."""
+    return run_python_capped("-m", "rsekit.cli", *argv)
 
 
 def test_gen_catalog_and_exact_solve_round_trip(tmp_path, capsys):
@@ -112,6 +116,82 @@ def test_guard_errors_exit_three(tmp_path, capsys):
         proc = run_cli_capped(*argv)
         assert (proc.returncode, proc.stderr) == (3, ""), proc.stderr
         assert json.loads(proc.stdout)["error"]["type"] == "BudgetExceeded"
+
+
+def test_x3c_brute_check_builds_no_ground_set():
+    # k = 10^8 subsets cannot be picked from one, and a ground set of 3k
+    # elements would not fit under the cap.
+    proc = run_python_capped("-c", (
+        "from rsekit.lab import X3CInstance, x3c_brute_check\n"
+        "print(x3c_brute_check(X3CInstance(10**8, (frozenset({1, 2, 3}),))))"))
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
+
+def _modules_after(code):
+    """The ``rsekit`` modules and numpy that a fresh process holds in
+    ``sys.modules`` after it runs ``code``."""
+    proc = run_python_capped("-c", code + (
+        "\nimport json, sys\n"
+        "print(json.dumps([m for m in sorted(sys.modules) if m == 'numpy'"
+        " or m.split('.')[0] == 'rsekit']))"))
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _cli_modules(*argv):
+    """:func:`_modules_after` a successful ``rsekit *argv``."""
+    return _modules_after(
+        "import contextlib, io\nfrom rsekit.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({list(argv)!r}) == 0")
+
+
+def test_import_rsekit_loads_no_submodule_and_no_numpy():
+    assert _modules_after("import rsekit") == ["rsekit"]
+
+
+def test_package_names_resolve_on_first_access():
+    # Each name of __all__ is its module's own object; a submodule is
+    # imported by name, as before.
+    assert _modules_after(
+        "import rsekit, importlib\n"
+        "home = {n: m for m, ns in rsekit._EXPORTS.items() for n in ns}\n"
+        "for name in rsekit.__all__:\n"
+        "    module = importlib.import_module('rsekit.' + home[name])\n"
+        "    assert getattr(rsekit, name) is getattr(module, name), name\n"
+        "assert set(rsekit.__all__) <= set(dir(rsekit))\n"
+        "from rsekit import baseline\n"
+        "assert baseline.__name__ == 'rsekit.baseline'\n"
+        "assert rsekit.learning.learn_rse is rsekit.learn_rse") == [
+        "numpy", *(f"rsekit{m}" for m in (
+            "", ".approx", ".baseline", ".errors", ".exact", ".game", ".lab",
+            ".learning", ".lp"))]
+    assert _modules_after("from rsekit import baseline") == [
+        "numpy", "rsekit", "rsekit.baseline", "rsekit.errors", "rsekit.game",
+        "rsekit.lp"]
+
+
+CLI_BASE = ["numpy", "rsekit", "rsekit.cli", "rsekit.errors", "rsekit.game"]
+
+
+@pytest.mark.parametrize("argv", [("gen", "--random", "3,4,0"),
+                                  ("gen", "--catalog", "table2")])
+def test_gen_loads_only_lab_beside_the_cli(argv):
+    assert _cli_modules(*argv) == sorted(CLI_BASE + ["rsekit.lab"])
+
+
+def test_verify_loads_no_solver(tmp_path, capsys):
+    _, out, _ = run_cli(capsys, "gen", "--catalog", "table2")
+    game_path = tmp_path / "table2.json"
+    game_path.write_text(out)
+    for method, mode in (("exact", "exact"), ("qptas", "float")):
+        _, out, _ = run_cli(capsys, "solve", "--method", method, "--delta",
+                            "0.25", "--epsilon", "1", "--mode", mode,
+                            str(game_path))
+        sol_path = tmp_path / f"{method}.sol.json"
+        sol_path.write_text(out)
+        assert _cli_modules("verify", str(game_path),
+                            str(sol_path)) == CLI_BASE
 
 
 def test_the_address_space_cap_runs_an_ordinary_command():

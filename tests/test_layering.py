@@ -3,10 +3,11 @@ from the source.
 
 Each module other than ``__init__`` uses every name it imports, and imports
 only the package modules in layers below its own in ``LAYERS``, so no
-module reaches up or sideways. Each name a module defines for others to
-call is read somewhere in ``src``, ``tests`` or ``perfbench``, so no dead
-definition is left behind. The checks parse the ASTs and import nothing
-from the package.
+module reaches up or sideways. ``cli`` and ``lab`` import no solver at
+module level, so a command loads only the solvers it runs. Each name a
+module defines for others to call is read somewhere in ``src``, ``tests``
+or ``perfbench``, so no dead definition is left behind. The checks parse
+the ASTs and import nothing from the package.
 """
 
 import ast
@@ -62,13 +63,33 @@ def test_modules_import_only_lower_layers(name):
                    and RANK[module] >= RANK[name]}) == []
 
 
+def _module_level_imports(name):
+    """The package modules that module ``name`` imports when it is
+    loaded, not inside its functions."""
+    tree = ast.parse((SRC / f"{name}.py").read_text(), f"{name}.py")
+    return sorted({node.module or a.name for node in tree.body
+                   if isinstance(node, ast.ImportFrom) and node.level
+                   for a in node.names})
+
+
+def test_cli_imports_only_errors_and_game_at_module_level():
+    assert _module_level_imports("cli") == ["errors", "game"]
+
+
+def test_lab_imports_nothing_above_game_at_module_level():
+    assert [module for module in _module_level_imports("lab")
+            if RANK[module] > RANK["game"]] == []
+
+
 def _definitions(tree):
     """The names a module defines for code to read: its top-level
     functions, classes and upper-case constants, and each method of its
-    classes whose name does not start with ``__``."""
+    classes, whose name does not start with ``__`` (Python itself reads
+    a module's ``__getattr__`` and a class's ``__init__``)."""
     names = []
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not (
+                node.name.startswith("__")):
             names.append(node.name)
         if isinstance(node, ast.ClassDef):
             names += [f.name for f in node.body
