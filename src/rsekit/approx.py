@@ -52,7 +52,8 @@ from .baseline import (induce_strategy, inducibility_gap, region_rows,
 from .errors import EnumerationCapExceeded, GameFormatError, GapTooSmall
 from .exact import RseSolution
 from .game import (ETA, BimatrixGame, MixedStrategy, compositions, evaluate,
-                   leader_payoffs, scalar, strategy_from, tolerance)
+                   leader_payoffs, rational_view, scalar, strategy_from,
+                   tolerance)
 
 ANCHOR_BUDGET = 2_000_000
 # Least slack of float qptas's value bounds. A batched ``X @ u`` differs
@@ -113,32 +114,32 @@ def gap_approx(game: BimatrixGame, delta, *, exact: bool = False) -> RseSolution
 
     Requires gap > delta. Output: (1 - w) x_sse + w x_induce with
     w = delta / gap; its response set collapses to the optimistic response,
-    certifying value >= (1 - delta/gap) * sse_value.
+    certifying value >= (1 - delta/gap) * sse_value. Float mode takes all
+    of these from the rational reading (:func:`~rsekit.game.rational_view`)
+    and makes floats of the blend's point and the guarantee at the end.
     """
     if not delta > 0:
         raise ValueError(f"delta must be > 0, got {delta}")
     first = lp.solve_count()
-    report = inducibility_gap(game, exact=exact)
-    gap = report.gap
-    if not gap > delta:
-        raise GapTooSmall(f"inducibility gap {gap} must exceed delta {delta}")
-    sse = solve_sse(game, exact=exact)
-    if math.isinf(gap):
-        x_hat = sse.strategy
-        floor = sse.leader_value
-    else:
-        inducer = induce_strategy(game, sse.response, gap, exact=exact)
-        w = scalar(delta, exact) / gap
-        ends = ((sse.strategy.exact, inducer.exact) if exact
-                else (sse.strategy.probs, inducer.probs))
-        x_hat = strategy_from([(1 - w) * a + w * b for a, b in zip(*ends)], exact)
-        floor = (1 - w) * sse.leader_value
-    outcome = evaluate(game, x_hat, delta, exact=exact)
+    rational, d, number = rational_view(game, delta, exact)
+    gap = inducibility_gap(rational, exact=True).gap
+    if not gap > d:
+        raise GapTooSmall(
+            f"inducibility gap {number(gap)} must exceed delta {delta}")
+    sse = solve_sse(rational, exact=True)
+    x, floor = sse.strategy.exact, sse.leader_value
+    if not math.isinf(gap):  # else one follower action, which SSE commits
+        inducer = induce_strategy(rational, sse.response, gap, exact=True)
+        w = d / gap
+        x = [(1 - w) * a + w * b for a, b in zip(x, inducer.exact)]
+        floor = (1 - w) * floor
+        gap = number(gap)
+    outcome = evaluate(game, strategy_from(x, exact), delta, exact=exact)
     guarantee = {
         "kind": "gap-approx",
         "gap": gap,
-        "sse_value": sse.leader_value,
-        "floor": floor,
+        "sse_value": number(sse.leader_value),
+        "floor": number(floor),
     }
     return RseSolution(outcome, None, lp.solve_count() - first, "gap-approx",
                        guarantee)
@@ -354,7 +355,7 @@ class _ExactLps:
     def solve(self, lps):
         return [lp.feasible(lp.feasibility(
             self.m, cell + self.opt.others(j)
-            + tuple(self.exclude[j][q] for q in Q), simplex=True), exact=True)
+            + tuple(self.exclude[j][q] for q in Q), simplex=True))
             for cell, j, Q in lps]
 
     def best(self, finished, total, k):

@@ -3,6 +3,9 @@
 These bound and seed the robust-equilibrium computations: the robust value
 always lies between the maximin and SSE values, and the inducibility gap
 controls how cheaply the leader can pin any single follower response.
+Their LPs are exact: float mode solves the game's rational reading
+(:func:`~rsekit.game.rational_view`) and returns the float of each exact
+number, with the exact answer's response and response set.
 Every payoff-difference row, here, in the region LPs of :mod:`rsekit.exact`
 and in exact-mode qptas, comes from :func:`region_rows`; float-mode qptas
 builds its ``u_f(j) - u_f(k)`` block itself, once per solve, as doubles
@@ -19,8 +22,8 @@ from itertools import chain
 from . import lp
 from .errors import GapTooSmall, SolverFailure
 from .game import (OPTIMISTIC, PESSIMISTIC, BimatrixGame, GameValueReport,
-                   MixedStrategy, ResponseSet, br_delta, leader_payoffs,
-                   scalar, strategy_from)
+                   MixedStrategy, ResponseSet, br_delta, exact_strategy,
+                   leader_payoffs, rational_view, strategy_from)
 
 
 @dataclass(frozen=True)
@@ -49,12 +52,12 @@ def solve_sse(game: BimatrixGame, *, exact: bool = False) -> GameValueReport:
     that column weakly best. Infeasible columns are skipped; equal-value
     columns resolve to the smallest index.
     """
-    col_l, col_f = game.columns(exact)
-    opt = region_rows(col_l, col_f, scalar(0, exact))[0]
+    rational, zero, number = rational_view(game, 0, exact)
+    col_l, col_f = rational.columns(True)
+    opt = region_rows(col_l, col_f, zero)[0]
     best = None
     for j in range(game.n):
-        out = lp.solve(lp.maximize(col_l[j], opt.others(j), simplex=True),
-                       exact=exact)
+        out = lp.solve(lp.maximize(col_l[j], opt.others(j), simplex=True))
         if out.status != "optimal":
             continue
         if best is None or out.objective_value > best[0]:
@@ -62,28 +65,30 @@ def solve_sse(game: BimatrixGame, *, exact: bool = False) -> GameValueReport:
     if best is None:
         raise SolverFailure("no follower column is ever a best response")
     value, j, xs = best
-    x = strategy_from(xs, exact)
-    rset = br_delta(game, x, 0, exact=exact)
-    return GameValueReport(x, j, rset, value, OPTIMISTIC)
+    rset = br_delta(rational, exact_strategy(xs), 0, exact=True)
+    return GameValueReport(strategy_from(xs, exact), j, rset, number(value),
+                           OPTIMISTIC)
 
 
 def solve_maximin(game: BimatrixGame, *, exact: bool = False) -> GameValueReport:
     """max_x min_j u_l(x, j) via a single LP with an auxiliary level variable."""
-    col_l, _ = game.columns(exact)
+    rational, _, number = rational_view(game, 0, exact)
+    col_l, _ = rational.columns(True)
     m, n = game.m, game.n
     # Variables (x_1..x_m, t); utilities are nonnegative so t >= 0 is harmless.
     cons = [lp.Constraint(col_l[j] + (-1,), ">=", 0) for j in range(n)]
     cons.append(lp.Constraint((1,) * m + (0,), "==", 1))
     objective = (0,) * m + (1,)
-    out = lp.solve(lp.LinearProgram(m + 1, objective, "max", tuple(cons), False),
-                   exact=exact)
+    out = lp.solve(lp.LinearProgram(m + 1, objective, "max", tuple(cons),
+                                    False))
     if out.status != "optimal":
         raise SolverFailure(f"maximin LP ended {out.status}")
-    x = strategy_from(out.solution[:m], exact)
-    leads = leader_payoffs(game, x, exact=exact)
+    xs = out.solution[:m]
+    leads = leader_payoffs(rational, exact_strategy(xs), exact=True)
     response = min(range(n), key=lambda j: (leads[j], j))
-    return GameValueReport(x, response, ResponseSet(tuple(range(n))),
-                           leads[response], PESSIMISTIC)
+    return GameValueReport(strategy_from(xs, exact), response,
+                           ResponseSet(tuple(range(n))),
+                           number(leads[response]), PESSIMISTIC)
 
 
 def inducibility_gap(game: BimatrixGame, *, exact: bool = False) -> InducibilityReport:
@@ -91,25 +96,28 @@ def inducibility_gap(game: BimatrixGame, *, exact: bool = False) -> Inducibility
 
     For each column j: maximize t subject to
     ``u_f(x, j) >= u_f(x, k) + t`` for all k != j over the simplex; the gap
-    is the minimum over columns. t is free (split into t+ - t-).
+    is the minimum over columns. t enters as ``t' - 1`` with ``t' >= 0``:
+    every payoff difference is at least -1, so this cuts no x, and unlike a
+    split ``t+ - t-`` it lets the LP have a unique optimum.
     """
     m, n = game.m, game.n
     if n == 1:
         uniform = strategy_from([Fraction(1, m)] * m, exact)
         return InducibilityReport(math.inf, (ActionInducibility(uniform, math.inf),))
-    opt = region_rows(*game.columns(exact), scalar(0, exact))[0]
+    rational, zero, number = rational_view(game, 0, exact)
+    opt = region_rows(*rational.columns(True), zero)[0]
     per = []
     for j in range(n):
-        # t+ and t- enter a row of ints over its scale s as -s and s.
-        cons = [lp.Constraint(row.coeffs + (-row.scale, row.scale), ">=", 0,
+        # t' enters a row of ints over scale s as -s, and t's -1 as rhs -s.
+        cons = [lp.Constraint(row.coeffs + (-row.scale,), ">=", -row.scale,
                               row.scale) for row in opt.others(j)]
-        cons.append(lp.Constraint((1,) * m + (0, 0), "==", 1))
-        out = lp.solve(lp.LinearProgram(m + 2, (0,) * m + (1, -1), "max",
-                                        tuple(cons), False), exact=exact)
+        cons.append(lp.Constraint((1,) * m + (0,), "==", 1))
+        out = lp.solve(lp.LinearProgram(m + 1, (0,) * m + (1,), "max",
+                                        tuple(cons), False))
         if out.status != "optimal":
             raise SolverFailure(f"inducibility LP for column {j} ended {out.status}")
         per.append(ActionInducibility(strategy_from(out.solution[:m], exact),
-                                      out.objective_value))
+                                      number(out.objective_value - 1)))
     gap = min(a.margin for a in per)
     return InducibilityReport(gap, tuple(per))
 
@@ -122,10 +130,10 @@ def induce_strategy(game: BimatrixGame, j: int, margin, *,
     every other column. Raises :class:`GapTooSmall` when the margin exceeds
     what the column can support.
     """
-    col_l, col_f = game.columns(exact)
-    exclude = region_rows(col_l, col_f, scalar(margin, exact))[2]
-    out = lp.solve(lp.maximize(col_l[j], exclude.others(j), simplex=True),
-                   exact=exact)
+    rational, q, _ = rational_view(game, margin, exact)
+    col_l, col_f = rational.columns(True)
+    exclude = region_rows(col_l, col_f, q)[2]
+    out = lp.solve(lp.maximize(col_l[j], exclude.others(j), simplex=True))
     if out.status != "optimal":
         raise GapTooSmall(
             f"margin {margin} is not attainable for follower action {j}")
@@ -159,14 +167,10 @@ def region_rows(col_l, col_f, d):
     ``d`` and the leader's on their own (:func:`_integral_columns`), so each
     difference is a subtraction of ints and each row a
     :class:`~rsekit.lp.Constraint` over that common scale, whose integer
-    form takes one gcd and makes no ``Fraction``. Float columns with a
-    float ``d`` (float mode) give rows of doubles, as the columns stand.
+    form takes one gcd and makes no ``Fraction``.
     """
-    if isinstance(d, float):
-        f_cols, l_cols, f_scale, l_scale = col_f, col_l, 1, 1
-    else:
-        f_cols, (d,), f_scale = _integral_columns(col_f, d)
-        l_cols, _, l_scale = _integral_columns(col_l)
+    f_cols, (d,), f_scale = _integral_columns(col_f, d)
+    l_cols, _, l_scale = _integral_columns(col_l)
     return (_Rows(f_cols, ">=", 0, f_scale), _Rows(f_cols, "<=", d, f_scale),
             _Rows(f_cols, ">=", d, f_scale), _Rows(l_cols, "<=", 0, l_scale))
 

@@ -9,7 +9,8 @@ delta-optimal set lies inside S, as the exclusion rows keep every action
 outside S at least delta below j_tilde.
 
 The search is rational in both modes: float mode solves the game's
-:func:`~rsekit.game.rational_reading` and scores the float of its optimum.
+rational reading (:func:`~rsekit.game.rational_view`) and scores the float
+of its optimum.
 
 Enumeration visits tuples ordered by (|S|, sorted S, j_tilde, j) and keeps
 the first maximizer, which doubles as the deterministic tie-break. Each
@@ -63,8 +64,7 @@ from .baseline import (inducibility_gap, region_rows, solve_maximin,
                        solve_sse)
 from .errors import EnumerationCapExceeded, SolverFailure
 from .game import (BimatrixGame, GameValueReport, MixedStrategy, ResponseSet,
-                   decimal_fraction, evaluate, rational_reading, strategy_from,
-                   tolerance)
+                   evaluate, rational_view, strategy_from, tolerance)
 
 ENUMERATION_CAP = 16
 
@@ -143,9 +143,8 @@ def solve_exact(game: BimatrixGame, delta, *, exact: bool = False,
         raise EnumerationCapExceeded(
             f"n = {game.n} exceeds the enumeration cap {cap}")
     first = lp.solve_count()
-    rational = game if exact else rational_reading(game)
+    rational, d, _ = rational_view(game, delta, exact)
     col_l, col_f = rational.columns(True)
-    d = Fraction(delta) if exact else decimal_fraction(delta)
     m, n = game.m, game.n
     opt, member, exclude, leader = region_rows(col_l, col_f, d)
     no_member, must_member = _static_filters(member)
@@ -185,7 +184,7 @@ def solve_exact(game: BimatrixGame, delta, *, exact: bool = False,
                     # row of each k outside S implies that k's.
                     gate = lp.feasible(lp.feasibility(
                         m, tuple(opt[jt][k] for k in inside) + rows,
-                        simplex=True), exact=True)
+                        simplex=True))
                     if gate.status != "optimal":
                         if gate.support is not None:
                             nogoods[jt].append(_nogood(
@@ -196,8 +195,7 @@ def solve_exact(game: BimatrixGame, delta, *, exact: bool = False,
                     if mask & capped:
                         break
                     cons = region + tuple(leader[j][k] for k in S if k != j)
-                    out = lp.solve(lp.maximize(col_l[j], cons, simplex=True),
-                                   exact=True)
+                    out = lp.solve(lp.maximize(col_l[j], cons, simplex=True))
                     if out.status != "optimal":
                         continue
                     if best is None or out.objective_value > best[0]:

@@ -4,16 +4,17 @@ A :class:`BimatrixGame` always carries float64 utility matrices with entries
 in [0, 1]. Games built from rational data additionally carry exact
 ``Fraction`` matrices; operations accept ``exact=True`` to run entirely in
 rational arithmetic (the reference mode for boundary-sensitive questions).
-:func:`rational_reading` gives any game exact matrices; the region
-search solves that reading in float mode.
+:func:`rational_reading` gives any game exact matrices.
 
-The arithmetic mode is decided in one place. :meth:`BimatrixGame.columns`
-hands the solvers the matrix columns as Python floats or as ``Fraction``s
-(and rejects exact mode on a game without rational matrices), and
-:func:`strategy_from` turns LP coordinates back into a
-:class:`MixedStrategy` in the same mode; :func:`scalar` does the same for a
-single input value such as delta. The payoff vectors are lists of Python
-scalars in both modes, so callers need no per-mode conversion.
+The arithmetic mode is decided in one place. Every LP solver reads the
+rational game and level of :func:`rational_view`: in float mode, the
+rational reading. :meth:`BimatrixGame.columns` hands the matrix columns
+over as Python floats or as ``Fraction``s (and rejects exact mode on a
+game without rational matrices), and :func:`strategy_from` turns LP
+coordinates into a :class:`MixedStrategy` of the mode; :func:`scalar` does
+the same for a single input value such as delta. The payoff vectors are
+lists of Python scalars in both modes, so callers need no per-mode
+conversion.
 
 The mode also fixes the tolerance: :func:`tolerance` is 0 in exact mode and
 ``ETA`` (1e-9) in float. One strict-response rule serves both modes and
@@ -440,6 +441,17 @@ def rational_reading(game: BimatrixGame) -> BimatrixGame:
     """The game with exact matrices: its own, or else each float entry's
     :func:`decimal_fraction`, with no grid limit."""
     return _with_exact(game, decimal_fraction)
+
+
+def rational_view(game: BimatrixGame, level, exact: bool):
+    """``(rational, q, number)``: the game an LP solver of the mode reads,
+    ``level`` (a delta or a margin) as the ``Fraction`` it reads, and the
+    type of its answers: the game, ``Fraction(level)`` and ``Fraction`` in
+    exact mode, else :func:`rational_reading`, :func:`decimal_fraction`
+    and ``float``."""
+    if exact:
+        return game, Fraction(level), Fraction
+    return rational_reading(game), decimal_fraction(level), float
 
 
 def game_to_dict(game: BimatrixGame) -> dict[str, Any]:

@@ -1,81 +1,82 @@
 """Uniform linear-program representation and a deterministic simplex solver.
 
 Every solver in the package funnels through :func:`solve` / :func:`feasible`,
-or :func:`feasible_stacked` for a batch of float feasibility LPs. Both
-arithmetic modes share one two-phase tableau simplex with Bland's rule, so
-results are deterministic and cycling-free:
+whose answers are exact, or through :func:`feasible_stacked`, which solves a
+batch of float feasibility LPs (float qptas's). One two-phase tableau
+simplex with Bland's rule serves both arithmetics, so results are
+deterministic and cycling-free. In doubles it has a feasibility tolerance
+of 1e-8 and a pivot tolerance of 1e-9. Pivots and price-outs skip the zero
+entries of the row they subtract, so only the sign of a zero entry can
+differ from a loop over every column. That sign decides no pivot and cannot
+reach an answer: x snaps to 0.0, and a zero dual takes no part in a
+certificate.
 
-* float mode (default): IEEE doubles with a feasibility tolerance of 1e-8
-  and a pivot tolerance of 1e-9. Pivots and price-outs skip the zero
-  entries of the row they subtract, so only the sign of a zero entry can
-  differ from a loop over every column. That sign decides no pivot and
-  cannot reach an answer: x snaps to 0.0, and a zero dual takes no part in
-  a certificate,
-* exact mode: ``fractions.Fraction`` answers with no tolerances, found by
-  certify-then-fallback. The simplex first runs in float on the same rows,
-  and its answer is kept only once it is proven in rationals:
+:func:`solve` answers in ``fractions.Fraction`` with no tolerances, found by
+certify-then-fallback. The simplex first runs in float on the same rows,
+and its answer is kept only once it is proven in rationals:
 
-  - *infeasible*: float multipliers, clipped to their allowed signs, must
-    form an exact Farkas certificate. A feasibility LP over the simplex
-    takes them from the optimal basis of its normalized Farkas dual, an
-    LP of ``num_vars + 1`` rows whose slack basis is feasible, so the
-    certificate names at most ``num_vars + 1`` rows; only when that dual's
-    optimum is not positive does the simplex run on the LP itself. Any
-    other LP takes its phase-1 duals;
-  - *optimal*: the ``num_vars`` constraints the final basis holds tight
-    are solved as equalities, in ints with no fraction, and the vertex
-    must hold x >= 0 and every row, checked in ints. That proves the LP
-    feasible. For ``max``/``min``, the vertex's multipliers must also be
-    signed, weakly, as optimality asks (>= 0 on ``<=``, <= 0 on ``>=``, any
-    sign on ``==``), which proves the objective value. If each multiplier
-    of an inequality is nonzero, the vertex is the unique optimum, so it is
-    the very point the exact simplex would return, and it is kept.
+* *infeasible*: float multipliers, clipped to their allowed signs, must
+  form an exact Farkas certificate. A feasibility LP over the simplex
+  takes them from the optimal basis of its normalized Farkas dual, an
+  LP of ``num_vars + 1`` rows whose slack basis is feasible, so the
+  certificate names at most ``num_vars + 1`` rows; only when that dual's
+  optimum is not positive does the simplex run on the LP itself. Any
+  other LP takes its phase-1 duals;
+* *optimal*: the ``num_vars`` constraints the final basis holds tight
+  are solved as equalities, in ints with no fraction, and the vertex
+  must hold x >= 0 and every row, checked in ints. That proves the LP
+  feasible. For ``max``/``min``, the vertex's multipliers must also be
+  signed, weakly, as optimality asks (>= 0 on ``<=``, <= 0 on ``>=``, any
+  sign on ``==``), which proves the objective value. If each multiplier
+  of an inequality is nonzero, the vertex is the unique optimum, so it is
+  the very point the exact simplex would return, and it is kept.
 
-  A proven status or value is returned at once, before the point: the
-  outcome's ``solution`` is found when it is first read, and kept
-  (:class:`LpOutcome`). That read first tests the optimal face at the
-  vertex. Each active inequality with a zero multiplier gives one
-  direction out of it, and the vertex is the only optimum when no
-  nonnegative mix of those directions keeps to the feasible side of the
-  other constraints tight there; a Farkas certificate on that small LP,
-  from the float simplex and checked in ints, proves it, and the vertex is
-  kept. Failing that proof, the exact simplex runs on the LP. So a caller
-  that reads only statuses and values, or the point of one winner, runs
-  the exact simplex at most for that winner.
+A proven status or value is returned at once, before the point: the
+outcome's ``solution`` is found when it is first read, and kept
+(:class:`LpOutcome`). That read first tests the optimal face at the
+vertex. Each active inequality with a zero multiplier gives one
+direction out of it, and the vertex is the only optimum when no
+nonnegative mix of those directions keeps to the feasible side of the
+other constraints tight there; a Farkas certificate on that small LP,
+from the float simplex and checked in ints, proves it, and the vertex is
+kept. Failing that proof, the exact simplex runs on the LP. So a caller
+that reads only statuses and values, or the point of one winner, runs
+the exact simplex at most for that winner.
 
-  Everything else (an unbounded LP, a failed proof) is solved by the same
-  simplex on an integer-preserving tableau: Python ints over one common
-  denominator, with no gcd per entry, each row starting as its
-  constraint's integer form. Its pivot decisions are those of the simplex
-  in ``Fraction`` arithmetic, so exact outcomes, points found on first
-  read included, always equal that simplex's, which stays the reference.
+Everything else (an unbounded LP, a failed proof) is solved by the same
+simplex on an integer-preserving tableau: Python ints over one common
+denominator, with no gcd per entry, each row starting as its
+constraint's integer form. Its pivot decisions are those of the simplex
+in ``Fraction`` arithmetic, so exact outcomes, points found on first
+read included, always equal that simplex's, which stays the reference.
 
-  An infeasible exact outcome whose Farkas certificate checks (from the
-  float pass, or from the exact simplex's own phase-1 duals) also
-  names the rows that certificate uses, ``LpOutcome.support``, so a caller
-  can rule out any later LP that holds the same rows.
+An infeasible outcome whose Farkas certificate checks (from the float
+pass, or from the exact simplex's own phase-1 duals) also names the rows
+that certificate uses, ``LpOutcome.support``, so a caller can rule out any
+later LP that holds the same rows.
 
-  A row has two forms, each built once, on first use: its integer form
-  (the row times the LCM of its denominators, from the entries' numerators
-  and denominators and one gcd) and its float twin, read off the integer
-  form (:attr:`Constraint.int_row`, :attr:`Constraint.float_row`), so a
-  row that a caller builds once and puts in many exact LPs is converted
-  once. The float pass reads the float twin; the vertex proof, the Farkas
-  check and the integer tableau read the integer form, so an exact solve
-  makes no ``Fraction`` row. A row given as ints over a common ``scale``
-  gets its integer form with no ``Fraction`` at all. The Farkas
-  check skips a float dual whose sign clips it to zero before rounding it:
-  rounding to the nearest rational keeps the sign or gives zero, so that
-  dual would be clipped after rounding too, and the support and the
-  verdict are those of rounding every dual. A whole-number dual is taken
-  as that int, which is what rounding gives. The check sums y.A and y.b in
-  Python ints, each row and dual scaled to one positive common
-  denominator; a positive factor changes no comparison, so the verdict is
-  that of the sums in ``Fraction`` arithmetic.
+A row has two forms, each built once, on first use: its integer form
+(the row times the LCM of its denominators, from the entries' numerators
+and denominators and one gcd) and its float twin, read off the integer
+form (:attr:`Constraint.int_row`, :attr:`Constraint.float_row`), so a
+row that a caller builds once and puts in many exact LPs is converted
+once. The float pass reads the float twin; the vertex proof, the Farkas
+check and the integer tableau read the integer form, so an exact solve
+makes no ``Fraction`` row. A row given as ints over a common ``scale``
+gets its integer form with no ``Fraction`` at all. The Farkas
+check skips a float dual whose sign clips it to zero before rounding it:
+rounding to the nearest rational keeps the sign or gives zero, so that
+dual would be clipped after rounding too, and the support and the
+verdict are those of rounding every dual. A whole-number dual is taken
+as that int, which is what rounding gives. The check sums y.A and y.b in
+Python ints, each row and dual scaled to one positive common
+denominator; a positive factor changes no comparison, so the verdict is
+that of the sums in ``Fraction`` arithmetic.
 
 :func:`feasible_stacked` takes float feasibility LPs as stacked rows and
-returns what :func:`feasible` returns for each: the same statuses and the
-same points, to the last bit. It runs phase 1, the drive-out and the
+returns, for each, the outcome that the float simplex (:func:`_simplex`
+in doubles) gives that LP alone: the same status and the same point, to
+the last bit. It runs phase 1, the drive-out and the
 read-out of the float simplex for the whole batch at once, on one
 ``(B, R + 1, C + 1)`` array of doubles, in chunks of at most
 :data:`BATCH_DOUBLES`. Each LP takes its own Bland entering column and
@@ -137,10 +138,9 @@ class Constraint:
     """One linear constraint ``coeffs / scale . x  <rel>  rhs / scale``.
 
     ``scale`` (a positive int, 1 unless given) lets a caller that holds a
-    row as ints over a common denominator pass it as it is; it is then the
-    same half-space as ``coeffs . x <rel> rhs``, which is what float mode
-    reads. Exact mode solves the row divided by ``scale``, as it would the
-    row built from ``Fraction`` numbers.
+    row as ints over a common denominator pass it as it is, the same
+    half-space as ``coeffs . x <rel> rhs``. The row solved is the one
+    divided by ``scale``, as if it were built from ``Fraction`` numbers.
 
     :attr:`int_row` and :attr:`float_row` are the row in each arithmetic,
     built on first use and kept, so a constraint that serves many exact LPs
@@ -234,7 +234,7 @@ def feasibility(num_vars: int, constraints: Sequence[Constraint], *,
 class LpOutcome:
     """Result of an LP solve.
 
-    ``support`` is set only on an exact-mode ``"infeasible"`` outcome that
+    ``support`` is set only on an ``"infeasible"`` :func:`solve` outcome that
     rests on a checked Farkas certificate: the indices into
     ``lp.constraints`` of the rows with a nonzero multiplier (the simplex
     row, when present, is implied). Any LP over the same variables that
@@ -242,13 +242,13 @@ class LpOutcome:
     infeasible too. It is ``None`` in every other case. It is evidence, not
     part of the answer, so it takes no part in equality.
 
-    An exact ``"optimal"`` outcome whose status, or value, is proven before
-    its point is found (see the module docstring) holds its LP and the
-    float basis's vertex in place of ``solution``. The first read of
-    ``solution`` keeps that vertex if it is proven to be the only optimum,
-    and else runs the exact simplex on the LP; either way it keeps the
-    point the exact simplex returns, drops the rest, and every later read,
-    equality and hash included, sees that point.
+    An ``"optimal"`` :func:`solve` outcome whose status, or value, is
+    proven before its point is found (see the module docstring) holds its
+    LP and the float basis's vertex in place of ``solution``. The first
+    read of ``solution`` keeps that vertex if it is proven to be the only
+    optimum, and else runs the exact simplex on the LP; either way it keeps
+    the point the exact simplex returns, drops the rest, and every later
+    read, equality and hash included, sees that point.
     """
 
     status: str  # "optimal" | "infeasible" | "unbounded"
@@ -280,35 +280,30 @@ def _deferred(lp: LinearProgram, value, vertex) -> LpOutcome:
 
 def _exact_point(lp: LinearProgram) -> tuple:
     """The point the exact simplex returns for ``lp``, which must have one."""
-    status, x, _ = _simplex(lp.num_vars, _int_rows(lp),
-                            _objective(lp, Fraction), True)
+    status, x, _ = _simplex(lp.num_vars, _int_rows(lp), _objective(lp), True)
     if status != "optimal":
         raise SolverFailure(f"a proven optimal LP came back {status}")
     return tuple(x)
 
 
-def solve(lp: LinearProgram, *, exact: bool = False) -> LpOutcome:
-    """Solve ``lp`` to a vertex-optimal solution with Bland's rule.
+def solve(lp: LinearProgram) -> LpOutcome:
+    """Solve ``lp`` exactly, to the vertex-optimal solution of Bland's rule.
 
     Deterministic: identical inputs give identical outcomes.
     """
     global _solves
     _solves += 1
-    if exact:
-        objective = _objective(lp, Fraction)
-        rows = _int_rows(lp)
-        proven = _certified(lp, rows, objective)
-        if proven is not None:
-            return proven
-    else:
-        rows, objective = _canonical(lp)
-    status, x, evidence = _simplex(lp.num_vars, rows, objective, exact)
+    objective = _objective(lp)
+    rows = _int_rows(lp)
+    proven = _certified(lp, rows, objective)
+    if proven is not None:
+        return proven
+    status, x, evidence = _simplex(lp.num_vars, rows, objective, True)
+    if status == "infeasible":
+        return LpOutcome(status, None, None, _farkas(
+            lp.num_vars, rows, evidence, lp.simplex_constraint))
     if status != "optimal":
-        support = None
-        if exact and status == "infeasible":
-            support = _farkas(lp.num_vars, rows, evidence,
-                              lp.simplex_constraint)
-        return LpOutcome(status, None, None, support)
+        return LpOutcome(status, None, None)
 
     obj_val = None
     if lp.sense != "feasibility":
@@ -317,37 +312,22 @@ def solve(lp: LinearProgram, *, exact: bool = False) -> LpOutcome:
     return LpOutcome("optimal", tuple(x), obj_val)
 
 
-def _canonical(lp: LinearProgram):
-    """``(rows, objective)`` in float arithmetic, the objective in max form.
-
-    Rows are ``(coeffs, relation, rhs)``, read off ``coeffs`` and ``rhs`` as
-    they stand; the simplex row comes last.
-    """
-    rows = [([float(v) for v in con.coeffs], con.relation, float(con.rhs))
-            for con in lp.constraints]
-    if lp.simplex_constraint:
-        rows.append(((1.0,) * lp.num_vars, "==", 1.0))
-    return rows, _objective(lp, float)
-
-
-def _objective(lp: LinearProgram, conv) -> list:
-    """``lp``'s objective in ``conv`` arithmetic, in max form."""
-    if conv is Fraction:
-        conv = _fraction
+def _objective(lp: LinearProgram) -> list:
+    """``lp``'s objective in ``Fraction``s, in max form."""
     if lp.sense == "feasibility":
-        return [conv(0)] * lp.num_vars
+        return [Fraction(0)] * lp.num_vars
     if lp.sense == "max":
-        return [conv(v) for v in lp.objective]
-    return [-conv(v) for v in lp.objective]
+        return [_fraction(v) for v in lp.objective]
+    return [-_fraction(v) for v in lp.objective]
 
 
-def feasible(lp: LinearProgram, *, exact: bool = False) -> LpOutcome:
+def feasible(lp: LinearProgram) -> LpOutcome:
     """:func:`solve` for a ``feasibility`` LP only, under its own name so
     that a profile can tell feasibility probes from optimizations."""
     if lp.sense != "feasibility":
         raise MalformedLpError(
             f"feasible() takes a feasibility LP, not {lp.sense!r}")
-    return solve(lp, exact=exact)
+    return solve(lp)
 
 
 # ---------------------------------------------------------------------------
@@ -358,8 +338,10 @@ _LE, _GE, _EQ = range(3)
 
 
 def feasible_stacked(A, relation, rhs, counts) -> list[LpOutcome]:
-    """The float :func:`feasible` outcomes, to the last bit, of LPs given
-    as stacked rows; :func:`solve_count` advances by ``len(counts)``.
+    """The outcomes of the float simplex, to the last bit, of feasibility
+    LPs given as stacked rows: each LP's status and point, as the one-LP
+    simplex in doubles finds them; :func:`solve_count` advances by
+    ``len(counts)``.
 
     Every LP is over x >= 0 in the columns of ``A``, and LP b's rows, a
     simplex row included, are the next ``counts[b]`` rows of ``A``,

@@ -1,15 +1,17 @@
 """``rsekit.approx.qptas_solve`` as it ran before its anchors' searches
 moved to lockstep batches: one anchor at a time, each candidate's LP
-solved alone by ``lp.feasible``.
+solved alone, by ``lp.feasible`` in exact mode and by the one-LP float
+simplex of ``float_simplex.py`` in float mode.
 
-It stays here, unchanged, as the reference: the lockstep solve must return
-the same strategy, value, response set, anchor, verified level and LP
-count. ``qptas_solve(game, delta, epsilon, exact=...)`` takes the
-arguments of ``rsekit.approx.qptas_solve``.
+It stays here as the reference: the lockstep solve must return the same
+strategy, value, response set, anchor, verified level and LP count.
+``qptas_solve(game, delta, epsilon, exact=...)`` takes the arguments of
+``rsekit.approx.qptas_solve``.
 """
 
 import math
 
+import float_simplex
 from rsekit import lp
 from rsekit.approx import (ANCHOR_BUDGET, KUniformStrategy, _region_constraints,
                            build_k, compositions, make_region)
@@ -32,7 +34,8 @@ def _verify(m, cell, opt, exclude, anchor_payoffs, mu, exact):
         if b:
             continue
         cons = cell + opt.others(j) + tuple(exclude[j][q] for q in Q)
-        out = lp.feasible(lp.feasibility(m, cons, simplex=True), exact=exact)
+        prog = lp.feasibility(m, cons, simplex=True)
+        out = lp.feasible(prog) if exact else float_simplex.solve(prog)
         if out.status == "optimal":
             return True, strategy_from(out.solution, exact)
     return False, None
@@ -58,7 +61,8 @@ def qptas_solve(game: BimatrixGame, delta, epsilon, *,
             f"{total} k-uniform anchors exceed the budget {ANCHOR_BUDGET} "
             f"(k={k}, m={game.m})")
     col_l, col_f = game.columns(exact)
-    opt, _, exclude, _ = region_rows(col_l, col_f, scalar(delta, exact))
+    rows = region_rows if exact else float_simplex.region_rows_of_doubles
+    opt, _, exclude, _ = rows(col_l, col_f, scalar(delta, exact))
     best = None  # (report, anchor, mu)
     for counts in compositions(k, game.m):
         anchor = KUniformStrategy(counts, k)

@@ -35,8 +35,7 @@ def sweep(game, delta) -> RseSolution:
                           + tuple(exclude[jt][k] for k in outside))
                 for j in S:
                     cons = region + tuple(leader[j][k] for k in S if k != j)
-                    out = lp.solve(lp.maximize(col_l[j], cons, simplex=True),
-                                   exact=True)
+                    out = lp.solve(lp.maximize(col_l[j], cons, simplex=True))
                     if out.status == "optimal" and (
                             best is None or out.objective_value > best[0]):
                         best = (out.objective_value,

@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import float_simplex
 import qptas_reference
 from rsekit import approx, lab, lp
 from rsekit.approx import (KUniformStrategy, build_k, gap_approx, make_region,
                            qptas_solve, utility_verification)
-from rsekit.baseline import inducibility_gap, region_rows, solve_sse
+from rsekit.baseline import inducibility_gap, solve_sse
 from rsekit.errors import (EnumerationCapExceeded, GameFormatError, GapTooSmall,
                            InvalidStrategyError, RejectionCapExceeded)
 from rsekit.exact import solve_exact
@@ -469,15 +470,16 @@ def test_lockstep_reports_and_drops_each_search_as_it_finishes():
 
 def test_float_lps_match_the_linear_program_path():
     # Each float LP, stacked with every other LP of its game into one
-    # lp.feasible_stacked call, gets the outcome lp.feasible gives the
-    # LinearProgram built from the constraint rows it stands for.
+    # lp.feasible_stacked call, gets the outcome the one-LP float simplex
+    # gives the LinearProgram built from the constraint rows it stands for.
     seen = dict.fromkeys(("flipped >= cell row", "|Q| = 0", "|Q| = n - 1"), 0)
     delta, epsilon, k = 0.1, 0.3, 3
     for m in range(1, 5):
         for n in range(1, 7):
             game = lab.gen_random(m, n, 10 * m + n)
             col_l, col_f = game.columns(False)
-            opt, _, exclude, _ = region_rows(col_l, col_f, delta)
+            opt, _, exclude, _ = float_simplex.region_rows_of_doubles(
+                col_l, col_f, delta)
             lps = approx._FloatLps(game, delta, epsilon)
             got, want = [], []
             for counts in approx.compositions(k, m):
@@ -491,7 +493,7 @@ def test_float_lps_match_the_linear_program_path():
                     seen["|Q| = n - 1"] += len(Q) == n - 1
                     for j in sorted(set(range(n)) - set(Q)):
                         got.append((lps.cell(t), j, Q))
-                        want.append(lp.feasible(lp.feasibility(
+                        want.append(float_simplex.solve(lp.feasibility(
                             m, cell + opt.others(j)
                             + tuple(exclude[j][q] for q in Q), simplex=True)))
             first = lp.solve_count()

@@ -1,5 +1,6 @@
 """Tests for SSE, maximin, inducibility gap, and inducing strategies."""
 
+import functools
 import math
 from fractions import Fraction
 
@@ -7,8 +8,10 @@ import numpy as np
 import pytest
 
 from rsekit import baseline, lab
+from rsekit.approx import gap_approx
 from rsekit.errors import GapTooSmall
-from rsekit.game import BimatrixGame, br_delta
+from rsekit.game import (BimatrixGame, br_delta, decimal_fraction, evaluate,
+                         leader_payoffs, rational_reading)
 
 
 @pytest.fixture(scope="module")
@@ -160,3 +163,90 @@ def test_induced_strategy_pins_response_set():
             x = baseline.induce_strategy(g, j, act.margin, exact=True)
             delta = act.margin * Fraction(9, 10)
             assert br_delta(g, x, delta, exact=True).actions == (j,)
+
+
+@functools.cache
+def _float_games():
+    """Every catalog game, float random games from 2x3 to 4x6 (seed 1 of
+    3x3 and the 3x4 draw of seed 5 with a gap above 0.1 tie in maximin's
+    exact leader payoffs), an off-grid 3x20 game, and m = 1 and n = 1."""
+    games = {name: lab.catalog(name).game for name in lab.CATALOG_NAMES}
+    for m in range(2, 5):
+        for n in range(3, 7):
+            games[f"{m}x{n}"] = lab.gen_random(m, n, m * n)
+    games["3x3 seed 1"] = lab.gen_random(3, 3, 1)
+    games["3x4 gap"] = lab.gen_random(3, 4, 5, ensure_gap=0.1)
+    games["3x20"] = lab.gen_random(3, 20, 1)
+    games["1x4"] = lab.gen_random(1, 4, 2)
+    games["3x1"] = lab.gen_random(3, 1, 2)
+    return games
+
+
+def _report(rep):
+    """A value report with each number as a float, to compare by repr."""
+    return repr((rep.strategy.probs.tolist(), rep.response,
+                 rep.response_set.actions, float(rep.leader_value),
+                 rep.tie_breaking))
+
+
+@pytest.mark.parametrize("name", sorted(_float_games()))
+def test_float_answers_are_floats_of_the_exact_answers(name):
+    """Float mode solves the rational reading exactly: each float answer
+    is ``float()`` of the exact answer, response and tie-break included."""
+    game = _float_games()[name]
+    rational = rational_reading(game)
+    for solve in (baseline.solve_sse, baseline.solve_maximin):
+        assert _report(solve(game)) == _report(solve(rational, exact=True))
+
+    got, want = (baseline.inducibility_gap(game),
+                 baseline.inducibility_gap(rational, exact=True))
+    assert repr(got.gap) == repr(float(want.gap))
+    assert len(got.per_action) == len(want.per_action)
+    for a, b in zip(got.per_action, want.per_action):
+        assert repr(a.margin) == repr(float(b.margin))
+        assert a.strategy.probs.tolist() == b.strategy.probs.tolist()
+
+    if game.n > 1:
+        for j, b in enumerate(want.per_action):
+            for margin in (float(b.margin) - 0.01, float(b.margin) / 2):
+                if margin > b.margin:
+                    continue
+                x = baseline.induce_strategy(game, j, margin)
+                y = baseline.induce_strategy(rational, j,
+                                             decimal_fraction(margin),
+                                             exact=True)
+                assert x.probs.tolist() == y.probs.tolist() and x.exact is None
+            with pytest.raises(GapTooSmall):
+                baseline.induce_strategy(game, j, float(b.margin) + 0.01)
+
+    delta = round(float(want.gap) / 2, 3) if 0.002 < want.gap < math.inf \
+        else 0.05
+    try:
+        exact_sol = gap_approx(rational, decimal_fraction(delta), exact=True)
+    except GapTooSmall as e:
+        with pytest.raises(GapTooSmall) as got_error:
+            gap_approx(game, delta)
+        assert str(got_error.value) == (
+            f"inducibility gap {float(want.gap)} must exceed delta {delta}")
+        assert str(e).startswith(f"inducibility gap {want.gap} ")
+        return
+    sol = gap_approx(game, delta)
+    assert sol.strategy.probs.tolist() == exact_sol.strategy.probs.tolist()
+    assert sol.outcome == evaluate(game, sol.strategy, delta)
+    assert sol.outcome.response == exact_sol.outcome.response
+    assert sol.lp_count == exact_sol.lp_count
+    assert repr(sol.guarantee) == repr({
+        k: v if isinstance(v, str) or math.isinf(v) else float(v)
+        for k, v in exact_sol.guarantee.items()})
+
+
+@pytest.mark.parametrize("name", ["3x3 seed 1", "3x4 gap"])
+def test_float_maximin_response_is_the_exact_tie_break(name):
+    # The exact leader payoffs tie at the maximin point, and float payoffs
+    # one ulp apart used to pick the later action.
+    game = _float_games()[name]
+    want = baseline.solve_maximin(rational_reading(game), exact=True)
+    leads = leader_payoffs(rational_reading(game), want.strategy, exact=True)
+    tied = [j for j, v in enumerate(leads) if v == min(leads)]
+    assert len(tied) > 1
+    assert baseline.solve_maximin(game).response == want.response == tied[0]

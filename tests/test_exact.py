@@ -134,15 +134,23 @@ def test_curve_rejects_bad_grids():
 
 
 def test_lipschitz_bound_in_safe_regime():
-    for seed in range(15):
-        game = lab.gen_random(3, 3, seed, rational_grid=10,
-                              ensure_gap=0.2)
+    checked = 0
+    for seed in range(30):
+        try:
+            game = lab.gen_random(3, 3, seed, rational_grid=10,
+                                  ensure_gap=0.2)
+        except RejectionCapExceeded:
+            continue
         gap = inducibility_gap(game, exact=True).gap
         L = 2 / gap
         lo, hi = gap / 4, gap / 2  # both inside (0, gap - 1/L]
         v_lo = solve_exact(game, lo, exact=True).value
         v_hi = solve_exact(game, hi, exact=True).value
         assert v_lo - v_hi <= L * (hi - lo)
+        checked += 1
+        if checked >= 15:
+            break
+    assert checked >= 15
 
 
 def test_two_row_games_convex_before_gap():
@@ -216,8 +224,8 @@ def test_certificate_cuts_change_nothing(name, monkeypatch):
         refs.append(region_sweep.sweep(game, delta))
     solve = lp.solve
 
-    def uncertified(prog, *, exact=False):
-        return dataclasses.replace(solve(prog, exact=exact), support=None)
+    def uncertified(prog):
+        return dataclasses.replace(solve(prog), support=None)
 
     monkeypatch.setattr(lp, "solve", uncertified)
     uncut = solve_exact(game, delta, exact=True)
@@ -245,7 +253,7 @@ def _full_gate(m, rows, S, jt):
     n = len(member.cols)
     cons = (opt.others(jt) + tuple(member[jt][k] for k in S if k != jt)
             + tuple(exclude[jt][k] for k in range(n) if k not in S))
-    return lp.feasible(lp.feasibility(m, cons, simplex=True), exact=True)
+    return lp.feasible(lp.feasibility(m, cons, simplex=True))
 
 
 def test_gates_hold_the_optimality_rows_of_S_only(monkeypatch):
@@ -259,8 +267,8 @@ def test_gates_hold_the_optimality_rows_of_S_only(monkeypatch):
         built.append(region_rows(col_l, col_f, d))
         return built[-1]
 
-    def recording_feasible(prog, *, exact=False):
-        out = feasible(prog, exact=exact)
+    def recording_feasible(prog):
+        out = feasible(prog)
         gates.append((built[-1], prog, out.status))
         return out
 
@@ -499,7 +507,7 @@ def test_gates_are_decided_on_sparse_farkas_duals(m, n, seed, grid, delta,
     jt = data.draw(st.sampled_from(S))
     prog = _search_gate(m, rows, S, jt)
     decided, runs = dual_route[0], fallbacks[0]
-    out = lp.feasible(prog, exact=True)
+    out = lp.feasible(prog)
     assert out.status == _reference_status(prog)
     assert dual_route[0] - decided == (out.status == "infeasible")
     assert fallbacks[0] == runs
@@ -527,8 +535,8 @@ def test_sparse_nogoods_cut_most_gates_of_grid64_games(
     winner's point is proven unique from its vertex."""
     statuses, feasible = [], lp.feasible
 
-    def recording(prog, *, exact=False):
-        out = feasible(prog, exact=exact)
+    def recording(prog):
+        out = feasible(prog)
         statuses.append(out.status)
         return out
 
@@ -551,9 +559,9 @@ def test_region_rows_are_built_only_for_the_lps_that_hold_them(monkeypatch):
         built.append((col_l, col_f, d, rows))
         return rows
 
-    def recording_solve(prog, *, exact=False):
+    def recording_solve(prog):
         held.append(prog.constraints)
-        return solve(prog, exact=exact)
+        return solve(prog)
 
     monkeypatch.setattr(exact, "region_rows", recording_rows)
     monkeypatch.setattr(lp, "solve", recording_solve)

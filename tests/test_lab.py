@@ -6,13 +6,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rsekit import lab
+from rsekit import baseline, lab
 from rsekit.approx import compositions
 from rsekit.baseline import inducibility_gap, solve_maximin, solve_sse
 from rsekit.errors import BudgetExceeded, GameFormatError, RejectionCapExceeded
 from rsekit.exact import solve_exact
 from rsekit.game import (MixedStrategy, br_delta, evaluate, exact_game,
-                         pure_strategy)
+                         pure_strategy, rational_reading)
 from rsekit.lab import X3CInstance
 
 
@@ -165,6 +165,31 @@ def test_gen_random_gap_constraint():
     assert inducibility_gap(g).gap > 0.1
     with pytest.raises(RejectionCapExceeded):
         lab.gen_random(1, 4, 0, ensure_gap=0.9)
+
+
+def test_ensure_gap_decides_on_the_exact_gap(monkeypatch):
+    # One of seed 3's grid-10 draws has an exact gap of 1/5. Float LPs put
+    # it at 0.20000000000000007, so "gap > 0.2" used to return it.
+    gaps = []
+
+    def recording(game, **kwargs):
+        gaps.append(inducibility_gap(game, exact=True).gap)
+        return inducibility_gap(game, **kwargs)
+
+    monkeypatch.setattr(baseline, "inducibility_gap", recording)
+    with pytest.raises(RejectionCapExceeded):
+        lab.gen_random(3, 3, 3, rational_grid=10, ensure_gap=0.2)
+    assert len(gaps) == lab.MAX_DRAWS and max(gaps) == Fraction(1, 5)
+    monkeypatch.undo()
+    for seed in range(6):
+        for grid, threshold in ((None, 0.1), (10, 0.2), (8, 0.125)):
+            try:
+                game = lab.gen_random(3, 3, seed, rational_grid=grid,
+                                      ensure_gap=threshold)
+            except RejectionCapExceeded:
+                continue
+            gap = inducibility_gap(rational_reading(game), exact=True).gap
+            assert gap > threshold, (seed, grid)
 
 
 def test_grid_oracle_variants_game():

@@ -6,11 +6,15 @@ only the package modules in layers below its own in ``LAYERS``, so no
 module reaches up or sideways. ``cli`` and ``lab`` import no solver at
 module level, so a command loads only the solvers it runs. Each name a
 module defines for others to call is read somewhere in ``src``, ``tests``
-or ``perfbench``, so no dead definition is left behind. The checks parse
-the ASTs and import nothing from the package.
+or ``perfbench``, so no dead definition is left behind. ``lp.solve`` and
+``lp.feasible`` have one arithmetic, and the float/exact split of the
+other modules, counted as their ``if exact`` and ``if not exact`` lines,
+is pinned so that it cannot grow unseen. The checks parse the ASTs and
+import nothing from the package.
 """
 
 import ast
+import re
 from functools import cache
 from pathlib import Path
 
@@ -23,6 +27,9 @@ LAYERS = (("errors",), ("lp", "game"), ("baseline",), ("exact",), ("approx",),
           ("lab",), ("learning",), ("cli",))
 RANK = {name: rank for rank, layer in enumerate(LAYERS) for name in layer}
 MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
+# Lines of src that branch on the arithmetic mode: lower it when a change
+# removes some, and never raise it.
+IF_EXACT_LINES = 17
 
 
 def _imports(name):
@@ -124,3 +131,19 @@ def _read_names():
 def test_every_definition_is_read(name):
     tree = ast.parse((SRC / f"{name}.py").read_text(), f"{name}.py")
     assert [d for d in _definitions(tree) if d not in _read_names()] == []
+
+
+def test_lp_solve_and_feasible_take_no_exact_parameter():
+    tree = ast.parse((SRC / "lp.py").read_text(), "lp.py")
+    params = {node.name: [a.arg for a in node.args.args + node.args.kwonlyargs]
+              for node in tree.body if isinstance(node, ast.FunctionDef)
+              and node.name in ("solve", "feasible")}
+    assert params == {"solve": ["lp"], "feasible": ["lp"]}
+
+
+def test_if_exact_lines_stay_pinned():
+    pattern = re.compile(r"\bif (not )?exact\b")
+    found = [f"{path.name}:{i}" for path in sorted(SRC.glob("*.py"))
+             for i, line in enumerate(path.read_text().splitlines(), 1)
+             if pattern.search(line)]
+    assert len(found) == IF_EXACT_LINES, found

@@ -1,10 +1,12 @@
-"""Tests for the LP engine: determinism, both arithmetic modes, relation checks."""
+"""Tests for the LP engine: determinism, exact answers, the float simplex
+and its lockstep kernel, relation checks."""
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import float_simplex
 from rsekit import lp
 from rsekit.errors import MalformedLpError
 from rsekit.lp import Constraint, LinearProgram
@@ -91,7 +93,7 @@ def test_strict_relations_rejected():
 def test_exact_mode_returns_fractions():
     cons = [Constraint((Fraction(1), Fraction(2)), "<=", Fraction(3, 2))]
     prog = lp.maximize([Fraction(1), Fraction(1)], cons, simplex=True)
-    out = lp.solve(prog, exact=True)
+    out = lp.solve(prog)
     assert out.status == "optimal"
     assert all(isinstance(v, Fraction) for v in out.solution)
     # x1 + 2*x2 <= 3/2 with x1 + x2 = 1 maximizing x1 + x2 -> any feasible
@@ -105,7 +107,7 @@ def test_exact_tight_constraints():
         Constraint((Fraction(0), Fraction(1)), "<=", Fraction(9, 10)),
     ]
     prog = lp.maximize([Fraction(1), Fraction(0)], cons, simplex=True)
-    out = lp.solve(prog, exact=True)
+    out = lp.solve(prog)
     assert out.solution == (Fraction(1, 3), Fraction(2, 3))
     tight = {i for i, con in enumerate(cons)
              if sum(c * x for c, x in zip(con.coeffs, out.solution)) == con.rhs}
@@ -255,15 +257,16 @@ def _unsigned_zeros(values):
 @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
 def test_zero_skipping_pivots_match_dense_pivots(monkeypatch, exact):
     rng = np.random.default_rng(19)
+    solve = lp.solve if exact else float_simplex.solve
     statuses = {}
     for _ in range(600):
         prog = _sparse_lp(rng, exact)
-        rows, objective = lp._canonical(prog)
-        got = lp.solve(prog, exact=exact)
+        rows, objective = float_simplex.canonical(prog)
+        got = solve(prog)
         got_raw = lp._simplex(prog.num_vars, rows, objective, False)
         with monkeypatch.context() as mp:
             mp.setattr(lp, "_FloatTableau", _DenseTableau)
-            want = lp.solve(prog, exact=exact)
+            want = solve(prog)
             want_raw = lp._simplex(prog.num_vars, rows, objective, False)
         # The answer is bit-for-bit the dense kernel's, support included.
         assert repr(got) == repr(want), prog
@@ -313,7 +316,7 @@ def test_feasible_stacked_matches_feasible(monkeypatch):
     # row with no other nonzero entry, and the drive-out drops that row
     lps.append(lp.feasibility(2, [Constraint((1.0, 1.0), "==", 1.0)],
                               simplex=True))
-    want = [repr(lp.feasible(p)) for p in lps]
+    want = [repr(float_simplex.solve(p)) for p in lps]
 
     # What the batch holds, read off the one-LP simplex.
     census = dict.fromkeys(("zero >=", "negative rhs", "drive-out pivot",
@@ -327,7 +330,7 @@ def test_feasible_stacked_matches_feasible(monkeypatch):
     with monkeypatch.context() as mp:
         mp.setattr(lp, "_FloatTableau", CensusTableau)
         for p in lps:
-            rows, objective = lp._canonical(p)
+            rows, objective = float_simplex.canonical(p)
             status, _, tight = lp._simplex(p.num_vars, rows, objective, False)
             census["zero >="] += sum(rel == ">=" and b == 0 for _, rel, b in rows)
             census["negative rhs"] += sum(b < 0 for _, _, b in rows)

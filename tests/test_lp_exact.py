@@ -1,6 +1,6 @@
 """Exact-mode LP: every answer must equal the ``Fraction`` simplex's.
 
-``lp.solve(..., exact=True)`` keeps a float simplex answer only after proving
+``lp.solve`` keeps a float simplex answer only after proving
 it in rationals and otherwise falls back to the integer-preserving tableau.
 When the float basis proves the status, or the value, but not the point, the
 point is found on the integer tableau when it is first read.
@@ -20,6 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import farkas_reference
+import float_simplex
 import fraction_simplex
 from rsekit import baseline, lab, lp
 from rsekit.lp import Constraint, LinearProgram, LpOutcome
@@ -53,7 +54,7 @@ def kernel_outcome(prog: LinearProgram, simplex):
 
 
 def assert_same(prog):
-    got = lp.solve(prog, exact=True)
+    got = lp.solve(prog)
     want = reference(prog)
     assert got == want, prog
     for v in (got.solution or ()) + (got.objective_value,):
@@ -120,7 +121,6 @@ def test_random_grid_lps_match_fraction_simplex(seed, fallbacks):
         # feasibility LP over the simplex) prove every infeasible LP here.
         assert out.status != "infeasible" or fallbacks[0] == before
         assert (out.support is not None) == (out.status == "infeasible")
-        assert lp.solve(prog).support is None  # float mode proves nothing
     assert statuses == {"optimal", "infeasible", "unbounded"}
     assert fallbacks[0] < 100
 
@@ -130,9 +130,9 @@ def test_baseline_lps_match_fraction_simplex(monkeypatch):
     seen = []
     solve = lp.solve
 
-    def recording(prog, *, exact=False):
+    def recording(prog):
         seen.append(prog)
-        return solve(prog, exact=exact)
+        return solve(prog)
 
     monkeypatch.setattr(lp, "solve", recording)
     for seed in range(6):
@@ -167,7 +167,7 @@ def test_status_and_value_proven_before_the_point(name, fallbacks):
     found by one run on its first read and kept."""
     prog, value = {"tied": (TIED, 1),
                    "degenerate gate": (DEGENERATE_GATE, None)}[name]
-    out = lp.solve(prog, exact=True)
+    out = lp.solve(prog)
     assert (out.status, out.objective_value, out.support) == \
         ("optimal", value, None)
     assert value is None or type(out.objective_value) is Fraction
@@ -208,7 +208,7 @@ def test_unique_optimum_is_proven_from_its_vertex(name, zeros, runs,
     prog = {"one zero multiplier": ONE_ZERO, "two zero multipliers": TWO_ZEROS,
             "single-point gate": SINGLE_POINT_GATE, "tied": TIED,
             "degenerate gate": DEGENERATE_GATE}[name]
-    out = lp.solve(prog, exact=True)
+    out = lp.solve(prog)
     _, (_, _, _, free) = out.__dict__["_pending"]
     assert len(free) == zeros
     assert out.solution == reference(prog).solution
@@ -225,7 +225,7 @@ def test_points_proven_without_the_tableau_are_the_reference_points(
         rng, fallbacks):
     prog = random_lp(rng, (2, 4), (1, 6))
     before = fallbacks[0]
-    out = lp.solve(prog, exact=True)
+    out = lp.solve(prog)
     if out.status == "optimal":
         x = out.solution
         if fallbacks[0] == before:
@@ -239,7 +239,7 @@ def test_face_proofs_spare_the_tableau_on_random_lps(fallbacks):
     runs = []
     for _ in range(400):
         prog = random_lp(rng, (2, 4), (1, 6))
-        out = lp.solve(prog, exact=True)
+        out = lp.solve(prog)
         if "_pending" in out.__dict__:
             before = fallbacks[0]
             assert out.solution == reference(prog).solution, prog
@@ -289,12 +289,12 @@ def test_thin_infeasibility_margin(exponent, simplex, fallbacks):
                  lp.maximize((1, 0), cons, simplex=simplex)):
         # Certified by the float pass at 1e-6 and by the Fraction
         # simplex's own duals at 1e-9: both name the rows they used.
-        assert lp.solve(prog, exact=True).support is not None
+        assert lp.solve(prog).support is not None
     if exponent == 6:
         assert fallbacks[0] == 0
     else:
-        assert lp.feasible(lp.feasibility(2, cons, simplex=simplex)).status \
-            == "optimal"  # float mode alone gets this one wrong
+        assert float_simplex.solve(lp.feasibility(
+            2, cons, simplex=simplex)).status == "optimal"  # wrong in doubles
 
 
 def test_highs_agrees_on_status_and_objective():
@@ -306,7 +306,7 @@ def test_highs_agrees_on_status_and_objective():
         prog = random_lp(rng)
         if prog.sense == "feasibility":
             continue
-        out = lp.solve(prog, exact=True)
+        out = lp.solve(prog)
         sign = -1 if prog.sense == "max" else 1
         a_ub, b_ub, a_eq, b_eq = [], [], [], []
         for con in prog.constraints:
@@ -495,7 +495,7 @@ def test_bogus_infeasible_claim_is_not_trusted(monkeypatch, prog, duals):
 def test_bogus_duals_on_infeasible_lp_teach_no_support(monkeypatch, duals):
     """An unproven claim never becomes a support: the rows named are the
     ones the Fraction simplex's own certificate uses, never the liar's."""
-    honest = lp.solve(INFEASIBLE, exact=True).support
+    honest = lp.solve(INFEASIBLE).support
     assert honest == (0, 1)
     assert lp._farkas(2, lp._int_rows(INFEASIBLE), duals, True) is None
     _lie(monkeypatch, "infeasible", None, duals)
@@ -550,7 +550,7 @@ def test_vertex_of_a_tied_face_is_not_kept(monkeypatch, fallbacks, prog,
     direction (1, -1, 0) along the face, so the vertex is not kept: one
     run finds the reference's point."""
     _lie(monkeypatch, "optimal", None, active)
-    out = lp.solve(prog, exact=True)
+    out = lp.solve(prog)
     _, (_, xs, d, free) = out.__dict__["_pending"]
     assert (xs, d, free) == ([0, 1, 0], 1, [0])
     assert out.solution == reference(prog).solution == (1, 0, 0)
@@ -573,7 +573,7 @@ FEASIBLE_GATE = lp.feasibility(3, FEASIBLE.constraints, simplex=True)
 def test_wrong_feasible_vertex_is_not_trusted(monkeypatch, fallbacks, prog,
                                               active):
     _lie(monkeypatch, "optimal", None, active)
-    out = lp.solve(prog, exact=True)
+    out = lp.solve(prog)
     assert fallbacks[0] == 1  # the integer tableau decided
     assert out == reference(prog)
     assert out.status == ("optimal" if prog is FEASIBLE_GATE else "infeasible")
@@ -595,7 +595,7 @@ def test_wrongly_signed_multiplier_is_not_trusted(monkeypatch, fallbacks, prog,
     """A feasible vertex whose multipliers have a wrong sign is not optimal:
     neither its value nor its point may be kept."""
     _lie(monkeypatch, "optimal", None, active)
-    out = lp.solve(prog, exact=True)
+    out = lp.solve(prog)
     assert fallbacks[0] == 1
     assert out == reference(prog)
     assert out.objective_value == {FEASIBLE: Fraction(7, 6), MIN_LP: 1}[prog]
@@ -649,7 +649,7 @@ def test_scaled_row_is_its_ints_over_the_scale():
         twin = LinearProgram(prog.num_vars, prog.objective, prog.sense,
                              tuple(Constraint(*fraction_simplex.row(c))
                                    for c in prog.constraints), True)
-        assert lp.solve(prog, exact=True) == lp.solve(twin, exact=True)
+        assert lp.solve(prog) == lp.solve(twin)
 
 
 def test_cached_rows_are_the_entries_in_each_arithmetic():
@@ -692,8 +692,8 @@ def test_a_used_constraint_equals_a_fresh_one():
     rng = random.Random(7)
     for _ in range(100):
         prog = random_lp(rng, num_rows=(1, 7))
-        lp.solve(prog, exact=True)
         lp.solve(prog)
+        float_simplex.solve(prog)
         for used, new in zip(prog.constraints, _fresh(prog).constraints):
             assert used == new and hash(used) == hash(new)
             assert repr(used) == repr(new)
@@ -707,8 +707,9 @@ def test_one_constraint_serves_float_and_exact_lps(first_exact):
     for _ in range(200):
         prog = random_lp(rng)
         for exact in (first_exact, not first_exact):
-            got = lp.solve(prog, exact=exact)
-            want = lp.solve(_fresh(prog), exact=exact)
+            solve = lp.solve if exact else float_simplex.solve
+            got = solve(prog)
+            want = solve(_fresh(prog))
             assert repr(got) == repr(want), prog
             assert got.support == want.support
             statuses.add(got.status)
